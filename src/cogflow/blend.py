@@ -14,11 +14,29 @@ Sums are accumulated as deviations from the base field value, so when
 every inner field agrees the blend returns that shared value bit-exactly
 regardless of score, mix, or mode.
 
-Stochastic draws come from a counter-based stream keyed by (seed,
-evaluation ordinal, anchor index): trajectories are reproducible and
-independent of batching or scheduling. A BlendedField instance owns its
-ordinal and evaluation counter and must not be shared across concurrent
-callers; a BlendSpec is immutable and freely shareable.
+Stochastic draws come from a counter-based stream: the chain drawn for
+row r and anchor k is randbelow(n, seed_r, STREAM_CHAIN_DRAW, ordinal, k),
+where ordinal counts evaluations (per_eval) or solver steps (per_step).
+One hash per evaluation covers every pair: a (B, K) array for per-row
+seeds, (K,) for a scalar seed, K = 2**n. Trajectories are therefore
+reproducible and independent of batching or scheduling. At n = 1 each
+anchor has a single chain and no hash is made.
+
+There are two evaluation paths with the same bits. When the base field
+and every chain field are plain GaussianTargetFields (the template
+backend without mixture bindings), stochastic mode reads a stacked
+Gaussian bank built when the field is made: chain means (K, n, D), chain
+variances (K, n), and the base mean and variance. Each evaluation then
+computes kappa(t) for all chains at once and, per anchor, gathers each
+row's drawn mean and kappa into the Gaussian closed form; no inner
+field's eval is called. Any other inner field (a mixture, a subclass, a
+test double) selects the generic path, which calls eval on each drawn
+chain field for the rows that drew it. The path follows from the inner
+fields' types alone.
+
+A BlendedField instance owns its ordinal and evaluation counter and must
+not be shared across concurrent callers; a BlendSpec is immutable and
+freely shareable.
 """
 
 from __future__ import annotations
@@ -29,9 +47,20 @@ from typing import NamedTuple
 import numpy as np
 
 from . import streams
-from .cogspace import CognitiveAnchor, ScoreVector, anchor_weight
+from .cogspace import (  # noqa: F401  (anchor_weight stays importable from here)
+    CognitiveAnchor,
+    ScoreVector,
+    anchor_weight,
+    weight_vector,
+)
 from .errors import ContractViolation, SpaceMismatchError
-from .semantics import VelocityField
+from .semantics import (
+    GaussianTargetField,
+    VelocityField,
+    _check_time,
+    flow_kappa,
+    gaussian_velocity,
+)
 
 MODES = ("stochastic", "full_average")
 DRAW_SCOPES = ("per_eval", "per_step")
@@ -114,9 +143,52 @@ class BlendSpec:
         return self.n * self.anchor_count + 1
 
     def weights(self) -> np.ndarray:
-        return np.array(
-            [anchor_weight(self.score, entry.anchor) for entry in self.anchor_sets]
+        return weight_vector(self.score)
+
+
+class GaussianBank(NamedTuple):
+    """Stacked parameters of a spec whose inner fields are all Gaussian."""
+
+    base_mean: np.ndarray  # (D,)
+    base_variance: float
+    means: np.ndarray  # (K, n, D)
+    variances: np.ndarray  # (K, n)
+
+    @classmethod
+    def of(cls, spec: BlendSpec) -> "GaussianBank | None":
+        """The bank of spec, or None unless every inner field is exactly a
+        GaussianTargetField (subclasses may override eval)."""
+        chains = [entry.chain_fields for entry in spec.anchor_sets]
+        fields = [spec.base_field, *(f for chain in chains for f in chain)]
+        if any(type(f) is not GaussianTargetField for f in fields):
+            return None
+        return cls(
+            base_mean=np.array(spec.base_field.mean),
+            base_variance=spec.base_field.variance,
+            means=np.array([[f.mean for f in chain] for chain in chains]),
+            variances=np.array([[f.variance for f in chain] for chain in chains]),
         )
+
+    def values(self, x, t, draws):
+        """Base velocity and an iterator over the drawn vhat_k, k = 0..K-1.
+
+        draws holds chain indices of shape (K,) or (B, K); the expression
+        is gaussian_field's, so the bits equal those of the generic path.
+        """
+        t = _check_time(t)
+        base = gaussian_velocity(
+            self.base_mean, flow_kappa(t, self.base_variance), x, t
+        )
+        kappas = flow_kappa(t, self.variances)
+
+        def drawn():
+            for k, (means, kappa) in enumerate(zip(self.means, kappas)):
+                chosen = draws[..., k]
+                yield gaussian_velocity(
+                    means.take(chosen, axis=0), kappa.take(chosen)[..., None], x, t
+                )
+
+        return base, drawn()
 
 
 class BlendedField(VelocityField):
@@ -134,6 +206,8 @@ class BlendedField(VelocityField):
         self._eval_ordinal = 0
         self._step_ordinal = 0
         self._weights = spec.weights()
+        self._anchor_ids = np.arange(spec.anchor_count)
+        self._bank = GaussianBank.of(spec) if spec.mode == "stochastic" else None
 
     @property
     def dim(self):
@@ -143,49 +217,67 @@ class BlendedField(VelocityField):
         """Integrator hook; freezes draws within a step in per_step scope."""
         self._step_ordinal = step_index
 
-    def _chain_value(self, entry: AnchorFields, k: int, x, t, ordinal: int):
-        fields = entry.chain_fields
-        n = len(fields)
-        if self.spec.mode == "full_average":
-            # deviation form: bit-exact when all chains agree
+    def _draws(self, x, ordinal: int) -> np.ndarray:
+        """Chain index per anchor: (K,) for a scalar seed, (B, K) per row."""
+        per_row = np.ndim(self.seed) > 0
+        if per_row and x.ndim == 1:
+            raise ContractViolation(
+                "per-row seeds require batched states of shape (rows, dim)"
+            )
+        n = self.spec.n
+        if n == 1:
+            # randbelow(1, ...) is always 0: skip the hash
+            return np.zeros(self.spec.anchor_count, dtype=np.int64)
+        seed = np.asarray(self.seed)[:, None] if per_row else self.seed
+        return streams.randbelow(
+            n, seed, streams.STREAM_CHAIN_DRAW, ordinal, self._anchor_ids
+        )
+
+    @staticmethod
+    def _chain_value(fields, x, t, draw):
+        if draw is None:
+            # full_average, in deviation form: bit-exact when all chains agree
             first = fields[0].eval(x, t)
-            if n == 1:
+            if len(fields) == 1:
                 return first
             acc = np.zeros_like(first)
             for f in fields[1:]:
                 acc = acc + (f.eval(x, t) - first)
-            return first + acc / n
-        draws = streams.randbelow(n, self.seed, streams.STREAM_CHAIN_DRAW, ordinal, k)
-        if np.ndim(draws) == 0:
-            return fields[int(draws)].eval(x, t)
-        if np.ndim(x) == 1:
-            raise ContractViolation(
-                "per-row seeds require batched states of shape (rows, dim)"
-            )
-        out = np.empty_like(np.asarray(x, dtype=float))
-        for j in range(n):
-            rows = draws == j
+            return first + acc / len(fields)
+        if np.ndim(draw) == 0:
+            return fields[int(draw)].eval(x, t)
+        out = np.empty_like(x)
+        for j, f in enumerate(fields):
+            rows = draw == j
             if rows.any():
-                out[rows] = fields[j].eval(np.asarray(x, dtype=float)[rows], t)
+                out[rows] = f.eval(x[rows], t)
         return out
 
     def eval(self, x, t):
         x = np.asarray(x, dtype=float)
-        ordinal = (
-            self._step_ordinal
-            if self.spec.draw_scope == "per_step"
-            else self._eval_ordinal
-        )
-        base = self.spec.base_field.eval(x, t)
+        spec = self.spec
+        draws = None
+        if spec.mode == "stochastic":
+            per_step = spec.draw_scope == "per_step"
+            draws = self._draws(x, self._step_ordinal if per_step else self._eval_ordinal)
+        if self._bank is not None:
+            base, vhats = self._bank.values(x, t, draws)
+        else:
+            base = spec.base_field.eval(x, t)
+            vhats = (
+                self._chain_value(
+                    entry.chain_fields, x, t, None if draws is None else draws[..., k]
+                )
+                for k, entry in enumerate(spec.anchor_sets)
+            )
         acc = np.zeros_like(base)
-        for k, entry in enumerate(self.spec.anchor_sets):
-            vhat = self._chain_value(entry, k, x, t, ordinal)
-            acc = acc + self._weights[k] * (vhat - base)
-        if self.spec.draw_scope != "per_step":
+        for w, vhat in zip(self._weights, vhats):
+            acc = acc + w * (vhat - base)
+        if spec.draw_scope != "per_step":
             self._eval_ordinal += 1
         rows = 1 if x.ndim == 1 else x.shape[0]
-        self.eval_counter += rows * self.spec.evals_per_call()
-        return base + (1.0 - self.spec.base_mix) * acc
+        self.eval_counter += rows * spec.evals_per_call()
+        return base + (1.0 - spec.base_mix) * acc
 
 
 def make_blended_field(spec: BlendSpec, seed) -> BlendedField:

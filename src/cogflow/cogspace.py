@@ -158,13 +158,18 @@ def anchor_weight(score: ScoreVector, anchor: CognitiveAnchor) -> float:
     return w
 
 
-def weight_vector(score: ScoreVector, space: CognitiveSpace) -> np.ndarray:
-    """Weights for all anchors in canonical order; a partition of unity."""
-    if len(score) != space.n:
+def weight_vector(score: ScoreVector, space: CognitiveSpace | None = None) -> np.ndarray:
+    """Weights for all anchors in canonical order; a partition of unity.
+
+    Each anchor's product runs over the dimensions in order, as in
+    anchor_weight, so both give the same bits. The score is checked
+    against space when one is given.
+    """
+    if space is not None and len(score) != space.n:
         raise SpaceMismatchError(
             f"score has {len(score)} components but space has {space.n} dimensions"
         )
-    n = space.n
+    n = len(score)
     s = np.asarray(score.values)
     # per-dimension factor table: row 0 is 1-s_i, row 1 is s_i
     factors = np.stack([1.0 - s, s])

@@ -268,8 +268,14 @@ class MomentPaths(NamedTuple):
         return self.covariances[-1]
 
 
-def blended_affine_coefficients(spec: BlendSpec, t: float) -> tuple[float, np.ndarray]:
-    """Scalar slope and offset of a full-average blend of affine fields."""
+def blended_affine_coefficients(
+    spec: BlendSpec, t: float, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Scalar slope and offset of a full-average blend of affine fields.
+
+    weights is spec.weights(), computed once by the caller rather than on
+    every evaluation of the moment ODE.
+    """
     coeffs = getattr(spec.base_field, "affine_coefficients", None)
     if coeffs is None:
         raise ContractViolation("base field is not affine; no moment oracle")
@@ -277,7 +283,6 @@ def blended_affine_coefficients(spec: BlendSpec, t: float) -> tuple[float, np.nd
     slope *= spec.base_mix
     offset = spec.base_mix * offset
     anchor_share = 1.0 - spec.base_mix
-    weights = spec.weights()
     for k, entry in enumerate(spec.anchor_sets):
         chain_slopes = []
         chain_offsets = []
@@ -301,10 +306,11 @@ class _MomentField(VelocityField):
     def __init__(self, spec: BlendSpec, dim: int):
         self.spec = spec
         self.state_dim = dim
+        self.weights = spec.weights()
 
     def eval(self, z, t):
         d = self.state_dim
-        slope, offset = blended_affine_coefficients(self.spec, t)
+        slope, offset = blended_affine_coefficients(self.spec, t, self.weights)
         m = z[:d]
         cov = z[d:].reshape(d, d)
         dm = slope * m + offset

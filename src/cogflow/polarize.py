@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import re
 import threading
@@ -28,6 +29,8 @@ from .cogspace import CognitiveAnchor, CognitiveSpace, DimensionSpec, enumerate_
 from .errors import BackendError, BindingError, ContractViolation
 
 DEFAULT_CACHE_PATH = "./polarize_cache.ndjson"
+
+log = logging.getLogger("cogflow.polarize")
 
 _TAG_PATTERN = re.compile(r"«([^«»:]+):([+-])»")
 
@@ -206,6 +209,11 @@ def cache_digest(backend_id: str, prompt: str, dimension_name: str, pole: int) -
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
+def _parse_record(line: bytes) -> tuple[str, str]:
+    record = json.loads(line)
+    return record["digest"], record["output"]
+
+
 class PolarizationCache:
     """Disk-backed rewrite cache: newline-delimited {digest, output} records.
 
@@ -226,18 +234,37 @@ class PolarizationCache:
         return cls(path=None)
 
     def _load(self):
-        with open(self.path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    self._entries[record["digest"]] = record["output"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise BackendError(
-                        f"corrupt cache record at {self.path}:{lineno}: {exc}"
-                    ) from exc
+        """Read every record. The last line of an append cut short has no
+        newline: if it does not parse it is dropped with a warning and cut
+        from the file, and if it does its newline is restored, so the next
+        append starts on a fresh line. Any other record that does not
+        parse raises BackendError."""
+        data = self.path.read_bytes()
+        lines = data.split(b"\n")
+        tail = lines[-1]  # empty unless the file ends mid-line
+        if tail.strip():
+            try:
+                _parse_record(tail)
+            except (ValueError, KeyError, TypeError) as exc:
+                log.warning(
+                    "dropping torn record at the end of %s (%d bytes): %s",
+                    self.path, len(tail), exc,
+                )
+                os.truncate(self.path, len(data) - len(tail))
+                lines.pop()
+            else:
+                with open(self.path, "ab") as fh:
+                    fh.write(b"\n")
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                digest, output = _parse_record(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise BackendError(
+                    f"corrupt cache record at {self.path}:{lineno}: {exc}"
+                ) from exc
+            self._entries[digest] = output
 
     def __len__(self) -> int:
         return len(self._entries)

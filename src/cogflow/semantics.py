@@ -121,7 +121,18 @@ def gaussian_field(mean, variance: float, x, t: float) -> np.ndarray:
     variance = _check_variance(variance)
     mean = np.asarray(mean, dtype=float)
     x = np.asarray(x, dtype=float)
-    return mean + flow_kappa(t, variance) * (x - t * mean)
+    return gaussian_velocity(mean, flow_kappa(t, variance), x, t)
+
+
+def gaussian_velocity(mean, kappa, x, t: float) -> np.ndarray:
+    """The closed form mean + kappa * (x - t * mean) for a given kappa(t).
+
+    Unchecked and broadcasting: mean (D,) or per-row (B, D), kappa a
+    scalar or per-row (B, 1). Every Gaussian velocity in the package goes
+    through this one expression, so batched and per-field evaluations
+    agree bit for bit.
+    """
+    return mean + kappa * (x - t * mean)
 
 
 class VelocityField:

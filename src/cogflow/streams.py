@@ -21,7 +21,6 @@ _INV_2_53 = 1.0 / (1 << 53)
 STREAM_SAMPLE_SEED = 1
 STREAM_INIT_STATE = 2
 STREAM_CHAIN_DRAW = 3
-STREAM_SCORE_DRAW = 4
 
 
 def _as_u64(value) -> np.ndarray:

@@ -22,6 +22,18 @@ class ConstantField(VelocityField):
         return 0.0, self.value.copy()
 
 
+class DelegatingField(VelocityField):
+    """Test double: forwards to an inner field. Its type is not a plain
+    GaussianTargetField, so a blend over it takes the generic path."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def eval(self, x, t):
+        return self.inner.eval(x, t)
+
+
 @pytest.fixture
 def space2() -> CognitiveSpace:
     return CognitiveSpace.from_names("valence", "arousal")

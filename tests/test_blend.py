@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from cogflow import streams
 from cogflow.blend import (
     AnchorFields,
     BlendedField,
@@ -12,12 +15,20 @@ from cogflow.cogspace import (
     CognitiveAnchor,
     CognitiveSpace,
     ScoreVector,
+    anchor_weight,
     enumerate_anchors,
 )
 from cogflow.errors import ContractViolation, SpaceMismatchError
-from cogflow.semantics import GaussianTargetField
+from cogflow.flow import GenerationRequest, IntegrationConfig, build_blend_spec, generate
+from cogflow.polarize import TemplateBackend, build_all_sets
+from cogflow.semantics import (
+    GaussianTargetField,
+    MixtureTargetField,
+    SemanticModel,
+    TargetDistribution,
+)
 
-from conftest import ConstantField
+from conftest import ConstantField, DelegatingField
 
 
 def spec_with_constant_chains(values_by_anchor, score, n=2, **kwargs):
@@ -325,3 +336,149 @@ def test_spec_dimension_mismatch():
     )
     with pytest.raises(SpaceMismatchError):
         BlendSpec(base, sets, ScoreVector((0.5, 0.5)))
+
+
+# --- the stacked Gaussian bank ------------------------------------------------
+
+def gaussian_spec(n, wrap=lambda f: f, seed=0, **kwargs):
+    """Distinct Gaussian chains and base; wrap decides each field's type."""
+    rng = np.random.default_rng(seed)
+    dim = 3
+
+    def field():
+        return wrap(GaussianTargetField(rng.normal(size=dim), rng.uniform(0.2, 2.0)))
+
+    space = CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
+    return BlendSpec(
+        base_field=field(),
+        anchor_sets=tuple(
+            AnchorFields(anchor=a, chain_fields=tuple(field() for _ in range(n)))
+            for a in enumerate_anchors(space)
+        ),
+        score=ScoreVector(tuple(rng.uniform(0, 1, n))),
+        **kwargs,
+    )
+
+
+def run_steps(field, x, steps=3):
+    """rk4-like schedule: four evaluations per step at three times."""
+    outs = []
+    for step in range(steps):
+        field.begin_step(step)
+        for t in (0.1 * step, 0.1 * step + 0.05, 0.1 * step + 0.05, 0.1 * step + 0.1):
+            outs.append(field.eval(x, t))
+    return outs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("base_mix", [0.0, 0.5, 1.0])
+def test_bank_path_matches_generic_path_bit_for_bit(n, draw_scope, base_mix, monkeypatch):
+    kwargs = dict(mode="stochastic", draw_scope=draw_scope, base_mix=base_mix)
+    bank_spec = gaussian_spec(n, seed=n, **kwargs)
+    generic_spec = gaussian_spec(n, wrap=DelegatingField, seed=n, **kwargs)
+    xs = np.random.default_rng(7).normal(size=(40, 3))
+    seeds = [5, np.arange(100, 140, dtype=np.uint64)]
+    expected = [run_steps(BlendedField(generic_spec, seed), xs) for seed in seeds]
+    expected.append(run_steps(BlendedField(generic_spec, 5), xs[0]))
+
+    def no_inner_eval(self, x, t):
+        raise AssertionError("the bank path evaluated an inner field")
+
+    monkeypatch.setattr(GaussianTargetField, "eval", no_inner_eval)
+    got = [run_steps(BlendedField(bank_spec, seed), xs) for seed in seeds]
+    got.append(run_steps(BlendedField(bank_spec, 5), xs[0]))
+    for want_run, got_run in zip(expected, got):
+        assert all(np.array_equal(w, g) for w, g in zip(want_run, got_run))
+
+
+def test_bank_path_keeps_eval_count_and_time_check():
+    spec = gaussian_spec(3, mode="stochastic")
+    field = BlendedField(spec, np.arange(5, dtype=np.uint64))
+    field.eval(np.zeros((5, 3)), 0.5)
+    assert field.eval_counter == 5 * spec.evals_per_call()
+    with pytest.raises(ContractViolation):
+        field.eval(np.zeros((5, 3)), 1.5)
+    with pytest.raises(ContractViolation):
+        field.eval(np.zeros(3), 0.5)
+
+
+def test_mixture_chain_takes_generic_path_with_row_equality(space2, biased_model, monkeypatch):
+    sets = build_all_sets(TemplateBackend(), "a valley", space2)
+    mixed_prompt = sets[2].results[1]
+    mixture = TargetDistribution(
+        components=((0.3, np.array([1.0, -1.0]), 0.5), (0.7, np.array([-0.5, 2.0]), 0.8))
+    )
+    model = replace(biased_model, explicit_bindings={mixed_prompt: mixture})
+    request = GenerationRequest(base_prompt="a valley", score=ScoreVector((0.3, 0.8)))
+    spec = build_blend_spec(request, space2, model)
+    assert type(spec.anchor_sets[2].chain_fields[1]) is MixtureTargetField
+
+    inner_calls = []
+    gaussian_eval = GaussianTargetField.eval
+
+    def counted(self, x, t):
+        inner_calls.append(t)
+        return gaussian_eval(self, x, t)
+
+    monkeypatch.setattr(GaussianTargetField, "eval", counted)
+    row_seeds = np.array([11, 22, 33, 44], dtype=np.uint64)
+    xs = np.random.default_rng(3).normal(size=(4, 2))
+    batched = BlendedField(spec, row_seeds)
+    solos = [BlendedField(spec, int(seed)) for seed in row_seeds]
+    for t in (0.0, 0.3, 0.9):
+        batch_out = batched.eval(xs, t)
+        for i, solo in enumerate(solos):
+            assert np.array_equal(solo.eval(xs[i], t), batch_out[i])
+    assert inner_calls  # the generic path calls the inner fields
+
+
+@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_draw_hash_per_evaluation(n, wrap, monkeypatch):
+    calls = []
+    randbelow = streams.randbelow
+
+    def counted(*args):
+        calls.append(args)
+        return randbelow(*args)
+
+    monkeypatch.setattr(streams, "randbelow", counted)
+    spec = gaussian_spec(n, wrap=wrap, mode="stochastic")
+    field = BlendedField(spec, np.arange(6, dtype=np.uint64))
+    for i in range(5):
+        field.eval(np.zeros((6, 3)), 0.1 * i)
+    # at n = 1 every anchor has one chain, so nothing is drawn
+    assert len(calls) == (0 if n == 1 else 5)
+
+
+def test_one_dimension_stochastic_equals_full_average():
+    space = CognitiveSpace.from_names("valence")
+    model = SemanticModel.for_space(
+        space, effect_magnitudes=1.5, position_bias=0.5, default_variance=0.6
+    )
+    batches = [
+        generate(
+            GenerationRequest(
+                base_prompt="a valley",
+                score=ScoreVector((0.3,)),
+                seed=9,
+                sample_count=16,
+                blend_mode=mode,
+                integration=IntegrationConfig(steps=10),
+            ),
+            space,
+            model,
+        )
+        for mode in ("stochastic", "full_average")
+    ]
+    assert np.array_equal(batches[0].endpoints, batches[1].endpoints)
+
+
+def test_weights_equal_anchor_weight_bits():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        for _ in range(50):
+            spec = gaussian_spec(n, seed=int(rng.integers(1 << 30)), mode="stochastic")
+            want = [anchor_weight(spec.score, e.anchor) for e in spec.anchor_sets]
+            assert spec.weights().tolist() == want

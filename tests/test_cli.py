@@ -75,6 +75,20 @@ def test_polarize_without_config_uses_defaults(tmp_path):
     assert [d["name"] for d in doc["space"]] == ["valence", "arousal"]
 
 
+def test_polarize_exit_codes_for_torn_and_corrupt_cache(tmp_path):
+    cfg = write_config(tmp_path)
+    cache = tmp_path / "cache.ndjson"
+    export = tmp_path / "out" / "polarized_prompts.json"
+    assert run_cli("polarize", "--config", str(cfg), "--quiet") == 0
+    data, warm = cache.read_bytes(), export.read_bytes()
+    cache.write_bytes(data[:-20])
+    assert run_cli("polarize", "--config", str(cfg), "--quiet") == 0
+    assert cache.read_bytes() == data and export.read_bytes() == warm
+    first, rest = data.split(b"\n", 1)
+    cache.write_bytes(first + b"\n{\n" + rest)
+    assert run_cli("polarize", "--config", str(cfg), "--quiet") == 3
+
+
 def test_cache_path_env_fallback(tmp_path, monkeypatch):
     env_cache = tmp_path / "env_cache.ndjson"
     monkeypatch.setenv("COGFLOW_CACHE_PATH", str(env_cache))

@@ -196,6 +196,60 @@ def test_cache_rejects_corrupt_records(tmp_path):
         PolarizationCache(path)
 
 
+def filled_cache(path, count=3):
+    cache = PolarizationCache(path)
+    for i in range(count):
+        cache.store(f"d{i}", f"out{i}")
+    return path.read_bytes()
+
+
+def test_cache_drops_torn_tail_with_warning(tmp_path, caplog):
+    path = tmp_path / "cache.ndjson"
+    data = filled_cache(path)
+    last = data.rstrip(b"\n").rsplit(b"\n", 1)[-1]
+    path.write_bytes(data[: len(data) - 1 - len(last) // 2])
+    with caplog.at_level("WARNING", logger="cogflow.polarize"):
+        cache = PolarizationCache(path)
+    assert len(cache) == 2 and cache.get("d2") is None
+    assert [r.name for r in caplog.records] == ["cogflow.polarize"]
+    assert "torn record" in caplog.records[0].getMessage()
+    # the file is cut back to its last complete record
+    assert path.read_bytes() == data[: len(data) - len(last) - 1]
+    cache.store("d2", "again")
+    cache.store("d3", "new")
+    reloaded = PolarizationCache(path)
+    assert {d: reloaded.get(d) for d in ("d0", "d1", "d2", "d3")} == {
+        "d0": "out0", "d1": "out1", "d2": "again", "d3": "new"
+    }
+
+
+def test_cache_restores_newline_of_whole_last_record(tmp_path, caplog):
+    path = tmp_path / "cache.ndjson"
+    data = filled_cache(path)
+    path.write_bytes(data[:-1])
+    with caplog.at_level("WARNING", logger="cogflow.polarize"):
+        cache = PolarizationCache(path)
+    assert len(cache) == 3 and not caplog.records
+    assert path.read_bytes() == data
+    cache.store("d3", "new")
+    assert len(PolarizationCache(path)) == 4
+
+
+@pytest.mark.parametrize("corrupt", [b"not json", b'{"digest": "x"}', b"[1, 2]"])
+def test_cache_rejects_corrupt_record_mid_file(tmp_path, corrupt):
+    path = tmp_path / "cache.ndjson"
+    data = filled_cache(path)
+    first, rest = data.split(b"\n", 1)
+    path.write_bytes(first + b"\n" + corrupt + b"\n" + rest)
+    with pytest.raises(BackendError, match=":2:"):
+        PolarizationCache(path)
+    # a newline-terminated last record is whole, never a torn tail
+    path.write_bytes(data + corrupt + b"\n")
+    with pytest.raises(BackendError, match=":4:"):
+        PolarizationCache(path)
+    assert path.read_bytes() == data + corrupt + b"\n"
+
+
 def test_cache_digest_discriminates():
     base = cache_digest("template", "p", "d1", 1)
     assert base != cache_digest("template", "p", "d1", 0)
