@@ -7,7 +7,6 @@ from .blend import (
     BlendedField,
     BlendSpec,
     expected_field_check,
-    make_blended_field,
 )
 from .cogspace import (
     CognitiveAnchor,
@@ -71,7 +70,6 @@ from .semantics import (
     VelocityField,
     bind,
     gaussian_field,
-    mixture_field,
     monte_carlo_velocity,
 )
 

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: polarize (export prompt sets), generate (sample a batch),
-experiment (run a named harness experiment), validate (built-in
-invariant suite), orders (print cyclic chain orders). Exit codes:
-0 success, 1 criterion or validation failure, 2 config error,
+experiment (run a named harness experiment), validate (the invariant
+suite of cogflow.invariants), orders (print cyclic chain orders). Exit
+codes: 0 success, 1 criterion or validation failure, 2 config error,
 3 backend or IO error.
 """
 
@@ -15,12 +15,9 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
+from . import invariants
 from ._fsio import atomic_write_text
-from .blend import AnchorFields, BlendedField, BlendSpec
-from .cogspace import CognitiveSpace, ScoreVector, enumerate_anchors, weight_vector
 from .errors import (
     BackendError,
     BindingError,
@@ -28,22 +25,9 @@ from .errors import (
     ConfigError,
     ContractViolation,
 )
-from .flow import IntegrationConfig, generate, integrate, write_sample_batch
+from .flow import generate, write_sample_batch
 from .harness import emit_report, run_experiment
-from .polarize import (
-    PolarizationCache,
-    TemplateBackend,
-    build_all_sets,
-    build_chain_orders,
-    prompt_sets_to_json,
-)
-from .semantics import (
-    GaussianTargetField,
-    MixtureTargetField,
-    TargetDistribution,
-    gaussian_field,
-    monte_carlo_velocity,
-)
+from .polarize import build_all_sets, build_chain_orders, prompt_sets_to_json
 
 log = logging.getLogger("cogflow")
 
@@ -160,12 +144,11 @@ def _cmd_generate(args) -> int:
 def _cmd_experiment(args) -> int:
     resolved = _resolved_config(args, required=True)
     cache = cfgmod.build_cache(resolved)
-    experiment = cfgmod.build_experiment(
-        resolved, out_dir=args.out, threads=args.threads, cache=cache
-    )
-    experiment.output_dir.mkdir(parents=True, exist_ok=True)
+    experiment = cfgmod.build_experiment(resolved, threads=args.threads, cache=cache)
+    out = _out_dir(resolved)
     report = run_experiment(experiment)
-    for path in emit_report(report, experiment.output_dir):
+    report.config_digest = cfgmod.config_digest(resolved)
+    for path in emit_report(report, out):
         print(f"wrote {path}")
     for criterion in report.criteria:
         status = (
@@ -178,159 +161,16 @@ def _cmd_experiment(args) -> int:
     return 0 if report.passed else 1
 
 
-# --- built-in invariant suite -------------------------------------------
-
-def _check_weights():
-    rng = np.random.default_rng(7)
-    for n in range(1, 5):
-        space = CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
-        for _ in range(2000):
-            score = ScoreVector(tuple(rng.uniform(0.0, 1.0, n)))
-            weights = weight_vector(score, space)
-            assert abs(weights.sum() - 1.0) <= 1e-12, f"partition broken at n={n}"
-            assert weights.min() >= 0.0, f"negative weight at n={n}"
-
-
-def _check_vertex_delta():
-    for n in range(1, 5):
-        space = CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
-        for anchor in enumerate_anchors(space):
-            weights = weight_vector(ScoreVector(anchor.bits), space)
-            expected = np.zeros(1 << n)
-            expected[anchor.index - 1] = 1.0
-            assert np.array_equal(weights, expected), f"vertex delta broken at n={n}"
-
-
-def _check_latin_square():
-    for n in range(1, 7):
-        orders = build_chain_orders(n)
-        grid = np.array(orders)
-        for row in grid:
-            assert sorted(row) == list(range(1, n + 1)), "row not a permutation"
-        for col in grid.T:
-            assert sorted(col) == list(range(1, n + 1)), "column not a permutation"
-
-
-def _check_field_identities():
-    mean = np.array([2.0, 0.0])
-    for x in (np.zeros(2), np.array([1.5, -3.0])):
-        assert np.allclose(gaussian_field(mean, 0.5, x, 0.0), mean - x)
-        assert np.allclose(gaussian_field(mean, 0.5, x, 1.0), x)
-        assert np.allclose(gaussian_field(np.zeros(2), 1.0, x, 0.5), 0.0)
-
-
-def _check_field_oracle():
-    mean = np.array([1.0, -0.5])
-    variance = 0.5
-    t = 0.5
-    x = t * mean
-    estimate, se = monte_carlo_velocity(
-        mean, variance, x, t, draws=120_000, bandwidth=0.25, seed=11
-    )
-    closed = gaussian_field(mean, variance, x, t)
-    gap = np.abs(estimate - closed)
-    assert np.all(gap <= 3.0 * se + 1e-9), f"oracle disagrees: {gap} vs se {se}"
-
-
-def _check_mixture_responsibilities():
-    dist = TargetDistribution(
-        components=(
-            (0.25, np.array([2.0, 0.0]), 0.5),
-            (0.75, np.array([-2.0, 1.0]), 1.0),
-        )
-    )
-    field = MixtureTargetField(dist)
-    rng = np.random.default_rng(3)
-    points = rng.normal(size=(64, 2))
-    for t in (0.0, 0.4, 1.0):
-        resp = field.responsibilities(points, t)
-        assert np.all(np.abs(resp.sum(axis=1) - 1.0) <= 1e-12)
-
-
-def _check_blend_counts():
-    space = CognitiveSpace.from_names("d1", "d2")
-    shared = GaussianTargetField(np.array([0.7, -0.2]), 1.0)
-    anchor_sets = tuple(
-        AnchorFields(anchor=a, chain_fields=(shared, shared))
-        for a in enumerate_anchors(space)
-    )
-    for mode, per_call in (("stochastic", 5), ("full_average", 9)):
-        spec = BlendSpec(
-            base_field=shared,
-            anchor_sets=anchor_sets,
-            score=ScoreVector((0.3, 0.8)),
-            mode=mode,
-        )
-        field = BlendedField(spec, seed=0)
-        x = np.array([0.1, 0.2])
-        for _ in range(3):
-            out = field.eval(x, 0.5)
-            assert np.array_equal(out, shared.eval(x, 0.5)), "identity collapse broken"
-        assert field.eval_counter == 3 * per_call, f"count wrong in {mode}"
-
-
-def _check_integrators():
-    class Shrink:
-        def eval(self, x, t):
-            return -x
-
-    class Zero:
-        def eval(self, x, t):
-            return np.zeros_like(x)
-
-    class Grow:
-        def eval(self, x, t):
-            return x
-
-    x0 = np.array([1.0])
-    euler = integrate(Shrink(), x0, IntegrationConfig(solver="euler", steps=2))
-    assert np.allclose(euler.endpoint, 0.25)
-    still = integrate(Zero(), np.array([0.3, -0.7]), IntegrationConfig(steps=5))
-    assert np.array_equal(still.endpoint, np.array([0.3, -0.7]))
-    rk4 = integrate(Grow(), x0, IntegrationConfig(solver="rk4", steps=20))
-    assert abs(rk4.endpoint[0] - np.e) <= 1e-5
-
-
-def _check_cache_transparency():
-    space = CognitiveSpace.from_names("d1", "d2")
-    uncached_backend = TemplateBackend()
-    uncached = build_all_sets(uncached_backend, "a valley", space, None)
-    assert uncached_backend.calls == 4 * 2 * 2, "uncached call count wrong"
-    backend = TemplateBackend()
-    cache = PolarizationCache.in_memory()
-    first = build_all_sets(backend, "a valley", space, cache)
-    calls_after_cold = backend.calls
-    # shared chain prefixes collapse, so a cold cached build is cheaper
-    assert 0 < calls_after_cold <= uncached_backend.calls
-    second = build_all_sets(backend, "a valley", space, cache)
-    assert backend.calls == calls_after_cold, "warm cache still hit the backend"
-    assert [s.results for s in first] == [s.results for s in second]
-    assert [s.results for s in first] == [s.results for s in uncached]
-
-
-VALIDATIONS = [
-    ("weight_partition_of_unity", _check_weights),
-    ("weight_vertex_delta", _check_vertex_delta),
-    ("latin_square_orders", _check_latin_square),
-    ("gaussian_field_identities", _check_field_identities),
-    ("gaussian_field_monte_carlo_oracle", _check_field_oracle),
-    ("mixture_responsibilities", _check_mixture_responsibilities),
-    ("blend_identity_and_counts", _check_blend_counts),
-    ("integrator_reference_cases", _check_integrators),
-    ("polarization_cache_transparency", _check_cache_transparency),
-]
-
-
 def _cmd_validate(args) -> int:
     failures = 0
-    for name, check in VALIDATIONS:
+    for name, check in invariants.INVARIANTS:
         try:
-            check()
+            detail = check()
         except AssertionError as exc:
             failures += 1
             print(f"FAIL {name}: {exc}")
         else:
-            print(f"PASS {name}")
+            print(f"PASS {name}" + (f" ({detail})" if detail else ""))
     return 0 if failures == 0 else 1
 
 

@@ -3,7 +3,9 @@
 One JSON document with sections {space, semantics, polarize, blend,
 flow, experiment}. Unknown keys are rejected, every key has a default,
 and dotted --set overrides (e.g. blend.lambda=0) apply to the resolved
-document. The provenance digest is the sha256 of the resolved config.
+document; after the merge and after the overrides every value is
+checked against its default's type. The provenance digest of every CLI
+output is config_digest, the sha256 of the resolved config.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ DEFAULT_CONFIG = {
 _FREE_PATHS = {"semantics.explicit_bindings"}
 # list-of-record keys with a fixed per-record schema
 _RECORD_PATHS = {"space.dimensions": ({"name"}, {"name", "low_pole_text", "high_pole_text"})}
+# leaves whose accepted types are not just the type of their default
+_LEAF_TYPES = {
+    "semantics.latent_dim": (int,),
+    "semantics.base_mean": (float, list),
+    "semantics.effect_magnitudes": (float, list),
+}
 
 
 def load_config(path) -> dict:
@@ -109,8 +117,9 @@ def load_config(path) -> dict:
 
 
 def resolve_config(user: dict | None = None) -> dict:
-    """Merge a user document over the defaults, rejecting unknown keys."""
-    return _merge(DEFAULT_CONFIG, user or {}, "")
+    """Merge a user document over the defaults, rejecting unknown keys and
+    values of the wrong type."""
+    return _check_types(_merge(DEFAULT_CONFIG, user or {}, ""))
 
 
 def _merge(default: dict, user: dict, path: str) -> dict:
@@ -181,7 +190,38 @@ def apply_overrides(resolved: dict, overrides: list[str]) -> dict:
         if not isinstance(node, dict) or (last not in node and not free):
             raise ConfigError(f"unknown override path: {dotted}")
         node[last] = value
-    return out
+    return _check_types(out)
+
+
+def _is_a(value, kind: type) -> bool:
+    if isinstance(value, bool):  # a bool is never a number
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "") -> dict:
+    """Check every leaf against its default's type (an int passes for a
+    float); a null default accepts anything unless _LEAF_TYPES says
+    otherwise. Free-form and record keys are checked where they are used."""
+    for key, dval in default.items():
+        here = f"{path}.{key}" if path else key
+        value = resolved[key]
+        if here in _FREE_PATHS or here in _RECORD_PATHS:
+            continue
+        if isinstance(dval, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section {here} must be an object")
+            _check_types(value, dval, here)
+            continue
+        kinds = _LEAF_TYPES.get(here, () if dval is None else (type(dval),))
+        if not kinds or (dval is None and value is None):
+            continue
+        if not any(_is_a(value, kind) for kind in kinds):
+            names = [kind.__name__ for kind in kinds] + ["null"] * (dval is None)
+            raise ConfigError(f"{here} must be {' or '.join(names)}, got {value!r}")
+    return resolved
 
 
 def config_digest(resolved: dict) -> str:
@@ -286,16 +326,11 @@ def build_request(resolved: dict, space: CognitiveSpace) -> GenerationRequest:
 
 def build_experiment(
     resolved: dict,
-    out_dir=None,
     threads: int = 1,
-    backend: PolarizerBackend | None = None,
     cache: PolarizationCache | None = None,
 ) -> ExperimentConfig:
     space = build_space(resolved)
-    model = build_model(resolved, space)
     exp = resolved["experiment"]
-    blend_cfg = resolved["blend"]
-    flow_cfg = resolved["flow"]
 
     def maybe_score(values):
         return None if values is None else ScoreVector(tuple(values))
@@ -303,24 +338,15 @@ def build_experiment(
     return ExperimentConfig(
         kind=exp["kind"],
         space=space,
-        model=model,
-        base_prompt=exp["base_prompt"],
-        blend_mode=blend_cfg["mode"],
-        base_mix=blend_cfg["lambda"],
-        draw_scope=blend_cfg["draw_scope"],
-        integration=build_integration(resolved),
-        sample_count=flow_cfg["sample_count"],
-        seed=flow_cfg["seed"],
-        score=maybe_score(exp["score"]),
+        model=build_model(resolved, space),
+        request=build_request(resolved, space),
         path_start=maybe_score(exp["path_start"]),
         path_stop=maybe_score(exp["path_stop"]),
         grid_points=exp["grid_points"],
         deltas=tuple(exp["deltas"]),
         equivalence_seeds=exp["equivalence_seeds"],
         oracle_steps=exp["oracle_steps"],
-        output_dir=Path(out_dir if out_dir is not None else exp["output_dir"]),
         threads=threads,
-        backend=backend if backend is not None else build_backend(resolved),
+        backend=build_backend(resolved),
         cache=cache,
-        config_digest=config_digest(resolved),
     )

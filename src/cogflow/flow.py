@@ -149,6 +149,8 @@ class GenerationRequest:
             raise ContractViolation(f"blend_mode must be one of {MODES}")
         if self.draw_scope not in DRAW_SCOPES:
             raise ContractViolation(f"draw_scope must be one of {DRAW_SCOPES}")
+        if not 0.0 <= self.base_mix <= 1.0:
+            raise ContractViolation(f"base_mix must be in [0, 1], got {self.base_mix}")
 
     def to_config(self) -> dict:
         decoder: dict = {"kind": self.decoder.kind}
@@ -326,9 +328,7 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     """
     if spec.mode != "full_average":
         raise ContractViolation("moment oracle requires full_average mode")
-    dims = {f.dim for e in spec.anchor_sets for f in e.chain_fields if hasattr(f, "dim")}
-    if hasattr(spec.base_field, "dim"):
-        dims.add(spec.base_field.dim)
+    dims = spec.latent_dims()
     if len(dims) != 1:
         raise ContractViolation("cannot infer a unique latent dimension")
     dim = dims.pop()

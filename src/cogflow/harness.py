@@ -10,7 +10,6 @@ scalar; criteria report the normalized discrepancy max |diff| / (3 * SE
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from ._fsio import atomic_write_text
-from .blend import BlendSpec
 from .cogspace import CognitiveSpace, ScoreVector
 from .errors import ContractViolation
 from .flow import (
@@ -74,7 +72,7 @@ class Criterion:
 @dataclass
 class MetricsReport:
     experiment: str
-    config_digest: str
+    config_digest: str  # stamped by the CLI; empty for a library-built report
     records: list[dict]
     criteria: list[Criterion]
 
@@ -110,79 +108,31 @@ class MetricsReport:
 
 @dataclass
 class ExperimentConfig:
-    """Everything one experiment run needs, plus provenance."""
+    """Everything one experiment run needs.
+
+    request is the template every generation starts from: experiments
+    replace its score (and, per leg, its mode, mix or sample count).
+    Its score is the one cost_accounting and stochastic_equivalence use.
+    """
 
     kind: str
     space: CognitiveSpace
     model: SemanticModel
-    base_prompt: str = "a mountain lake"
-    blend_mode: str = "stochastic"
-    base_mix: float = 0.5
-    draw_scope: str = "per_eval"
-    integration: IntegrationConfig = dc_field(default_factory=IntegrationConfig)
-    sample_count: int = 2048
-    seed: int = 0
-    score: ScoreVector | None = None
+    request: GenerationRequest
     path_start: ScoreVector | None = None
     path_stop: ScoreVector | None = None
     grid_points: int = 5
     deltas: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
     equivalence_seeds: int = 200
     oracle_steps: int = 2000
-    output_dir: Path = Path("cogflow_out")
     threads: int = 1
     backend: PolarizerBackend = dc_field(default_factory=TemplateBackend)
     cache: PolarizationCache | None = None
-    config_digest: str = ""
 
     def __post_init__(self):
-        if self.score is not None and len(self.score) != self.space.n:
-            raise ContractViolation("score does not match the space")
-        for point in (self.path_start, self.path_stop):
+        for point in (self.request.score, self.path_start, self.path_stop):
             if point is not None and len(point) != self.space.n:
-                raise ContractViolation("path point does not match the space")
-        if not self.config_digest:
-            self.config_digest = digest_of(self.fingerprint())
-
-    def fingerprint(self) -> dict:
-        return {
-            "kind": self.kind,
-            "space": self.space.to_records(),
-            "semantics": self.model.to_config(),
-            "base_prompt": self.base_prompt,
-            "blend": {
-                "mode": self.blend_mode,
-                "lambda": self.base_mix,
-                "draw_scope": self.draw_scope,
-            },
-            "flow": {
-                "solver": self.integration.solver,
-                "steps": self.integration.steps,
-                "sample_count": self.sample_count,
-                "seed": self.seed,
-            },
-            "experiment": {
-                "score": None if self.score is None else list(self.score.values),
-                "path_start": None
-                if self.path_start is None
-                else list(self.path_start.values),
-                "path_stop": None
-                if self.path_stop is None
-                else list(self.path_stop.values),
-                "grid_points": self.grid_points,
-                "deltas": list(self.deltas),
-                "equivalence_seeds": self.equivalence_seeds,
-                "oracle_steps": self.oracle_steps,
-            },
-        }
-
-    def center_score(self) -> ScoreVector:
-        return ScoreVector((0.5,) * self.space.n)
-
-
-def digest_of(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+                raise ContractViolation("score or path point does not match the space")
 
 
 def _jsonable(value):
@@ -217,21 +167,6 @@ def _map_ordered(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _request(cfg: ExperimentConfig, score: ScoreVector, **overrides) -> GenerationRequest:
-    params = {
-        "base_prompt": cfg.base_prompt,
-        "score": score,
-        "seed": cfg.seed,
-        "sample_count": cfg.sample_count,
-        "blend_mode": cfg.blend_mode,
-        "base_mix": cfg.base_mix,
-        "draw_scope": cfg.draw_scope,
-        "integration": cfg.integration,
-    }
-    params.update(overrides)
-    return GenerationRequest(**params)
-
-
 def _generate(cfg: ExperimentConfig, request: GenerationRequest, model=None) -> SampleBatch:
     return generate(
         request, cfg.space, model if model is not None else cfg.model, cfg.backend, cfg.cache
@@ -262,11 +197,6 @@ def normalized_discrepancy(diff, se) -> float:
     return float(np.max(diff / denom))
 
 
-def _oracle_spec(cfg: ExperimentConfig, score: ScoreVector, base_mix: float) -> BlendSpec:
-    request = _request(cfg, score, blend_mode="full_average", base_mix=base_mix)
-    return build_blend_spec(request, cfg.space, cfg.model, cfg.backend, cfg.cache)
-
-
 def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
     """Endpoints at vertex scores against their exact references.
 
@@ -276,7 +206,7 @@ def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
     configured model, checked against the moment ODE.
     """
     flat_model = replace(cfg.model, position_bias=0.0)
-    sets = build_all_sets(cfg.backend, cfg.base_prompt, cfg.space, cfg.cache)
+    sets = build_all_sets(cfg.backend, cfg.request.base_prompt, cfg.space, cfg.cache)
     oracle_cfg = IntegrationConfig(solver="rk4", steps=cfg.oracle_steps)
 
     def run_vertex(prompt_set):
@@ -285,7 +215,7 @@ def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
         label = "".join(str(b) for b in anchor.bits)
         records = []
         # leg A: pure-anchor blend vs the bound target
-        request = _request(cfg, score, blend_mode="full_average", base_mix=0.0)
+        request = replace(cfg.request, score=score, blend_mode="full_average", base_mix=0.0)
         batch = _generate(cfg, request, model=flat_model)
         target = bind(flat_model, prompt_set.chains[0].result)
         target_mean = target.mean()
@@ -310,9 +240,12 @@ def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
             )
         )
         # leg B: half-base blend vs the moment oracle
-        request_half = _request(cfg, score, blend_mode="full_average", base_mix=0.5)
+        request_half = replace(request, base_mix=0.5)
         batch_half = _generate(cfg, request_half)
-        oracle = moment_reference(_oracle_spec(cfg, score, 0.5), oracle_cfg)
+        oracle_spec = build_blend_spec(
+            request_half, cfg.space, cfg.model, cfg.backend, cfg.cache
+        )
+        oracle = moment_reference(oracle_spec, oracle_cfg)
         mean_h, cov_h, se_h = _empirical(batch_half.endpoints)
         d_mean_h = normalized_discrepancy(mean_h - oracle.endpoint_mean, se_h)
         d_cov_h = normalized_discrepancy(
@@ -343,7 +276,7 @@ def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
         Criterion("half_base_oracle_cov", max(r[4] for r in results), 1.0, None),
     ]
     criteria = [replace(c, passed=bool(c.value <= c.threshold)) for c in criteria]
-    return MetricsReport("vertex_recovery", cfg.config_digest, records, criteria)
+    return MetricsReport("vertex_recovery", "", records, criteria)
 
 
 def _axis_direction(cfg: ExperimentConfig, start: ScoreVector, stop: ScoreVector):
@@ -365,7 +298,7 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
     linearly. Axis-aligned paths also get a monotone-response criterion
     on the projected endpoint mean.
     """
-    if cfg.blend_mode != "full_average":
+    if cfg.request.blend_mode != "full_average":
         raise ContractViolation(
             "continuity_sweep needs full_average mode (stochastic draws break pairing)"
         )
@@ -384,7 +317,7 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
         frac = j / (points - 1)
         score_values = start_arr + frac * step
         score = ScoreVector(tuple(score_values))
-        batch = _generate(cfg, _request(cfg, score))
+        batch = _generate(cfg, replace(cfg.request, score=score))
         mean, cov, se_mean = _empirical(batch.endpoints)
         displacements = {}
         for delta in cfg.deltas:
@@ -392,7 +325,7 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
             if np.any((probe_values < 0.0) | (probe_values > 1.0)):
                 probe_values = score_values - delta * unit
             probe = ScoreVector(tuple(probe_values))
-            probe_batch = _generate(cfg, _request(cfg, probe))
+            probe_batch = _generate(cfg, replace(cfg.request, score=probe))
             diff = probe_batch.endpoints - batch.endpoints
             displacements[delta] = float(np.linalg.norm(diff, axis=1).mean())
         ordered = sorted(cfg.deltas, reverse=True)
@@ -442,7 +375,7 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
         criteria.append(
             Criterion("monotone_response", float(worst), 0.0, bool(worst <= 0.0))
         )
-    return MetricsReport("continuity_sweep", cfg.config_digest, records, criteria)
+    return MetricsReport("continuity_sweep", "", records, criteria)
 
 
 def _default_path(cfg: ExperimentConfig) -> tuple[ScoreVector, ScoreVector]:
@@ -465,7 +398,7 @@ def order_bias_experiment(cfg: ExperimentConfig) -> MetricsReport:
     if beta == 0.0:
         warnings.warn("position_bias is 0; order-bias experiment is vacuous")
     model = cfg.model
-    sets = build_all_sets(cfg.backend, cfg.base_prompt, cfg.space, cfg.cache)
+    sets = build_all_sets(cfg.backend, cfg.request.base_prompt, cfg.space, cfg.cache)
     n = cfg.space.n
     basis = model.dimension_directions.T  # (D, n)
     records = []
@@ -513,23 +446,24 @@ def order_bias_experiment(cfg: ExperimentConfig) -> MetricsReport:
             abs(worst_chain - expected_worst) <= 1e-12,
         ),
     ]
-    return MetricsReport("order_bias", cfg.config_digest, records, criteria)
+    return MetricsReport("order_bias", "", records, criteria)
 
 
 def cost_accounting(cfg: ExperimentConfig) -> MetricsReport:
     """Exact inner-evaluation counts for both modes and their ratio."""
-    score = cfg.score if cfg.score is not None else cfg.center_score()
+    score = cfg.request.score
     n = cfg.space.n
     per_call = {
         "stochastic": (1 << n) + 1,
         "full_average": n * (1 << n) + 1,
     }
-    calls = cfg.integration.steps * cfg.integration.stages_per_step
+    integration = cfg.request.integration
+    calls = cfg.request.sample_count * integration.steps * integration.stages_per_step
     records = []
-    actual = {}
+    actual, expected = {}, {}
     for mode in ("stochastic", "full_average"):
-        batch = _generate(cfg, _request(cfg, score, blend_mode=mode))
-        expected = cfg.sample_count * calls * per_call[mode]
+        batch = _generate(cfg, replace(cfg.request, blend_mode=mode))
+        expected[mode] = calls * per_call[mode]
         actual[mode] = batch.metadata["eval_count"]
         records.append(
             make_record(
@@ -538,42 +472,33 @@ def cost_accounting(cfg: ExperimentConfig) -> MetricsReport:
                 eval_count=batch.metadata["eval_count"],
                 wall_ms=batch.metadata["wall_ms"],
                 extra={
-                    "expected_eval_count": expected,
+                    "expected_eval_count": expected[mode],
                     "per_call_evals": per_call[mode],
                 },
             )
         )
     expected_ratio = per_call["stochastic"] / per_call["full_average"]
     measured_ratio = actual["stochastic"] / actual["full_average"]
+    gap = {mode: abs(actual[mode] - expected[mode]) for mode in actual}
     criteria = [
-        Criterion(
-            "stochastic_count_exact",
-            abs(actual["stochastic"] - cfg.sample_count * calls * per_call["stochastic"]),
-            0.0,
-            None,
-        ),
-        Criterion(
-            "full_count_exact",
-            abs(actual["full_average"] - cfg.sample_count * calls * per_call["full_average"]),
-            0.0,
-            None,
-        ),
+        Criterion("stochastic_count_exact", gap["stochastic"], 0.0, None),
+        Criterion("full_count_exact", gap["full_average"], 0.0, None),
         Criterion("eval_ratio_exact", abs(measured_ratio - expected_ratio), 0.0, None),
     ]
     criteria = [replace(c, passed=bool(c.value <= c.threshold)) for c in criteria]
-    return MetricsReport("cost_accounting", cfg.config_digest, records, criteria)
+    return MetricsReport("cost_accounting", "", records, criteria)
 
 
 def stochastic_equivalence(cfg: ExperimentConfig) -> MetricsReport:
     """Stochastic-mode endpoint mean against the full-average reference."""
     if cfg.model.position_bias == 0.0:
         warnings.warn("position_bias is 0; chains are identical and modes agree exactly")
-    score = cfg.score if cfg.score is not None else cfg.center_score()
+    score = cfg.request.score
     seeds = cfg.equivalence_seeds
     batches = {}
     for mode in ("stochastic", "full_average"):
         batches[mode] = _generate(
-            cfg, _request(cfg, score, blend_mode=mode, sample_count=seeds)
+            cfg, replace(cfg.request, blend_mode=mode, sample_count=seeds)
         )
     stats = {mode: _empirical(b.endpoints) for mode, b in batches.items()}
     records = [
@@ -590,7 +515,7 @@ def stochastic_equivalence(cfg: ExperimentConfig) -> MetricsReport:
     ]
     if seeds < 2:
         criteria = [Criterion("stochastic_matches_full", None, 1.0, None)]
-        return MetricsReport("stochastic_equivalence", cfg.config_digest, records, criteria)
+        return MetricsReport("stochastic_equivalence", "", records, criteria)
     diff = stats["stochastic"][0] - stats["full_average"][0]
     combined_se = np.hypot(stats["stochastic"][2], stats["full_average"][2])
     value = normalized_discrepancy(diff, combined_se)
@@ -603,7 +528,7 @@ def stochastic_equivalence(cfg: ExperimentConfig) -> MetricsReport:
             extra={"mean_difference": diff, "combined_se": combined_se},
         )
     )
-    return MetricsReport("stochastic_equivalence", cfg.config_digest, records, criteria)
+    return MetricsReport("stochastic_equivalence", "", records, criteria)
 
 
 EXPERIMENTS = {

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-from .cogspace import CognitiveAnchor, CognitiveSpace, DimensionSpec, enumerate_anchors
+from .cogspace import (
+    MAX_DIMENSIONS, CognitiveAnchor, CognitiveSpace, DimensionSpec, enumerate_anchors,
+)
 from .errors import BackendError, BindingError, ContractViolation
 
 DEFAULT_CACHE_PATH = "./polarize_cache.ndjson"
@@ -131,7 +133,7 @@ class LlmBackend:
         self.api_key = api_key if api_key is not None else os.environ.get("COGFLOW_LLM_KEY")
         self.timeout = timeout
         self.retries = retries
-        self.backend_id = f"llm:{model}"
+        self.backend_id = f"llm:{model}@{endpoint}"
         self._sleep = sleep
         if session is None:
             import requests
@@ -201,10 +203,13 @@ class LlmBackend:
         raise last_error
 
 
-def cache_digest(backend_id: str, prompt: str, dimension_name: str, pole: int) -> str:
-    """Stable content hash identifying one rewrite request."""
+def cache_digest(backend_id: str, prompt: str, dimension: DimensionSpec, pole: int) -> str:
+    """Stable content hash of one rewrite request: the backend (for the
+    LLM backend its model and endpoint), the prompt, the dimension's name,
+    the pole and that pole's text, which the LLM instruction quotes."""
     raw = json.dumps(
-        [backend_id, prompt, dimension_name, int(pole)], ensure_ascii=False
+        [backend_id, prompt, dimension.name, int(pole), dimension.pole_text(pole)],
+        ensure_ascii=False,
     )
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
@@ -292,7 +297,7 @@ class PolarizationCache:
         dimension: DimensionSpec,
         pole: int,
     ) -> str:
-        digest = cache_digest(backend.backend_id, prompt, dimension.name, pole)
+        digest = cache_digest(backend.backend_id, prompt, dimension, pole)
         while True:
             with self._lock:
                 cached = self._entries.get(digest)
@@ -332,8 +337,8 @@ def polarize_once(
 
 def build_chain_orders(n: int) -> list[tuple[int, ...]]:
     """The n cyclic rewrite orders; order j starts at dimension j."""
-    if not 1 <= n <= 6:
-        raise ContractViolation(f"chain orders defined for 1 <= n <= 6, got {n}")
+    if not 1 <= n <= MAX_DIMENSIONS:
+        raise ContractViolation(f"chain orders need 1 <= n <= {MAX_DIMENSIONS}, got {n}")
     return [
         tuple(((j + offset) % n) + 1 for offset in range(n)) for j in range(n)
     ]

@@ -211,11 +211,6 @@ class MixtureTargetField(VelocityField):
         return GaussianTargetField(mean, var).affine_coefficients(t)
 
 
-def mixture_field(dist: TargetDistribution, x, t: float) -> np.ndarray:
-    """Responsibility-weighted combination of per-component fields."""
-    return MixtureTargetField(dist).eval(x, t)
-
-
 def field_for_distribution(dist: TargetDistribution) -> VelocityField:
     if len(dist.components) == 1:
         _, mean, var = dist.components[0]
@@ -282,21 +277,6 @@ class SemanticModel:
     @property
     def n(self) -> int:
         return len(self.dimension_names)
-
-    def to_config(self) -> dict:
-        return {
-            "dimension_names": list(self.dimension_names),
-            "latent_dim": self.latent_dim,
-            "base_mean": self.base_mean.tolist(),
-            "dimension_directions": self.dimension_directions.tolist(),
-            "effect_magnitudes": self.effect_magnitudes.tolist(),
-            "position_bias": self.position_bias,
-            "default_variance": self.default_variance,
-            "explicit_bindings": {
-                prompt: dist.to_records()
-                for prompt, dist in sorted(self.explicit_bindings.items())
-            },
-        }
 
     @classmethod
     def for_space(

@@ -5,6 +5,10 @@ from cogflow.cogspace import CognitiveSpace
 from cogflow.semantics import SemanticModel, VelocityField
 
 
+def make_space(n):
+    return CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
+
+
 class ConstantField(VelocityField):
     """Test double: velocity independent of (x, t)."""
 

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per release criterion, each printing a
-pass/fail line. All tolerances are pinned here; statistical checks use
-|empirical - reference| <= 3 * SE (+1e-9 floor) with fixed seeds, so
-every run is deterministic. Run with `pytest tests/test_acceptance.py -v -s`.
+pass/fail line. Tolerances are pinned here, except those of criteria 01,
+02, 03 and 05, which run the checks of cogflow.invariants (the suite
+`cogflow validate` runs). Statistical checks use |empirical - reference|
+<= 3 * SE (+1e-9 floor) with fixed seeds, so every run is deterministic.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import json
@@ -10,13 +12,9 @@ import time
 import numpy as np
 import pytest
 
+from cogflow import invariants
 from cogflow.cli import main as cli_main
-from cogflow.cogspace import (
-    CognitiveSpace,
-    ScoreVector,
-    enumerate_anchors,
-    weight_vector,
-)
+from cogflow.cogspace import ScoreVector
 from cogflow.flow import (
     GenerationRequest,
     IntegrationConfig,
@@ -32,14 +30,9 @@ from cogflow.harness import (
     order_bias_experiment,
     stochastic_equivalence,
 )
-from cogflow.polarize import build_chain_orders
-from cogflow.semantics import (
-    GaussianTargetField,
-    SemanticModel,
-    gaussian_field,
-    monte_carlo_velocity,
-)
+from cogflow.semantics import GaussianTargetField, SemanticModel
 
+from conftest import make_space
 from test_flow import solver_order_slope
 
 
@@ -50,8 +43,14 @@ def report(number: int, name: str, passed: bool, detail: str = ""):
     assert passed, f"criterion {number} {name}{suffix}"
 
 
-def make_space(n):
-    return CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
+def check(number: int, name: str, invariant):
+    """Report an invariant of cogflow.invariants as one criterion."""
+    try:
+        detail = invariant()
+    except AssertionError as exc:
+        report(number, name, False, str(exc))
+    else:
+        report(number, name, True, detail)
 
 
 def biased_setup(n=2):
@@ -63,44 +62,15 @@ def biased_setup(n=2):
 
 
 def test_criterion_01_weight_partition_of_unity():
-    rng = np.random.default_rng(2024)
-    worst_gap, worst_min = 0.0, np.inf
-    for n in range(1, 5):
-        space = make_space(n)
-        for _ in range(10_000):
-            weights = weight_vector(ScoreVector(tuple(rng.uniform(0, 1, n))), space)
-            worst_gap = max(worst_gap, abs(weights.sum() - 1.0))
-            worst_min = min(worst_min, weights.min())
-    report(
-        1,
-        "weight partition of unity",
-        worst_gap <= 1e-12 and worst_min >= 0.0,
-        f"max |sum-1|={worst_gap:.2e}, min weight={worst_min:.2e}",
-    )
+    check(1, "weight partition of unity", invariants.weight_partition_of_unity)
 
 
 def test_criterion_02_vertex_delta_exact():
-    exact = True
-    for n in range(1, 5):
-        space = make_space(n)
-        for anchor in enumerate_anchors(space):
-            weights = weight_vector(ScoreVector(anchor.bits), space)
-            one_hot = np.zeros(1 << n)
-            one_hot[anchor.index - 1] = 1.0
-            exact = exact and np.array_equal(weights, one_hot)
-    report(2, "vertex weights exactly one-hot", exact)
+    check(2, "vertex weights exactly one-hot", invariants.weight_vertex_delta)
 
 
 def test_criterion_03_latin_square_property():
-    ok = True
-    for n in range(1, 7):
-        orders = build_chain_orders(n)
-        full = set(range(1, n + 1))
-        ok = ok and all(set(order) == full for order in orders)
-        ok = ok and all(
-            {order[pos] for order in orders} == full for pos in range(n)
-        )
-    report(3, "cyclic chain orders form a Latin square", ok)
+    check(3, "cyclic chain orders form a Latin square", invariants.latin_square_orders)
 
 
 def test_criterion_04_gaussian_push_forward():
@@ -123,27 +93,10 @@ def test_criterion_04_gaussian_push_forward():
 
 
 def test_criterion_05_closed_form_vs_monte_carlo():
-    mean = np.array([1.0, -0.5])
-    variance = 0.5
-    worst = 0.0
-    for ti, t in enumerate((0.1, 0.5, 0.9)):
-        marginal_sd = np.sqrt((1 - t) ** 2 + t * t * variance)
-        center = t * mean
-        for i, dx in enumerate((-0.5, 0.0, 0.5)):
-            for j, dy in enumerate((-0.5, 0.0, 0.5)):
-                x = center + np.array([dx, dy]) * marginal_sd
-                estimate, se = monte_carlo_velocity(
-                    mean, variance, x, t,
-                    draws=400_000, bandwidth=0.25 * marginal_sd,
-                    seed=500 + ti * 9 + i * 3 + j,
-                )
-                closed = gaussian_field(mean, variance, x, t)
-                worst = max(worst, float(np.max(np.abs(estimate - closed) / (3 * se))))
-    report(
+    check(
         5,
         "closed form matches Monte-Carlo oracle",
-        worst <= 1.0,
-        f"worst |gap|/(3se)={worst:.3f} over 27 grid points",
+        invariants.gaussian_field_monte_carlo_oracle,
     )
 
 
@@ -195,9 +148,12 @@ def test_criterion_07_stochastic_unbiasedness():
         kind="stochastic_equivalence",
         space=space,
         model=model,
-        base_prompt="a valley",
-        integration=IntegrationConfig("rk4", 100),
-        seed=707,
+        request=GenerationRequest(
+            base_prompt="a valley",
+            score=ScoreVector((0.5, 0.5)),
+            integration=IntegrationConfig("rk4", 100),
+            seed=707,
+        ),
         equivalence_seeds=200,
     )
     criterion = stochastic_equivalence(cfg).criteria[0]
@@ -256,7 +212,8 @@ def test_criterion_10_order_bias_cancellation():
         model = SemanticModel.for_space(
             space, effect_magnitudes=1.5, position_bias=0.5, default_variance=0.6
         )
-        cfg = ExperimentConfig(kind="order_bias", space=space, model=model)
+        request = GenerationRequest("a mountain lake", ScoreVector((0.5,) * n))
+        cfg = ExperimentConfig(kind="order_bias", space=space, model=model, request=request)
         outcome = order_bias_experiment(cfg)
         by_name = {c.name: c for c in outcome.criteria}
         averaged = by_name["averaged_weights_unbiased"].value
@@ -267,21 +224,24 @@ def test_criterion_10_order_bias_cancellation():
     report(10, "Latin-square order bias cancellation", ok, "; ".join(details))
 
 
-def test_criterion_11_continuity_displacement_scaling():
+def sweep(sample_count, seed, **path):
+    """Continuity sweep over 5 grid points, full_average, rk4 with 60 steps."""
     space, model = biased_setup(2)
-    cfg = ExperimentConfig(
-        kind="continuity_sweep",
-        space=space,
-        model=model,
+    request = GenerationRequest(
         base_prompt="a valley",
+        score=ScoreVector((0.5, 0.5)),
         blend_mode="full_average",
         integration=IntegrationConfig("rk4", 60),
-        sample_count=256,
-        seed=1111,
-        deltas=(1e-3, 1e-4),
-        grid_points=5,
+        sample_count=sample_count,
+        seed=seed,
     )
-    outcome = continuity_sweep(cfg)
+    return continuity_sweep(ExperimentConfig(
+        "continuity_sweep", space, model, request, deltas=(1e-3, 1e-4), grid_points=5, **path
+    ))
+
+
+def test_criterion_11_continuity_displacement_scaling():
+    outcome = sweep(sample_count=256, seed=1111)
     ratios = [r for rec in outcome.records for r in rec["extra"]["ratios"]]
     ok = len(ratios) == 5 and all(5.0 <= r <= 20.0 for r in ratios)
     report(
@@ -293,22 +253,12 @@ def test_criterion_11_continuity_displacement_scaling():
 
 
 def test_criterion_12_monotone_response():
-    space, model = biased_setup(2)
-    cfg = ExperimentConfig(
-        kind="continuity_sweep",
-        space=space,
-        model=model,
-        base_prompt="a valley",
-        blend_mode="full_average",
-        integration=IntegrationConfig("rk4", 60),
+    outcome = sweep(
         sample_count=2048,
         seed=1212,
-        deltas=(1e-3, 1e-4),
-        grid_points=5,
         path_start=ScoreVector((0.0, 0.5)),
         path_stop=ScoreVector((1.0, 0.5)),
     )
-    outcome = continuity_sweep(cfg)
     monotone = next(c for c in outcome.criteria if c.name == "monotone_response")
     projections = [rec["extra"]["projection"] for rec in outcome.records]
     report(

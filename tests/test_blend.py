@@ -9,7 +9,6 @@ from cogflow.blend import (
     BlendedField,
     BlendSpec,
     expected_field_check,
-    make_blended_field,
 )
 from cogflow.cogspace import (
     CognitiveAnchor,
@@ -19,7 +18,13 @@ from cogflow.cogspace import (
     enumerate_anchors,
 )
 from cogflow.errors import ContractViolation, SpaceMismatchError
-from cogflow.flow import GenerationRequest, IntegrationConfig, build_blend_spec, generate
+from cogflow.flow import (
+    GenerationRequest,
+    IntegrationConfig,
+    build_blend_spec,
+    generate,
+    integrate,
+)
 from cogflow.polarize import TemplateBackend, build_all_sets
 from cogflow.semantics import (
     GaussianTargetField,
@@ -28,12 +33,12 @@ from cogflow.semantics import (
     TargetDistribution,
 )
 
-from conftest import ConstantField, DelegatingField
+from conftest import ConstantField, DelegatingField, make_space
 
 
 def spec_with_constant_chains(values_by_anchor, score, n=2, **kwargs):
     """Helper: anchor k's chains are ConstantFields over its value list."""
-    space = CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
+    space = make_space(n)
     anchors = enumerate_anchors(space)
     anchor_sets = tuple(
         AnchorFields(
@@ -200,8 +205,8 @@ def distinct_chain_spec(score=(0.3, 0.8), **kwargs):
 def test_same_seed_reproduces_sequences():
     spec = distinct_chain_spec()
     x = np.array([0.1, 0.2])
-    a = make_blended_field(spec, seed=5)
-    b = make_blended_field(spec, seed=5)
+    a = BlendedField(spec, seed=5)
+    b = BlendedField(spec, seed=5)
     seq_a = [a.eval(x, 0.4) for _ in range(6)]
     seq_b = [b.eval(x, 0.4) for _ in range(6)]
     assert all(np.array_equal(u, v) for u, v in zip(seq_a, seq_b))
@@ -210,24 +215,24 @@ def test_same_seed_reproduces_sequences():
 def test_different_seeds_differ():
     spec = distinct_chain_spec()
     x = np.array([0.1, 0.2])
-    seq_a = np.stack([make_blended_field(spec, 5).eval(x, 0.4) for _ in range(1)])
+    seq_a = np.stack([BlendedField(spec, 5).eval(x, 0.4) for _ in range(1)])
     outs = []
     for seed in range(20):
-        outs.append(make_blended_field(spec, seed).eval(x, 0.4))
+        outs.append(BlendedField(spec, seed).eval(x, 0.4))
     assert any(not np.array_equal(seq_a[0], o) for o in outs)
 
 
 def test_full_average_ignores_seed():
     spec = distinct_chain_spec(mode="full_average")
     x = np.array([0.1, 0.2])
-    a = make_blended_field(spec, 1).eval(x, 0.4)
-    b = make_blended_field(spec, 999).eval(x, 0.4)
+    a = BlendedField(spec, 1).eval(x, 0.4)
+    b = BlendedField(spec, 999).eval(x, 0.4)
     assert np.array_equal(a, b)
 
 
 def test_per_eval_draws_vary_within_a_run():
     spec = distinct_chain_spec()
-    field = make_blended_field(spec, 3)
+    field = BlendedField(spec, 3)
     x = np.array([0.1, 0.2])
     outs = np.stack([field.eval(x, 0.4) for _ in range(30)])
     assert len(np.unique(outs.round(12), axis=0)) > 1
@@ -235,7 +240,7 @@ def test_per_eval_draws_vary_within_a_run():
 
 def test_per_step_scope_freezes_draws_until_next_step():
     spec = distinct_chain_spec(draw_scope="per_step")
-    field = make_blended_field(spec, 3)
+    field = BlendedField(spec, 3)
     x = np.array([0.1, 0.2])
     field.begin_step(0)
     first = [field.eval(x, 0.4) for _ in range(4)]
@@ -249,7 +254,7 @@ def test_per_step_scope_freezes_draws_until_next_step():
 
 def test_row_seeds_require_batched_states():
     spec = distinct_chain_spec()
-    field = make_blended_field(spec, np.array([1, 2], dtype=np.uint64))
+    field = BlendedField(spec, np.array([1, 2], dtype=np.uint64))
     with pytest.raises(ContractViolation):
         field.eval(np.zeros(2), 0.5)
 
@@ -257,12 +262,12 @@ def test_row_seeds_require_batched_states():
 def test_batched_rows_match_per_row_fields():
     spec = distinct_chain_spec()
     row_seeds = np.array([11, 22, 33], dtype=np.uint64)
-    batched = make_blended_field(spec, row_seeds)
+    batched = BlendedField(spec, row_seeds)
     xs = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
     for t in (0.0, 0.25, 0.75):
         batch_out = batched.eval(xs, t)
         for i, seed in enumerate(row_seeds):
-            solo = make_blended_field(spec, int(seed))
+            solo = BlendedField(spec, int(seed))
             # advance the solo ordinal to match the batched call count
             for _ in range(batched._eval_ordinal - 1):
                 solo.eval(xs[i], t)
@@ -348,7 +353,7 @@ def gaussian_spec(n, wrap=lambda f: f, seed=0, **kwargs):
     def field():
         return wrap(GaussianTargetField(rng.normal(size=dim), rng.uniform(0.2, 2.0)))
 
-    space = CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
+    space = make_space(n)
     return BlendSpec(
         base_field=field(),
         anchor_sets=tuple(
@@ -433,9 +438,9 @@ def test_mixture_chain_takes_generic_path_with_row_equality(space2, biased_model
     assert inner_calls  # the generic path calls the inner fields
 
 
-@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_one_draw_hash_per_evaluation(n, wrap, monkeypatch):
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """The arguments of every streams.randbelow call the test makes."""
     calls = []
     randbelow = streams.randbelow
 
@@ -444,12 +449,30 @@ def test_one_draw_hash_per_evaluation(n, wrap, monkeypatch):
         return randbelow(*args)
 
     monkeypatch.setattr(streams, "randbelow", counted)
+    return calls
+
+
+@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_draw_hash_per_evaluation(n, wrap, hash_calls):
     spec = gaussian_spec(n, wrap=wrap, mode="stochastic")
     field = BlendedField(spec, np.arange(6, dtype=np.uint64))
     for i in range(5):
         field.eval(np.zeros((6, 3)), 0.1 * i)
     # at n = 1 every anchor has one chain, so nothing is drawn
-    assert len(calls) == (0 if n == 1 else 5)
+    assert len(hash_calls) == (0 if n == 1 else 5)
+
+
+@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_per_step_scope_hashes_once_per_step(n, wrap, hash_calls):
+    spec = gaussian_spec(n, wrap=wrap, mode="stochastic", draw_scope="per_step")
+    field = BlendedField(spec, np.arange(6, dtype=np.uint64))
+    integrate(field, np.zeros((6, 3)), IntegrationConfig("rk4", 7))
+    assert field.eval_counter == 6 * 7 * 4 * spec.evals_per_call()
+    assert [args[3] for args in hash_calls] == list(range(7))  # one hash per step ordinal
+    with pytest.raises(ContractViolation):  # the shape check still runs on a reused draw
+        field.eval(np.zeros(3), 0.5)
 
 
 def test_one_dimension_stochastic_equals_full_average():

@@ -1,19 +1,12 @@
 import json
-import os
 
 import pytest
 
-from cogflow.cli import VALIDATIONS, build_parser, main
+from cogflow import invariants
+from cogflow.cli import build_parser, main
 
 
-def run_cli(*argv, cwd=None):
-    if cwd is not None:
-        old = os.getcwd()
-        os.chdir(cwd)
-        try:
-            return main(list(argv))
-        finally:
-            os.chdir(old)
+def run_cli(*argv):
     return main(list(argv))
 
 
@@ -45,11 +38,34 @@ def test_orders_rejects_bad_n(capsys):
 
 # --- validate ------------------------------------------------------------------
 
-def test_validate_passes_with_one_line_per_invariant(capsys):
+# acceptance criteria 01 and 05 run these two checks, which take most of
+# the suite's time, so the CLI tests stub them rather than run them twice
+SLOW_INVARIANTS = {"weight_partition_of_unity", "gaussian_field_monte_carlo_oracle"}
+
+
+def test_validate_passes_with_one_line_per_invariant(capsys, monkeypatch):
+    checks = [
+        (name, (lambda: "stub") if name in SLOW_INVARIANTS else check)
+        for name, check in invariants.INVARIANTS
+    ]
+    assert SLOW_INVARIANTS <= {name for name, _ in checks}
+    monkeypatch.setattr(invariants, "INVARIANTS", checks)
     assert run_cli("validate") == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
-    assert len(lines) == len(VALIDATIONS)
+    assert len(lines) == len(checks)
     assert all(line.startswith("PASS") for line in lines)
+
+
+def test_validate_reports_a_failing_check(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("deliberately broken")
+
+    monkeypatch.setattr(invariants, "INVARIANTS", [("fine", lambda: None), ("broken", broken)])
+    assert run_cli("validate") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS fine",
+        "FAIL broken: deliberately broken",
+    ]
 
 
 # --- polarize --------------------------------------------------------------------
@@ -170,6 +186,21 @@ def test_out_of_range_config_value(tmp_path):
     assert run_cli("generate", "--config", str(cfg)) == 2
 
 
+@pytest.mark.parametrize("override", [
+    "flow.steps=abc", 'semantics.latent_dim="x"', "flow.seed=1.5",
+    "flow.sample_count=2.5", "experiment.grid_points=1.5",
+])
+def test_mistyped_value_is_config_error(tmp_path, override):
+    cfg = write_config(tmp_path)
+    assert run_cli("generate", "--config", str(cfg), "--set", override) == 2
+
+
+def test_out_of_range_lambda_fails_before_any_backend_call(tmp_path):
+    cfg = write_config(tmp_path)
+    assert run_cli("generate", "--config", str(cfg), "--set", "blend.lambda=2") == 2
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
 def test_llm_backend_without_endpoint_is_config_error(tmp_path):
     cfg = write_config(tmp_path)
     assert run_cli("polarize", "--config", str(cfg), "--backend", "llm") == 2
@@ -190,6 +221,20 @@ def test_experiment_cost_accounting(tmp_path, capsys):
     assert all(c["pass"] for c in report["summary"]["criteria"])
     printed = capsys.readouterr().out
     assert "PASS" in printed
+
+
+def test_generate_and_experiment_stamp_the_same_digest(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        experiment={"kind": "cost_accounting"},
+        flow={"sample_count": 2, "steps": 3, "seed": 3},
+    )
+    assert run_cli("generate", "--config", str(cfg), "--out", str(tmp_path / "g")) == 0
+    assert run_cli("experiment", "--config", str(cfg), "--out", str(tmp_path / "e")) == 0
+    meta = json.loads((tmp_path / "g" / "metadata.json").read_text())
+    report = json.loads((tmp_path / "e" / "metrics.json").read_text())
+    assert len(meta["config_digest"]) == 64
+    assert report["config_digest"] == meta["config_digest"]
 
 
 def test_experiment_unwritable_out_dir(tmp_path):

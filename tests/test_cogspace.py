@@ -12,9 +12,7 @@ from cogflow.cogspace import (
 )
 from cogflow.errors import ContractViolation, SpaceMismatchError
 
-
-def make_space(n):
-    return CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
+from conftest import make_space
 
 
 def test_enumerate_anchors_small_cases():

@@ -1,12 +1,13 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cogflow.cogspace import CognitiveSpace, ScoreVector
+from cogflow.cogspace import ScoreVector
 from cogflow.errors import ContractViolation
-from cogflow.flow import IntegrationConfig
+from cogflow.flow import GenerationRequest, IntegrationConfig
 from cogflow.harness import (
     Criterion,
     ExperimentConfig,
@@ -24,27 +25,30 @@ from cogflow.harness import (
 from cogflow.polarize import build_all_sets
 from cogflow.semantics import SemanticModel, TargetDistribution
 
+from conftest import make_space
+
 
 def make_config(n=2, kind="vertex_recovery", **kwargs):
-    space = CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
+    space = make_space(n)
     model_kwargs = kwargs.pop("model_kwargs", {})
     model_kwargs.setdefault("effect_magnitudes", 1.5)
     model_kwargs.setdefault("position_bias", 0.5)
     model_kwargs.setdefault("default_variance", 0.6)
     model = SemanticModel.for_space(space, **model_kwargs)
-    defaults = dict(
-        kind=kind,
-        space=space,
-        model=model,
+    request = dict(
         base_prompt="a valley",
+        score=ScoreVector((0.5,) * n),
         blend_mode="full_average",
         integration=IntegrationConfig("rk4", 40),
         sample_count=1500,
         seed=11,
-        oracle_steps=800,
     )
-    defaults.update(kwargs)
-    return ExperimentConfig(**defaults)
+    request_fields = {f.name for f in dataclasses.fields(GenerationRequest)}
+    request.update({k: kwargs.pop(k) for k in set(kwargs) & request_fields})
+    kwargs.setdefault("oracle_steps", 800)
+    return ExperimentConfig(
+        kind=kind, space=space, model=model, request=GenerationRequest(**request), **kwargs
+    )
 
 
 # --- vertex recovery --------------------------------------------------------
@@ -66,9 +70,9 @@ def test_vertex_recovery_identity_collapse_binding():
     # every chain prompt and the base bound to one distribution: endpoints
     # must match that target regardless of the score
     cfg = make_config(sample_count=1200)
-    sets = build_all_sets(cfg.backend, cfg.base_prompt, cfg.space, None)
+    sets = build_all_sets(cfg.backend, cfg.request.base_prompt, cfg.space, None)
     shared = TargetDistribution.single(np.array([1.0, -1.0]), 0.6)
-    bindings = {cfg.base_prompt: shared}
+    bindings = {cfg.request.base_prompt: shared}
     for prompt_set in sets:
         for result in prompt_set.results:
             bindings[result] = shared
@@ -124,9 +128,9 @@ def test_continuity_sweep_zero_delta_probe():
 
 def test_continuity_sweep_identical_fields_zero_displacement():
     cfg = make_config(kind="continuity_sweep", sample_count=64, grid_points=2)
-    sets = build_all_sets(cfg.backend, cfg.base_prompt, cfg.space, None)
+    sets = build_all_sets(cfg.backend, cfg.request.base_prompt, cfg.space, None)
     shared = TargetDistribution.single(np.array([0.5, 0.5]), 0.6)
-    bindings = {cfg.base_prompt: shared}
+    bindings = {cfg.request.base_prompt: shared}
     for prompt_set in sets:
         for result in prompt_set.results:
             bindings[result] = shared
@@ -262,11 +266,13 @@ def test_emit_report_files_and_round_trip(tmp_path):
         kind="cost_accounting", sample_count=2, integration=IntegrationConfig("euler", 2)
     )
     report = cost_accounting(cfg)
+    assert report.config_digest == ""  # only the CLI stamps a digest
+    report.config_digest = "feed"
     paths = emit_report(report, tmp_path / "out")
     names = [p.name for p in paths]
     assert names == ["metrics.json", "metrics.csv", "series.csv"]
     payload = json.loads((tmp_path / "out" / "metrics.json").read_text())
-    assert payload["config_digest"] == cfg.config_digest
+    assert payload["config_digest"] == "feed"
     assert set(payload["summary"]) == {"criteria"}
     assert all(
         set(c) == {"name", "value", "threshold", "pass"}
@@ -276,7 +282,7 @@ def test_emit_report_files_and_round_trip(tmp_path):
     assert rebuilt.to_json_dict() == report.to_json_dict()
     for name in ("metrics.csv", "series.csv"):
         first = (tmp_path / "out" / name).read_text().splitlines()[0]
-        assert first == f"# config_digest={cfg.config_digest}"
+        assert first == "# config_digest=feed"
     header = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1]
     assert header == ",".join(RECORD_FIELDS)
 
@@ -302,7 +308,6 @@ def test_emit_report_unwritable_directory_leaves_no_partials(tmp_path):
 def test_experiment_rerun_reproducible_modulo_wall_time():
     cfg_a = make_config(sample_count=400, oracle_steps=200)
     cfg_b = make_config(sample_count=400, oracle_steps=200)
-    assert cfg_a.config_digest == cfg_b.config_digest
     doc_a = vertex_recovery(cfg_a).to_json_dict()
     doc_b = vertex_recovery(cfg_b).to_json_dict()
     for doc in (doc_a, doc_b):

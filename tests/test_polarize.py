@@ -1,9 +1,10 @@
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
-from cogflow.cogspace import CognitiveAnchor, CognitiveSpace, enumerate_anchors
+from cogflow.cogspace import CognitiveAnchor, DimensionSpec, enumerate_anchors
 from cogflow.errors import BackendError, BindingError, ContractViolation
 from cogflow.polarize import (
     LlmBackend,
@@ -21,9 +22,7 @@ from cogflow.polarize import (
     prompt_sets_to_json,
 )
 
-
-def make_space(n):
-    return CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
+from conftest import make_space
 
 
 # --- chain orders ---------------------------------------------------------
@@ -251,11 +250,14 @@ def test_cache_rejects_corrupt_record_mid_file(tmp_path, corrupt):
 
 
 def test_cache_digest_discriminates():
-    base = cache_digest("template", "p", "d1", 1)
-    assert base != cache_digest("template", "p", "d1", 0)
-    assert base != cache_digest("template", "p", "d2", 1)
-    assert base != cache_digest("llm:m", "p", "d1", 1)
-    assert base == cache_digest("template", "p", "d1", 1)
+    d1 = DimensionSpec("d1", 1, "low", "high")
+    base = cache_digest("template", "p", d1, 1)
+    assert base != cache_digest("template", "p", d1, 0)
+    assert base != cache_digest("template", "p", DimensionSpec("d2", 1, "low", "high"), 1)
+    assert base != cache_digest("template", "p", replace(d1, high_pole_text="higher"), 1)
+    assert base == cache_digest("template", "p", replace(d1, low_pole_text="lower"), 1)
+    assert base != cache_digest("llm:m", "p", d1, 1)
+    assert base == cache_digest("template", "p", d1, 1)
 
 
 def test_polarize_once_requires_nonempty_prompt(space2):
@@ -379,6 +381,26 @@ def test_llm_backend_malformed_response(space2):
     backend = LlmBackend("http://llm.local", "m", session=session, sleep=lambda _: None)
     with pytest.raises(BackendError):
         backend.polarize("p", space2.dimensions[0], 1)
+
+
+def test_llm_cache_key_covers_pole_text_and_endpoint(space2, tmp_path):
+    """A cached rewrite is reused only for the same endpoint, model, prompt,
+    dimension, pole and pole text; changing any of them fetches again."""
+    dim = space2.dimensions[0]
+    cache = PolarizationCache(tmp_path / "cache.ndjson")
+    session = FakeSession([ok_response(f"rewrite {i}") for i in range(3)])
+
+    def fetch(endpoint, dimension):
+        backend = LlmBackend(endpoint, "m", session=session)
+        return polarize_once(backend, "a valley", dimension, 1, cache)
+
+    assert fetch("http://a.local", dim) == "rewrite 0"
+    assert fetch("http://a.local", dim) == "rewrite 0"
+    assert len(session.requests) == 1
+    assert fetch("http://a.local", replace(dim, high_pole_text="joyful")) == "rewrite 1"
+    assert fetch("http://b.local", dim) == "rewrite 2"
+    assert [r["url"] for r in session.requests] == ["http://a.local"] * 2 + ["http://b.local"]
+    assert "joyful" in session.requests[1]["json"]["messages"][0]["content"]
 
 
 def test_llm_backend_requires_endpoint():

@@ -14,7 +14,6 @@ from cogflow.semantics import (
     field_for_distribution,
     flow_kappa,
     gaussian_field,
-    mixture_field,
     monte_carlo_velocity,
     position_weight,
 )
@@ -137,7 +136,8 @@ def test_single_component_mixture_equals_gaussian_field():
     for t in (0.0, 0.5, 1.0):
         x = rng.normal(size=2)
         assert np.allclose(
-            mixture_field(dist, x, t), gaussian_field(np.array([2.0, 1.0]), 0.5, x, t)
+            MixtureTargetField(dist).eval(x, t),
+            gaussian_field(np.array([2.0, 1.0]), 0.5, x, t),
         )
 
 
@@ -146,7 +146,7 @@ def test_symmetric_mixture_velocity_vanishes_along_axis():
     dist = TargetDistribution(
         components=((0.5, mu, 1.0), (0.5, -mu, 1.0))
     )
-    v = mixture_field(dist, np.zeros(2), 0.5)
+    v = MixtureTargetField(dist).eval(np.zeros(2), 0.5)
     assert abs(v @ (mu / np.linalg.norm(mu))) <= 1e-12
 
 
@@ -156,7 +156,7 @@ def test_mixture_responsibility_saturation():
     dist = TargetDistribution(components=((0.5, mu1, 0.25), (0.5, mu2, 0.25)))
     t = 0.8
     x = t * mu1
-    blended = mixture_field(dist, x, t)
+    blended = MixtureTargetField(dist).eval(x, t)
     pure = gaussian_field(mu1, 0.25, x, t)
     assert np.all(np.abs(blended - pure) <= 1e-6)
 
