@@ -99,6 +99,28 @@ _LEAF_TYPES = {
     "semantics.latent_dim": (int,),
     "semantics.base_mean": (float, list),
     "semantics.effect_magnitudes": (float, list),
+    "experiment.score": (list,),
+    "experiment.path_start": (list,),
+    "experiment.path_stop": (list,),
+}
+# list leaves whose elements must be numbers
+_NUMBER_LISTS = {
+    "semantics.base_mean",
+    "semantics.effect_magnitudes",
+    "experiment.score",
+    "experiment.path_start",
+    "experiment.path_stop",
+    "experiment.deltas",
+}
+# lower bounds (bound, inclusive) on numeric leaves; on a list leaf the
+# bound holds for every element
+_LOWER_BOUNDS = {
+    "flow.steps": (1, True),
+    "flow.sample_count": (1, True),
+    "experiment.oracle_steps": (1, True),
+    "experiment.grid_points": (2, True),
+    "experiment.equivalence_seeds": (2, True),
+    "experiment.deltas": (0, False),
 }
 
 
@@ -203,8 +225,9 @@ def _is_a(value, kind: type) -> bool:
 
 def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "") -> dict:
     """Check every leaf against its default's type (an int passes for a
-    float); a null default accepts anything unless _LEAF_TYPES says
-    otherwise. Free-form and record keys are checked where they are used."""
+    float), then the elements of _NUMBER_LISTS and the _LOWER_BOUNDS; a
+    null default accepts anything unless _LEAF_TYPES says otherwise.
+    Free-form and record keys are checked where they are used."""
     for key, dval in default.items():
         here = f"{path}.{key}" if path else key
         value = resolved[key]
@@ -221,6 +244,14 @@ def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "")
         if not any(_is_a(value, kind) for kind in kinds):
             names = [kind.__name__ for kind in kinds] + ["null"] * (dval is None)
             raise ConfigError(f"{here} must be {' or '.join(names)}, got {value!r}")
+        numbers = value if isinstance(value, list) else [value]
+        if here in _NUMBER_LISTS and not all(_is_a(v, float) for v in numbers):
+            raise ConfigError(f"{here} must hold numbers, got {value!r}")
+        if here in _LOWER_BOUNDS:
+            bound, inclusive = _LOWER_BOUNDS[here]
+            if not all(v >= bound if inclusive else v > bound for v in numbers):
+                relation = ">=" if inclusive else ">"
+                raise ConfigError(f"{here} must be {relation} {bound}, got {value!r}")
     return resolved
 
 

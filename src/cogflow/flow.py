@@ -63,6 +63,24 @@ def _check_finite(x: np.ndarray, step: int):
     raise DivergenceError(step)
 
 
+def stage_times(config: IntegrationConfig):
+    """Per step, the times at which integrate() evaluates the field.
+
+    integrate() takes its times from here, so a table keyed by these
+    floats (the moment oracle's) matches its lookups exactly.
+    """
+    n_steps = config.steps
+    h = 1.0 / n_steps
+    for i in range(n_steps):
+        t = i / n_steps
+        if config.solver == "euler":
+            yield (t,)
+        elif config.solver == "midpoint":
+            yield t, t + 0.5 * h
+        else:  # rk4; its two mid-stages share one time
+            yield t, t + 0.5 * h, (i + 1) / n_steps
+
+
 def integrate(
     field: VelocityField, x0, config: IntegrationConfig
 ) -> IntegrationResult:
@@ -80,20 +98,20 @@ def integrate(
         trajectory = np.empty((n_steps + 1,) + x.shape)
         trajectory[0] = x
     begin_step = getattr(field, "begin_step", None)
-    for i in range(n_steps):
-        t = i / n_steps
+    for i, times in enumerate(stage_times(config)):
         if begin_step is not None:
             begin_step(i)
         if config.solver == "euler":
-            x = x + h * field.eval(x, t)
+            x = x + h * field.eval(x, times[0])
         elif config.solver == "midpoint":
+            t, t_mid = times
             k1 = field.eval(x, t)
-            x = x + h * field.eval(x + 0.5 * h * k1, t + 0.5 * h)
+            x = x + h * field.eval(x + 0.5 * h * k1, t_mid)
         else:  # rk4
-            t_next = (i + 1) / n_steps
+            t, t_mid, t_next = times
             k1 = field.eval(x, t)
-            k2 = field.eval(x + 0.5 * h * k1, t + 0.5 * h)
-            k3 = field.eval(x + 0.5 * h * k2, t + 0.5 * h)
+            k2 = field.eval(x + 0.5 * h * k1, t_mid)
+            k3 = field.eval(x + 0.5 * h * k2, t_mid)
             k4 = field.eval(x + h * k3, t_next)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         _check_finite(x, i)
@@ -270,61 +288,47 @@ class MomentPaths(NamedTuple):
         return self.covariances[-1]
 
 
-def blended_affine_coefficients(
-    spec: BlendSpec, t: float, weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Scalar slope and offset of a full-average blend of affine fields.
-
-    weights is spec.weights(), computed once by the caller rather than on
-    every evaluation of the moment ODE.
-    """
-    coeffs = getattr(spec.base_field, "affine_coefficients", None)
+def _tabulate(field: VelocityField, rows: dict, slopes, offsets, what: str):
+    """Write field's slope and offset at each time t into row rows[t] of
+    slopes (T,) and offsets (T, D): one affine_coefficients call per time."""
+    coeffs = getattr(field, "affine_coefficients", None)
     if coeffs is None:
-        raise ContractViolation("base field is not affine; no moment oracle")
-    slope, offset = coeffs(t)
-    slope *= spec.base_mix
-    offset = spec.base_mix * offset
-    anchor_share = 1.0 - spec.base_mix
-    for k, entry in enumerate(spec.anchor_sets):
-        chain_slopes = []
-        chain_offsets = []
-        for f in entry.chain_fields:
-            fn = getattr(f, "affine_coefficients", None)
-            if fn is None:
-                raise ContractViolation(
-                    f"chain field of anchor {entry.anchor.bits} is not affine"
-                )
-            a, b = fn(t)
-            chain_slopes.append(a)
-            chain_offsets.append(b)
-        slope += anchor_share * weights[k] * np.mean(chain_slopes)
-        offset = offset + anchor_share * weights[k] * np.mean(chain_offsets, axis=0)
-    return slope, offset
+        raise ContractViolation(f"{what} is not affine; no moment oracle")
+    for t, row in rows.items():
+        slopes[row], offsets[row] = coeffs(t)
 
 
-class _MomentField(VelocityField):
-    """Packs (mean, covariance) into one state vector for integrate()."""
+class _IsotropicMomentField(VelocityField):
+    """Moment ODE of N(m, c * I) as one state (m, c) of size D + 1.
 
-    def __init__(self, spec: BlendSpec, dim: int):
-        self.spec = spec
-        self.state_dim = dim
-        self.weights = spec.weights()
+    The blend's slope a(t) and offset b(t) are looked up by exact time;
+    dm = a * m + b and dc = a * c + c * a, which is the matrix form
+    a * C + C * a restricted to C = c * I, bit for bit.
+    """
+
+    def __init__(self, rows: dict, slopes: np.ndarray, offsets: np.ndarray):
+        self.rows = rows
+        self.slopes = slopes
+        self.offsets = offsets
 
     def eval(self, z, t):
-        d = self.state_dim
-        slope, offset = blended_affine_coefficients(self.spec, t, self.weights)
-        m = z[:d]
-        cov = z[d:].reshape(d, d)
-        dm = slope * m + offset
-        dcov = slope * cov + cov * slope
-        return np.concatenate([dm, dcov.ravel()])
+        row = self.rows.get(t)
+        if row is None:
+            raise ContractViolation(f"no blend coefficients tabulated at t={t!r}")
+        a = self.slopes[row]
+        c = z[-1:]
+        return np.concatenate([a * z[:-1] + self.offsets[row], a * c + c * a])
 
 
 def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     """Exact mean/covariance evolution of the transported Gaussian.
 
     Valid only for full_average blends of affine (single-Gaussian) inner
-    fields; serves as the distribution-level oracle for generate().
+    fields; serves as the distribution-level oracle for generate(). The
+    blend's slope and offset are tabulated once per distinct stage time
+    (2N + 1 of them for rk4), each inner field queried once per time; the
+    sums run base first, then anchor by anchor, each chain mean over its
+    n fields, as a per-time evaluation would.
     """
     if spec.mode != "full_average":
         raise ContractViolation("moment oracle requires full_average mode")
@@ -332,12 +336,30 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     if len(dims) != 1:
         raise ContractViolation("cannot infer a unique latent dimension")
     dim = dims.pop()
-    z0 = np.concatenate([np.zeros(dim), np.eye(dim).ravel()])
+    rows = {}  # each distinct stage time -> its table row
+    for step in stage_times(config):
+        for t in step:
+            rows.setdefault(t, len(rows))
+    count = len(rows)
+    slopes, offsets = np.empty(count), np.empty((count, dim))
+    _tabulate(spec.base_field, rows, slopes, offsets, "base field")
+    slopes *= spec.base_mix
+    offsets *= spec.base_mix
+    anchor_share = 1.0 - spec.base_mix
+    for entry, weight in zip(spec.anchor_sets, spec.weights()):
+        n = len(entry.chain_fields)
+        chain_slopes, chain_offsets = np.empty((count, n)), np.empty((n, count, dim))
+        what = f"chain field of anchor {entry.anchor.bits}"
+        for j, f in enumerate(entry.chain_fields):
+            _tabulate(f, rows, chain_slopes[:, j], chain_offsets[j], what)
+        slopes += anchor_share * weight * np.mean(chain_slopes, axis=-1)
+        offsets += anchor_share * weight * np.mean(chain_offsets, axis=0)
+    z0 = np.concatenate([np.zeros(dim), [1.0]])
     cfg = replace(config, record_trajectory=True)
-    result = integrate(_MomentField(spec, dim), z0, cfg)
+    result = integrate(_IsotropicMomentField(rows, slopes, offsets), z0, cfg)
     times = np.arange(cfg.steps + 1) / cfg.steps
     means = result.trajectory[:, :dim]
-    covariances = result.trajectory[:, dim:].reshape(-1, dim, dim)
+    covariances = result.trajectory[:, dim, None, None] * np.eye(dim)
     return MomentPaths(times=times, means=means, covariances=covariances)
 
 

@@ -310,7 +310,9 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
     if not np.any(step != 0.0):
         raise ContractViolation("path_start and path_stop coincide")
     unit = step / np.linalg.norm(step)
-    points = max(2, cfg.grid_points)
+    points = cfg.grid_points
+    if points < 2:
+        raise ContractViolation(f"grid_points must be >= 2, got {points}")
     axis, proj_direction = _axis_direction(cfg, start, stop)
 
     def run_point(j):

@@ -222,7 +222,8 @@ def _parse_record(line: bytes) -> tuple[str, str]:
 class PolarizationCache:
     """Disk-backed rewrite cache: newline-delimited {digest, output} records.
 
-    Appends are serialized; concurrent misses on the same key perform a
+    Each record is appended by a single write, and appends within a process
+    are serialized; concurrent misses on the same key perform a
     single backend fetch (other callers wait and reuse the result).
     """
 
@@ -286,9 +287,20 @@ class PolarizationCache:
         if digest in self._entries:
             return
         self._entries[digest] = output
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps({"digest": digest, "output": output}) + "\n")
+        if self.path is None:
+            return
+        record = (json.dumps({"digest": digest, "output": output}) + "\n").encode("utf-8")
+        # one write on an O_APPEND descriptor lands whole at the current end
+        # of the file, so appends from several processes never interleave
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, record)
+        finally:
+            os.close(fd)
+        if written != len(record):
+            raise BackendError(
+                f"short append to {self.path}: {written} of {len(record)} bytes"
+            )
 
     def fetch(
         self,

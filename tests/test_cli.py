@@ -201,6 +201,32 @@ def test_out_of_range_lambda_fails_before_any_backend_call(tmp_path):
     assert not (tmp_path / "cache.ndjson").exists()
 
 
+@pytest.mark.parametrize("override", [
+    "flow.steps=0", "flow.sample_count=0", "experiment.oracle_steps=0",
+    "experiment.grid_points=-1", "experiment.equivalence_seeds=1",
+    "experiment.deltas=[0.01, 0]",
+])
+def test_out_of_range_value_fails_before_any_backend_call(tmp_path, caplog, override):
+    cfg = write_config(tmp_path, experiment={"kind": "continuity_sweep"})
+    code = run_cli("experiment", "--config", str(cfg), "--set", override)
+    assert code == 2
+    assert override.split("=")[0] in caplog.text
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
+@pytest.mark.parametrize("override", [
+    'experiment.deltas=["a"]', 'semantics.base_mean=["x"]',
+    'semantics.effect_magnitudes=[1.0, "x"]', 'experiment.score=["a", 0.5]',
+    "experiment.path_start=[0.1, true]", 'experiment.path_stop="0.9"',
+])
+def test_list_leaf_elements_are_type_checked(tmp_path, caplog, override):
+    cfg = write_config(tmp_path, experiment={"kind": "continuity_sweep"})
+    code = run_cli("experiment", "--config", str(cfg), "--set", override)
+    assert code == 2
+    assert override.split("=")[0] in caplog.text
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
 def test_llm_backend_without_endpoint_is_config_error(tmp_path):
     cfg = write_config(tmp_path)
     assert run_cli("polarize", "--config", str(cfg), "--backend", "llm") == 2

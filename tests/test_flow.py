@@ -1,10 +1,13 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cogflow import flow
 from cogflow.blend import AnchorFields, BlendSpec
-from cogflow.cogspace import CognitiveSpace, ScoreVector, enumerate_anchors
+from cogflow.cogspace import CognitiveSpace, ScoreVector, enumerate_anchors, weight_vector
 from cogflow.errors import ContractViolation, DivergenceError
 from cogflow.flow import (
     AffineDecoder,
@@ -16,11 +19,20 @@ from cogflow.flow import (
     initial_states,
     integrate,
     moment_reference,
+    stage_times,
     write_sample_batch,
 )
-from cogflow.semantics import GaussianTargetField, MixtureTargetField, SemanticModel, TargetDistribution
+from cogflow.polarize import TemplateBackend, build_all_sets
+from cogflow.semantics import (
+    GaussianTargetField,
+    MixtureTargetField,
+    SemanticModel,
+    TargetDistribution,
+    VelocityField,
+    bind,
+)
 
-from conftest import ConstantField
+from conftest import ConstantField, make_space
 
 
 class FuncField:
@@ -329,6 +341,193 @@ def test_moment_reference_contract_errors():
     )
     with pytest.raises(ContractViolation):
         moment_reference(bad, IntegrationConfig("rk4", 10))
+
+
+# The coefficient loop and matrix state the tabulated oracle replaced,
+# kept verbatim as the bit-identity reference.
+
+def blended_affine_coefficients(
+    spec: BlendSpec, t: float, weights: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Scalar slope and offset of a full-average blend of affine fields.
+
+    weights is spec.weights(), computed once by the caller rather than on
+    every evaluation of the moment ODE.
+    """
+    coeffs = getattr(spec.base_field, "affine_coefficients", None)
+    if coeffs is None:
+        raise ContractViolation("base field is not affine; no moment oracle")
+    slope, offset = coeffs(t)
+    slope *= spec.base_mix
+    offset = spec.base_mix * offset
+    anchor_share = 1.0 - spec.base_mix
+    for k, entry in enumerate(spec.anchor_sets):
+        chain_slopes = []
+        chain_offsets = []
+        for f in entry.chain_fields:
+            fn = getattr(f, "affine_coefficients", None)
+            if fn is None:
+                raise ContractViolation(
+                    f"chain field of anchor {entry.anchor.bits} is not affine"
+                )
+            a, b = fn(t)
+            chain_slopes.append(a)
+            chain_offsets.append(b)
+        slope += anchor_share * weights[k] * np.mean(chain_slopes)
+        offset = offset + anchor_share * weights[k] * np.mean(chain_offsets, axis=0)
+    return slope, offset
+
+
+class _MomentField(VelocityField):
+    """Packs (mean, covariance) into one state vector for integrate()."""
+
+    def __init__(self, spec: BlendSpec, dim: int):
+        self.spec = spec
+        self.state_dim = dim
+        self.weights = spec.weights()
+
+    def eval(self, z, t):
+        d = self.state_dim
+        slope, offset = blended_affine_coefficients(self.spec, t, self.weights)
+        m = z[:d]
+        cov = z[d:].reshape(d, d)
+        dm = slope * m + offset
+        dcov = slope * cov + cov * slope
+        return np.concatenate([dm, dcov.ravel()])
+
+
+def reference_moments(spec: BlendSpec, config: IntegrationConfig, dim: int):
+    z0 = np.concatenate([np.zeros(dim), np.eye(dim).ravel()])
+    result = integrate(_MomentField(spec, dim), z0, replace(config, record_trajectory=True))
+    return result.trajectory[:, :dim], result.trajectory[:, dim:].reshape(-1, dim, dim)
+
+
+def random_gaussian_spec(n, base_mix, seed, dim=3):
+    """Every field with its own mean and variance, so slopes differ."""
+    rng = np.random.default_rng(seed)
+
+    def field():
+        return GaussianTargetField(rng.normal(size=dim), rng.uniform(0.2, 2.0))
+
+    anchors = enumerate_anchors(make_space(n))
+    return BlendSpec(
+        base_field=field(),
+        anchor_sets=tuple(AnchorFields(a, tuple(field() for _ in range(n))) for a in anchors),
+        score=ScoreVector(tuple(rng.uniform(0.05, 0.95, size=n))),
+        mode="full_average",
+        base_mix=base_mix,
+    )
+
+
+def constant_spec(n, base_mix):
+    anchors = enumerate_anchors(make_space(n))
+    return BlendSpec(
+        base_field=ConstantField([0.3, -1.1]),
+        anchor_sets=tuple(
+            AnchorFields(a, tuple(ConstantField([k + 0.1 * j, 1.0 / (j + 1)]) for j in range(n)))
+            for k, a in enumerate(anchors)
+        ),
+        score=ScoreVector((0.35,) * n),
+        mode="full_average",
+        base_mix=base_mix,
+    )
+
+
+@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_moment_reference_bit_identical_to_coefficient_loop(solver, n):
+    config = IntegrationConfig(solver, 50)
+    for base_mix in (0.0, 0.5, 1.0):
+        for spec in (random_gaussian_spec(n, base_mix, seed=10 * n), constant_spec(n, base_mix)):
+            dim = spec.latent_dims().pop()
+            means, covariances = reference_moments(spec, config, dim)
+            paths = moment_reference(spec, config)
+            assert paths.means.tobytes() == means.tobytes()
+            assert paths.covariances.tobytes() == covariances.tobytes()
+            off_diagonal = ~np.eye(dim, dtype=bool)
+            assert np.all(paths.endpoint_cov[off_diagonal] == 0.0)
+
+
+def test_moment_reference_bit_identical_on_template_spec(space2, biased_model):
+    request = GenerationRequest(
+        base_prompt="a valley", score=ScoreVector((0.3, 0.8)), blend_mode="full_average",
+    )
+    spec = build_blend_spec(request, space2, biased_model)
+    config = IntegrationConfig("rk4", 50)
+    means, covariances = reference_moments(spec, config, biased_model.latent_dim)
+    paths = moment_reference(spec, config)
+    assert paths.means.tobytes() == means.tobytes()
+    assert paths.covariances.tobytes() == covariances.tobytes()
+
+
+class CountingAffineField(VelocityField):
+    """Forwards affine_coefficients to an inner field, counting each time."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.calls = Counter()
+
+    def eval(self, x, t):
+        return self.inner.eval(x, t)
+
+    def affine_coefficients(self, t):
+        self.calls[t] += 1
+        return self.inner.affine_coefficients(t)
+
+
+@pytest.mark.parametrize("solver, distinct", [("euler", 40), ("midpoint", 80), ("rk4", 81)])
+def test_moment_reference_queries_each_field_once_per_stage_time(solver, distinct):
+    spec = random_gaussian_spec(2, 0.5, seed=7)
+    counting = replace(
+        spec,
+        base_field=CountingAffineField(spec.base_field),
+        anchor_sets=tuple(
+            replace(entry, chain_fields=tuple(map(CountingAffineField, entry.chain_fields)))
+            for entry in spec.anchor_sets
+        ),
+    )
+    config = IntegrationConfig(solver, 40)
+    moment_reference(counting, config)
+    visited = {t for step in stage_times(config) for t in step}
+    assert len(visited) == distinct
+    fields = [counting.base_field] + [f for e in counting.anchor_sets for f in e.chain_fields]
+    for f in fields:
+        assert set(f.calls) == visited
+        assert set(f.calls.values()) == {1}
+
+
+def test_moment_field_rejects_an_untabulated_time():
+    field = flow._IsotropicMomentField({0.0: 0, 0.5: 1}, np.zeros(2), np.zeros((2, 2)))
+    field.eval(np.array([0.0, 0.0, 1.0]), 0.5)
+    with pytest.raises(ContractViolation):
+        field.eval(np.array([0.0, 0.0, 1.0]), 0.25)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_moment_reference_matches_shared_variance_closed_form(n):
+    # With one variance v for every bound field, the blend is the exact
+    # field toward N(psi, v I), so the oracle must end at (psi, v I).
+    space = make_space(n)
+    variance = 0.6
+    model = SemanticModel.for_space(
+        space, effect_magnitudes=1.5, position_bias=0.5, default_variance=variance
+    )
+    score = ScoreVector(tuple(np.linspace(0.2, 0.8, n)))
+    base_mix = 0.5
+    request = GenerationRequest(
+        base_prompt="a valley", score=score, blend_mode="full_average", base_mix=base_mix,
+    )
+    sets = build_all_sets(TemplateBackend(), request.base_prompt, space)
+    chain_means = [np.mean([bind(model, r).mean() for r in s.results], axis=0) for s in sets]
+    psi = base_mix * bind(model, request.base_prompt).mean() + (1.0 - base_mix) * sum(
+        w * m for w, m in zip(weight_vector(score), chain_means)
+    )
+    paths = moment_reference(
+        build_blend_spec(request, space, model), IntegrationConfig("rk4", 2000)
+    )
+    assert np.max(np.abs(paths.endpoint_mean - psi)) <= 1e-9
+    assert np.max(np.abs(paths.endpoint_cov - variance * np.eye(model.latent_dim))) <= 1e-9
 
 
 # --- batched equals sequential -------------------------------------------------

@@ -146,6 +146,11 @@ def test_continuity_sweep_identical_fields_zero_displacement():
         assert all(v == 0.0 for v in record["extra"]["displacements"].values())
 
 
+def test_continuity_sweep_rejects_fewer_than_two_points():
+    with pytest.raises(ContractViolation, match="grid_points"):
+        continuity_sweep(make_config(kind="continuity_sweep", grid_points=1))
+
+
 def test_continuity_sweep_rejects_stochastic_mode():
     cfg = make_config(kind="continuity_sweep", blend_mode="stochastic")
     with pytest.raises(ContractViolation):

@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import threading
 from dataclasses import replace
 
@@ -232,6 +234,33 @@ def test_cache_restores_newline_of_whole_last_record(tmp_path, caplog):
     assert path.read_bytes() == data
     cache.store("d3", "new")
     assert len(PolarizationCache(path)) == 4
+
+
+def test_cache_appends_each_record_in_one_write(tmp_path, monkeypatch):
+    path = tmp_path / "cache.ndjson"
+    cache = PolarizationCache(path)
+    calls = []
+    real_write = os.write
+
+    def counting_write(fd, data):
+        calls.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", counting_write)
+    output = "x" * (2 * io.DEFAULT_BUFFER_SIZE)
+    cache.store("big", output)
+    record = path.read_bytes()
+    assert calls == [len(record)] and len(record) > io.DEFAULT_BUFFER_SIZE
+    assert PolarizationCache(path).get("big") == output
+
+
+def test_cache_short_append_is_backend_error(tmp_path, monkeypatch):
+    path = tmp_path / "cache.ndjson"
+    cache = PolarizationCache(path)
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:5]))
+    with pytest.raises(BackendError, match="short append"):
+        cache.store("d0", "out0")
 
 
 @pytest.mark.parametrize("corrupt", [b"not json", b'{"digest": "x"}', b"[1, 2]"])
