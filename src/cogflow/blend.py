@@ -24,15 +24,20 @@ anchor has a single chain and no hash is made.
 
 There are two evaluation paths with the same bits. When the base field
 and every chain field are plain GaussianTargetFields (the template
-backend without mixture bindings), stochastic mode reads a stacked
-Gaussian bank built when the field is made: chain means (K, n, D), chain
-variances (K, n), and the base mean and variance. Each evaluation then
-computes kappa(t) for all chains at once and, per anchor, gathers each
-row's drawn mean and kappa into the Gaussian closed form; no inner
-field's eval is called. Any other inner field (a mixture, a subclass, a
-test double) selects the generic path, which calls eval on each drawn
-chain field for the rows that drew it. The path follows from the inner
-fields' types alone.
+backend without mixture bindings), both modes read a stacked Gaussian
+bank built when the field is made: the base mean (D, 1) and variance,
+chain means stored feature-major as (K, D, n), and chain variances
+(K, n). An evaluation copies x once into a C-contiguous (D, B) block,
+computes kappa(t) for all chains at once and every Gaussian closed form
+in that block (in stochastic mode on each row's drawn mean and kappa),
+and copies the result back once to (B, D); no inner field's eval is
+called. Feature-major, a per-field (D, 1) mean broadcasts along the
+long axis, which numpy does several times faster than a (D,) mean over
+(B, D) rows at small D. Every elementwise expression and its order is
+the generic path's, so the bits are too. Any other inner field (a
+mixture, a subclass, a test double) selects the generic path, which
+calls eval on each chain field, in stochastic mode for the rows that
+drew it. The path follows from the inner fields' types alone.
 
 A BlendedField instance owns its ordinal and evaluation counter and must
 not be shared across concurrent callers; a BlendSpec is immutable and
@@ -144,12 +149,25 @@ class BlendSpec:
         return {f.dim for f in (self.base_field, *chains) if hasattr(f, "dim")}
 
 
-class GaussianBank(NamedTuple):
-    """Stacked parameters of a spec whose inner fields are all Gaussian."""
+def _deviation_mean(values):
+    """Mean of the values as first + sum(v - first) / n, the sum taken in
+    order from zeros, so that it is bit-exact when all values agree."""
+    values = iter(values)
+    first = next(values)
+    acc, n = np.zeros_like(first), 1
+    for v in values:
+        acc = acc + (v - first)
+        n += 1
+    return first if n == 1 else first + acc / n
 
-    base_mean: np.ndarray  # (D,)
+
+class GaussianBank(NamedTuple):
+    """Stacked parameters of a spec whose inner fields are all Gaussian,
+    laid out for feature-major (D, B) states."""
+
+    base_mean: np.ndarray  # (D, 1)
     base_variance: float
-    means: np.ndarray  # (K, n, D)
+    means: np.ndarray  # (K, D, n)
     variances: np.ndarray  # (K, n)
 
     @classmethod
@@ -160,18 +178,21 @@ class GaussianBank(NamedTuple):
         fields = [spec.base_field, *(f for chain in chains for f in chain)]
         if any(type(f) is not GaussianTargetField for f in fields):
             return None
+        means = np.array([[f.mean for f in chain] for chain in chains])
         return cls(
-            base_mean=np.array(spec.base_field.mean),
+            base_mean=np.array(spec.base_field.mean)[:, None],
             base_variance=spec.base_field.variance,
-            means=np.array([[f.mean for f in chain] for chain in chains]),
+            means=np.ascontiguousarray(means.transpose(0, 2, 1)),
             variances=np.array([[f.variance for f in chain] for chain in chains]),
         )
 
     def values(self, x, t, draws):
-        """Base velocity and an iterator over the drawn vhat_k, k = 0..K-1.
+        """Base velocity and an iterator over vhat_k, k = 0..K-1, at a
+        feature-major state x of shape (D, B).
 
-        draws holds chain indices of shape (K,) or (B, K); the expression
-        is gaussian_field's, so the bits equal those of the generic path.
+        draws holds chain indices of shape (K,) or (B, K), or is None for
+        the full average; the expressions are the generic path's, so the
+        bits equal its bits.
         """
         t = _check_time(t)
         base = gaussian_velocity(
@@ -179,14 +200,20 @@ class GaussianBank(NamedTuple):
         )
         kappas = flow_kappa(t, self.variances)
 
+        def averaged():
+            for means, kappa in zip(self.means, kappas):
+                yield _deviation_mean(
+                    gaussian_velocity(means[:, j : j + 1], kappa[j], x, t)
+                    for j in range(len(kappa))
+                )
+
         def drawn():
             for k, (means, kappa) in enumerate(zip(self.means, kappas)):
                 chosen = draws[..., k]
-                yield gaussian_velocity(
-                    means.take(chosen, axis=0), kappa.take(chosen)[..., None], x, t
-                )
+                mean = means.take(chosen, axis=1).reshape(len(means), -1)
+                yield gaussian_velocity(mean, kappa.take(chosen), x, t)
 
-        return base, drawn()
+        return base, averaged() if draws is None else drawn()
 
 
 class BlendedField(VelocityField):
@@ -206,7 +233,7 @@ class BlendedField(VelocityField):
         self._drawn = (None, None)  # (ordinal, draws) of the last hash
         self._weights = spec.weights()
         self._anchor_ids = np.arange(spec.anchor_count)
-        self._bank = GaussianBank.of(spec) if spec.mode == "stochastic" else None
+        self._bank = GaussianBank.of(spec)
 
     @property
     def dim(self):
@@ -249,14 +276,7 @@ class BlendedField(VelocityField):
     @staticmethod
     def _chain_value(fields, x, t, draw):
         if draw is None:
-            # full_average, in deviation form: bit-exact when all chains agree
-            first = fields[0].eval(x, t)
-            if len(fields) == 1:
-                return first
-            acc = np.zeros_like(first)
-            for f in fields[1:]:
-                acc = acc + (f.eval(x, t) - first)
-            return first + acc / len(fields)
+            return _deviation_mean(f.eval(x, t) for f in fields)
         if np.ndim(draw) == 0:
             return fields[int(draw)].eval(x, t)
         out = np.empty_like(x)
@@ -273,8 +293,11 @@ class BlendedField(VelocityField):
         if spec.mode == "stochastic":
             per_step = spec.draw_scope == "per_step"
             draws = self._draws(x, self._step_ordinal if per_step else self._eval_ordinal)
-        if self._bank is not None:
-            base, vhats = self._bank.values(x, t, draws)
+        bank = self._bank
+        if bank is not None:
+            # one copy into a feature-major (D, B) block; see the module notes
+            x_in = np.array(x.reshape(-1, x.shape[-1]).T, order="C")
+            base, vhats = bank.values(x_in, t, draws)
         else:
             base = spec.base_field.eval(x, t)
             vhats = (
@@ -290,7 +313,10 @@ class BlendedField(VelocityField):
             self._eval_ordinal += 1
         rows = 1 if x.ndim == 1 else x.shape[0]
         self.eval_counter += rows * spec.evals_per_call()
-        return base + (1.0 - spec.base_mix) * acc
+        out = base + (1.0 - spec.base_mix) * acc
+        if bank is not None:
+            out = np.ascontiguousarray(out.T).reshape(x.shape)
+        return out
 
 
 class ExpectedFieldCheck(NamedTuple):

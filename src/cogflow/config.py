@@ -102,6 +102,9 @@ _LEAF_TYPES = {
     "experiment.score": (list,),
     "experiment.path_start": (list,),
     "experiment.path_stop": (list,),
+    "semantics.dimension_directions": (list,),
+    "flow.decoder.matrix": (list,),
+    "flow.decoder.offset": (list,),
 }
 # list leaves whose elements must be numbers
 _NUMBER_LISTS = {
@@ -111,7 +114,10 @@ _NUMBER_LISTS = {
     "experiment.path_start",
     "experiment.path_stop",
     "experiment.deltas",
+    "flow.decoder.offset",
 }
+# list leaves whose elements must be lists of numbers
+_NUMBER_MATRICES = {"semantics.dimension_directions", "flow.decoder.matrix"}
 # lower bounds (bound, inclusive) on numeric leaves; on a list leaf the
 # bound holds for every element
 _LOWER_BOUNDS = {
@@ -225,9 +231,10 @@ def _is_a(value, kind: type) -> bool:
 
 def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "") -> dict:
     """Check every leaf against its default's type (an int passes for a
-    float), then the elements of _NUMBER_LISTS and the _LOWER_BOUNDS; a
-    null default accepts anything unless _LEAF_TYPES says otherwise.
-    Free-form and record keys are checked where they are used."""
+    float), then the elements of _NUMBER_LISTS and _NUMBER_MATRICES and
+    the _LOWER_BOUNDS; a null default accepts anything unless _LEAF_TYPES
+    says otherwise. Free-form and record keys are checked where they are
+    used."""
     for key, dval in default.items():
         here = f"{path}.{key}" if path else key
         value = resolved[key]
@@ -247,6 +254,10 @@ def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "")
         numbers = value if isinstance(value, list) else [value]
         if here in _NUMBER_LISTS and not all(_is_a(v, float) for v in numbers):
             raise ConfigError(f"{here} must hold numbers, got {value!r}")
+        if here in _NUMBER_MATRICES and not all(
+            isinstance(row, list) and all(_is_a(v, float) for v in row) for row in value
+        ):
+            raise ConfigError(f"{here} must be a list of lists of numbers, got {value!r}")
         if here in _LOWER_BOUNDS:
             bound, inclusive = _LOWER_BOUNDS[here]
             if not all(v >= bound if inclusive else v > bound for v in numbers):

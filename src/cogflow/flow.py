@@ -22,7 +22,14 @@ from .blend import AnchorFields, BlendedField, BlendSpec, DRAW_SCOPES, MODES
 from .cogspace import CognitiveSpace, ScoreVector
 from .errors import ContractViolation, DivergenceError
 from .polarize import PolarizationCache, PolarizerBackend, TemplateBackend, build_all_sets
-from .semantics import SemanticModel, VelocityField, bind, field_for_prompt
+from .semantics import (
+    GaussianTargetField,
+    SemanticModel,
+    VelocityField,
+    bind,
+    field_for_prompt,
+    flow_kappa,
+)
 from ._fsio import atomic_write_text
 
 SOLVERS = ("euler", "midpoint", "rk4")
@@ -53,14 +60,20 @@ class IntegrationResult(NamedTuple):
     trajectory: np.ndarray | None  # (N+1, ...) with row 0 = x0
 
 
-def _check_finite(x: np.ndarray, step: int):
+def _check_finite(x: np.ndarray, step: int, last: np.ndarray, last_time: float):
+    """Raise DivergenceError if x is not finite; last is the state at the
+    start of the step, at time last_time."""
     finite = np.isfinite(x)
     if finite.all():
         return
+    bad = None
     if x.ndim > 1:
         bad = int(np.argmin(finite.all(axis=-1)))
-        raise DivergenceError(step, sample_index=bad)
-    raise DivergenceError(step)
+        last = last[bad]
+    raise DivergenceError(
+        step, sample_index=bad, last_max_abs=float(np.max(np.abs(last))),
+        last_time=last_time,
+    )
 
 
 def stage_times(config: IntegrationConfig):
@@ -101,6 +114,7 @@ def integrate(
     for i, times in enumerate(stage_times(config)):
         if begin_step is not None:
             begin_step(i)
+        start = x
         if config.solver == "euler":
             x = x + h * field.eval(x, times[0])
         elif config.solver == "midpoint":
@@ -114,7 +128,7 @@ def integrate(
             k3 = field.eval(x + 0.5 * h * k2, t_mid)
             k4 = field.eval(x + h * k3, t_next)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(x, i)
+        _check_finite(x, i, start, times[0])
         if trajectory is not None:
             trajectory[i + 1] = x
     return IntegrationResult(endpoint=x, trajectory=trajectory)
@@ -288,36 +302,65 @@ class MomentPaths(NamedTuple):
         return self.covariances[-1]
 
 
-def _tabulate(field: VelocityField, rows: dict, slopes, offsets, what: str):
-    """Write field's slope and offset at each time t into row rows[t] of
-    slopes (T,) and offsets (T, D): one affine_coefficients call per time."""
+class _StageTable(NamedTuple):
+    """The distinct stage times of a solver run, each with its table row."""
+
+    rows: dict  # time -> row, in row order
+    times: np.ndarray  # (T,)
+    decay: np.ndarray  # (T,) (1 - t)**2 by Python's float power; see flow_kappa
+
+    @classmethod
+    def of(cls, config: IntegrationConfig) -> "_StageTable":
+        rows = {}
+        for step in stage_times(config):
+            for t in step:
+                rows.setdefault(t, len(rows))
+        times = np.fromiter(rows, dtype=float, count=len(rows))
+        return cls(rows, times, np.array([(1.0 - t) ** 2 for t in rows]))
+
+
+def _tabulate(field: VelocityField, table: _StageTable, slopes, offsets, what: str):
+    """Write field's slope and offset at every stage time into slopes (T,)
+    and offsets (T, D).
+
+    A plain GaussianTargetField is tabulated in one pass over the times,
+    with affine_coefficients' expressions; any other field makes one
+    affine_coefficients call per time."""
+    if type(field) is GaussianTargetField:
+        t = table.times
+        slope = flow_kappa(t, field.variance, decay=table.decay)
+        slopes[:] = slope
+        offsets[:] = (1.0 - t * slope)[:, None] * field.mean
+        return
     coeffs = getattr(field, "affine_coefficients", None)
     if coeffs is None:
         raise ContractViolation(f"{what} is not affine; no moment oracle")
-    for t, row in rows.items():
+    for t, row in table.rows.items():
         slopes[row], offsets[row] = coeffs(t)
 
 
 class _IsotropicMomentField(VelocityField):
-    """Moment ODE of N(m, c * I) as one state (m, c) of size D + 1.
+    """Moment ODE of N(m, c * I) as one state z = (m, c) of size D + 1.
 
     The blend's slope a(t) and offset b(t) are looked up by exact time;
     dm = a * m + b and dc = a * c + c * a, which is the matrix form
-    a * C + C * a restricted to C = c * I, bit for bit.
+    a * C + C * a restricted to C = c * I, bit for bit. Both are one
+    multiply-add, scale[row] * z + shift[row], with scale = (a, ..., a, 2a)
+    and shift = (b, 0): doubling is exact, so 2a * c equals a * c + c * a.
     """
 
     def __init__(self, rows: dict, slopes: np.ndarray, offsets: np.ndarray):
         self.rows = rows
-        self.slopes = slopes
-        self.offsets = offsets
+        self.scale = np.repeat(slopes[:, None], offsets.shape[1] + 1, axis=1)
+        self.scale[:, -1] *= 2.0
+        self.shift = np.zeros_like(self.scale)
+        self.shift[:, :-1] = offsets
 
     def eval(self, z, t):
         row = self.rows.get(t)
         if row is None:
             raise ContractViolation(f"no blend coefficients tabulated at t={t!r}")
-        a = self.slopes[row]
-        c = z[-1:]
-        return np.concatenate([a * z[:-1] + self.offsets[row], a * c + c * a])
+        return self.scale[row] * z + self.shift[row]
 
 
 def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
@@ -326,9 +369,10 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     Valid only for full_average blends of affine (single-Gaussian) inner
     fields; serves as the distribution-level oracle for generate(). The
     blend's slope and offset are tabulated once per distinct stage time
-    (2N + 1 of them for rk4), each inner field queried once per time; the
-    sums run base first, then anchor by anchor, each chain mean over its
-    n fields, as a per-time evaluation would.
+    (2N + 1 of them for rk4): a plain Gaussian field in one pass over the
+    times, any other field queried once per time. The sums run base
+    first, then anchor by anchor, each chain mean over its n fields, as a
+    per-time evaluation would.
     """
     if spec.mode != "full_average":
         raise ContractViolation("moment oracle requires full_average mode")
@@ -336,13 +380,10 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     if len(dims) != 1:
         raise ContractViolation("cannot infer a unique latent dimension")
     dim = dims.pop()
-    rows = {}  # each distinct stage time -> its table row
-    for step in stage_times(config):
-        for t in step:
-            rows.setdefault(t, len(rows))
-    count = len(rows)
+    table = _StageTable.of(config)
+    count = len(table.rows)
     slopes, offsets = np.empty(count), np.empty((count, dim))
-    _tabulate(spec.base_field, rows, slopes, offsets, "base field")
+    _tabulate(spec.base_field, table, slopes, offsets, "base field")
     slopes *= spec.base_mix
     offsets *= spec.base_mix
     anchor_share = 1.0 - spec.base_mix
@@ -351,12 +392,12 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
         chain_slopes, chain_offsets = np.empty((count, n)), np.empty((n, count, dim))
         what = f"chain field of anchor {entry.anchor.bits}"
         for j, f in enumerate(entry.chain_fields):
-            _tabulate(f, rows, chain_slopes[:, j], chain_offsets[j], what)
+            _tabulate(f, table, chain_slopes[:, j], chain_offsets[j], what)
         slopes += anchor_share * weight * np.mean(chain_slopes, axis=-1)
         offsets += anchor_share * weight * np.mean(chain_offsets, axis=0)
     z0 = np.concatenate([np.zeros(dim), [1.0]])
     cfg = replace(config, record_trajectory=True)
-    result = integrate(_IsotropicMomentField(rows, slopes, offsets), z0, cfg)
+    result = integrate(_IsotropicMomentField(table.rows, slopes, offsets), z0, cfg)
     times = np.arange(cfg.steps + 1) / cfg.steps
     means = result.trajectory[:, :dim]
     covariances = result.trajectory[:, dim, None, None] * np.eye(dim)

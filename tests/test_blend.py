@@ -375,14 +375,11 @@ def run_steps(field, x, steps=3):
     return outs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
-@pytest.mark.parametrize("base_mix", [0.0, 0.5, 1.0])
-def test_bank_path_matches_generic_path_bit_for_bit(n, draw_scope, base_mix, monkeypatch):
-    kwargs = dict(mode="stochastic", draw_scope=draw_scope, base_mix=base_mix)
-    bank_spec = gaussian_spec(n, seed=n, **kwargs)
-    generic_spec = gaussian_spec(n, wrap=DelegatingField, seed=n, **kwargs)
-    xs = np.random.default_rng(7).normal(size=(40, 3))
+def assert_bank_matches_generic_path(n, spec_seed, xs, monkeypatch, **kwargs):
+    """Per-row seeds, a scalar seed and a 1-D state: the bank path, with
+    inner evals patched to fail, gives the generic path's bits."""
+    bank_spec = gaussian_spec(n, seed=spec_seed, **kwargs)
+    generic_spec = gaussian_spec(n, wrap=DelegatingField, seed=spec_seed, **kwargs)
     seeds = [5, np.arange(100, 140, dtype=np.uint64)]
     expected = [run_steps(BlendedField(generic_spec, seed), xs) for seed in seeds]
     expected.append(run_steps(BlendedField(generic_spec, 5), xs[0]))
@@ -395,6 +392,38 @@ def test_bank_path_matches_generic_path_bit_for_bit(n, draw_scope, base_mix, mon
     got.append(run_steps(BlendedField(bank_spec, 5), xs[0]))
     for want_run, got_run in zip(expected, got):
         assert all(np.array_equal(w, g) for w, g in zip(want_run, got_run))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("base_mix", [0.0, 0.5, 1.0])
+def test_bank_path_matches_generic_path_bit_for_bit(n, draw_scope, base_mix, monkeypatch):
+    xs = np.random.default_rng(7).normal(size=(40, 3))
+    assert_bank_matches_generic_path(
+        n, n, xs, monkeypatch, mode="stochastic", draw_scope=draw_scope, base_mix=base_mix
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("base_mix", [0.0, 0.5, 1.0])
+def test_full_average_bank_matches_generic_path_bit_for_bit(n, base_mix, monkeypatch):
+    xs = np.random.default_rng(8).normal(size=(40, 3))
+    assert_bank_matches_generic_path(
+        n, 10 + n, xs, monkeypatch, mode="full_average", base_mix=base_mix
+    )
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+def test_bank_path_returns_contiguous_row_major_arrays(mode):
+    spec = gaussian_spec(3, mode=mode)
+    field = BlendedField(spec, 5)
+    assert field._bank is not None
+    # a Fortran-ordered batch, a strided single state and an int batch
+    batch = np.asfortranarray(np.random.default_rng(2).normal(size=(6, 3)))
+    for x in (batch, batch[2], np.ones((6, 3), dtype=int)):
+        out = field.eval(x, 0.4)
+        assert out.shape == x.shape and out.dtype == np.float64
+        assert out.flags.c_contiguous
 
 
 def test_bank_path_keeps_eval_count_and_time_check():

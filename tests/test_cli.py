@@ -227,6 +227,21 @@ def test_list_leaf_elements_are_type_checked(tmp_path, caplog, override):
     assert not (tmp_path / "cache.ndjson").exists()
 
 
+@pytest.mark.parametrize("override", [
+    'semantics.dimension_directions=[["x", 0], [0, 1]]',
+    'flow.decoder.matrix=[["a", 0], [0, 1]]',
+    "flow.decoder.matrix=[[1, 0], 5]",
+    'flow.decoder.offset=[0, "y"]',
+])
+def test_nested_numeric_leaves_are_type_checked(tmp_path, caplog, override):
+    decoder = {"kind": "affine", "matrix": [[1, 0], [0, 1]], "offset": [0, 0]}
+    cfg = write_config(tmp_path, flow={"decoder": decoder})
+    code = run_cli("generate", "--config", str(cfg), "--set", override)
+    assert code == 2
+    assert override.split("=")[0] in caplog.text
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
 def test_llm_backend_without_endpoint_is_config_error(tmp_path):
     cfg = write_config(tmp_path)
     assert run_cli("polarize", "--config", str(cfg), "--backend", "llm") == 2

@@ -86,6 +86,11 @@ def test_divergence_error_reports_step():
     with pytest.raises(DivergenceError) as err:
         integrate(FuncField(explode), np.array([1.0]), IntegrationConfig("euler", 10))
     assert 0 <= err.value.step_index < 10
+    # x goes 1 -> 1e199 -> inf: the last finite state is 1e199 at t = 0.1
+    assert err.value.step_index == 1
+    assert err.value.last_max_abs == 1.0 + 0.1 * 1e200
+    assert err.value.last_time == 0.1
+    assert "t=0.1" in str(err.value) and f"{1.0 + 0.1 * 1e200!r}" in str(err.value)
 
 
 def test_divergence_error_reports_sample_in_batches():
@@ -99,6 +104,22 @@ def test_divergence_error_reports_sample_in_batches():
         integrate(FuncField(selective), np.zeros((5, 2)), IntegrationConfig("euler", 3))
     assert err.value.sample_index == 2
     assert err.value.step_index == 0
+    assert err.value.last_max_abs == 0.0 and err.value.last_time == 0.0
+    assert "(sample 2); last finite state at t=0.0 had max |x| = 0.0" in str(err.value)
+
+
+def test_divergence_error_reports_the_failing_samples_last_state():
+    def grow_row_one(x, t):
+        out = np.zeros_like(x)
+        out[1] = np.where(t < 0.5, -4.0, np.inf)
+        return out
+
+    x0 = np.array([[3.0, 3.0], [0.5, 0.5], [-3.0, 2.0]])
+    with pytest.raises(DivergenceError) as err:
+        integrate(FuncField(grow_row_one), x0, IntegrationConfig("euler", 4))
+    # row 1 moves 0.5 -> -0.5 -> -1.5, then diverges in the step from t = 0.5
+    assert (err.value.sample_index, err.value.step_index) == (1, 2)
+    assert (err.value.last_max_abs, err.value.last_time) == (1.5, 0.5)
 
 
 def test_integration_config_validation():
@@ -495,6 +516,59 @@ def test_moment_reference_queries_each_field_once_per_stage_time(solver, distinc
     for f in fields:
         assert set(f.calls) == visited
         assert set(f.calls.values()) == {1}
+
+
+@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
+def test_plain_gaussian_spec_is_tabulated_without_coefficient_calls(solver, monkeypatch):
+    specs = [random_gaussian_spec(n, 0.5, seed=20 + n) for n in (1, 2, 3)]
+    config = IntegrationConfig(solver, 30)
+    want = [reference_moments(spec, config, spec.latent_dims().pop()) for spec in specs]
+
+    def no_call(self, t):
+        raise AssertionError("a plain Gaussian field was queried per time")
+
+    monkeypatch.setattr(GaussianTargetField, "affine_coefficients", no_call)
+    for spec, (means, covariances) in zip(specs, want):
+        paths = moment_reference(spec, config)
+        assert paths.means.tobytes() == means.tobytes()
+        assert paths.covariances.tobytes() == covariances.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_gaussian_and_constant_chains_bit_identical_to_coefficient_loop(n):
+    # anchor by anchor, chains alternate between Gaussian and ConstantField,
+    # so both tabulation paths fill columns of the same chain table
+    gaussian = random_gaussian_spec(n, 0.5, seed=30 + n, dim=2)
+    mixed = replace(gaussian, anchor_sets=tuple(
+        replace(entry, chain_fields=tuple(
+            ConstantField([0.2 * k - j, 0.7 + j]) if (j + k) % 2 else f
+            for j, f in enumerate(entry.chain_fields)
+        ))
+        for k, entry in enumerate(gaussian.anchor_sets)
+    ))
+    for base_mix in (0.0, 0.5, 1.0):
+        spec = replace(mixed, base_mix=base_mix)
+        for solver in ("euler", "rk4"):
+            config = IntegrationConfig(solver, 40)
+            means, covariances = reference_moments(spec, config, 2)
+            paths = moment_reference(spec, config)
+            assert paths.means.tobytes() == means.tobytes()
+            assert paths.covariances.tobytes() == covariances.tobytes()
+
+
+def test_one_pass_tabulation_keeps_the_bits_of_per_time_calls():
+    # numpy squares an array of 1 - t as u * u, while a float's ** calls the
+    # C library's pow; they differ in the last bit at some rk4/2000 times
+    table = flow._StageTable.of(IntegrationConfig("rk4", 2000))
+    count = len(table.rows)
+    assert list(table.times) == list(table.rows)
+    for variance in np.linspace(0.05, 3.0, 30):
+        field = GaussianTargetField([0.3, -1.7], variance)
+        slopes, offsets = np.empty(count), np.empty((count, 2))
+        flow._tabulate(field, table, slopes, offsets, "field")
+        coeffs = [field.affine_coefficients(t) for t in table.rows]
+        assert slopes.tobytes() == np.array([a for a, _ in coeffs]).tobytes()
+        assert offsets.tobytes() == np.array([b for _, b in coeffs]).tobytes()
 
 
 def test_moment_field_rejects_an_untabulated_time():
