@@ -17,10 +17,17 @@ regardless of score, mix, or mode.
 Stochastic draws come from a counter-based stream: the chain drawn for
 row r and anchor k is randbelow(n, seed_r, STREAM_CHAIN_DRAW, ordinal, k),
 where ordinal counts evaluations (per_eval) or solver steps (per_step).
-One hash per ordinal covers every pair: a (B, K) array for per-row
-seeds, (K,) for a scalar seed, K = 2**n. Trajectories are therefore
-reproducible and independent of batching or scheduling. At n = 1 each
-anchor has a single chain and no hash is made.
+Trajectories are therefore reproducible and independent of batching or
+scheduling. The hash is split into a key and a counter: when the field
+is built, (seed_r, STREAM_CHAIN_DRAW) is folded once into a key, (B, 1)
+for per-row seeds or a scalar for a scalar seed. One randbelow call per
+ordinal then folds only the ordinal and the anchor ids, and draws every
+pair at once, (B, K) or (K,), K = 2**n. Its last round and finalizer run
+in place in a hash buffer that the field owns, so an evaluation
+allocates no (B, K) temporaries, and a power-of-two n is taken by mask.
+The bits are those of the plain call. The draws are a view of that
+buffer until the next hash. At n = 1 each anchor has a single chain and
+no hash is made.
 
 There are two evaluation paths with the same bits. When the base field
 and every chain field are plain GaussianTargetFields (the template
@@ -39,9 +46,10 @@ mixture, a subclass, a test double) selects the generic path, which
 calls eval on each chain field, in stochastic mode for the rows that
 drew it. The path follows from the inner fields' types alone.
 
-A BlendedField instance owns its ordinal and evaluation counter and must
-not be shared across concurrent callers; a BlendSpec is immutable and
-freely shareable.
+A BlendedField instance owns its ordinal, evaluation counter, draw key
+and hash buffer, and must not be shared across concurrent callers;
+separate instances may run on separate threads. A BlendSpec is
+immutable and freely shareable.
 """
 
 from __future__ import annotations
@@ -232,8 +240,17 @@ class BlendedField(VelocityField):
         self._step_ordinal = 0
         self._drawn = (None, None)  # (ordinal, draws) of the last hash
         self._weights = spec.weights()
-        self._anchor_ids = np.arange(spec.anchor_count)
         self._bank = GaussianBank.of(spec)
+        if spec.mode == "stochastic" and spec.n > 1:
+            # the key/counter split and the buffers; see the module notes
+            per_row = np.ndim(seed) > 0
+            self._key = streams.fold_key(
+                np.asarray(seed)[:, None] if per_row else seed, streams.STREAM_CHAIN_DRAW
+            )
+            self._anchor_ids = np.arange(spec.anchor_count, dtype=np.uint64)
+            self._hash_out = streams.hash_buffer(
+                np.broadcast_shapes(self._key.shape, self._anchor_ids.shape)
+            )
 
     @property
     def dim(self):
@@ -246,11 +263,10 @@ class BlendedField(VelocityField):
     def _draws(self, x, ordinal: int) -> np.ndarray:
         """Chain index per anchor: (K,) for a scalar seed, (B, K) per row.
 
-        The draws depend on the ordinal alone, so in per_step scope the
-        array is kept and reused by the stages of one solver step. In
-        per_eval scope no ordinal repeats; keeping the array there only held
-        memory, and slowed a 2048-row generate at n = 4 by about 20% on a
-        2-core x86 machine.
+        The draws are a view of the field's hash buffer, valid until the
+        next hash. They depend on the ordinal alone, so in per_step scope
+        they are kept and reused by the stages of one solver step, and
+        the buffer is not written again until the step ordinal changes.
         """
         per_row = np.ndim(self.seed) > 0
         if per_row and x.ndim == 1:
@@ -260,14 +276,12 @@ class BlendedField(VelocityField):
         last, draws = self._drawn
         if ordinal == last:
             return draws
-        n = self.spec.n
-        if n == 1:
+        if self.spec.n == 1:
             # randbelow(1, ...) is always 0: skip the hash
             draws = np.zeros(self.spec.anchor_count, dtype=np.int64)
         else:
-            seed = np.asarray(self.seed)[:, None] if per_row else self.seed
             draws = streams.randbelow(
-                n, seed, streams.STREAM_CHAIN_DRAW, ordinal, self._anchor_ids
+                self.spec.n, self._key, ordinal, self._anchor_ids, out=self._hash_out
             )
         if self.spec.draw_scope == "per_step":
             self._drawn = (ordinal, draws)

@@ -463,8 +463,12 @@ def cost_accounting(cfg: ExperimentConfig) -> MetricsReport:
     calls = cfg.request.sample_count * integration.steps * integration.stages_per_step
     records = []
     actual, expected = {}, {}
-    for mode in ("stochastic", "full_average"):
-        batch = _generate(cfg, replace(cfg.request, blend_mode=mode))
+    modes = ("stochastic", "full_average")
+
+    def run(mode):
+        return _generate(cfg, replace(cfg.request, blend_mode=mode))
+
+    for mode, batch in zip(modes, _map_ordered(run, modes, cfg.threads)):
         expected[mode] = calls * per_call[mode]
         actual[mode] = batch.metadata["eval_count"]
         records.append(
@@ -497,11 +501,12 @@ def stochastic_equivalence(cfg: ExperimentConfig) -> MetricsReport:
         warnings.warn("position_bias is 0; chains are identical and modes agree exactly")
     score = cfg.request.score
     seeds = cfg.equivalence_seeds
-    batches = {}
-    for mode in ("stochastic", "full_average"):
-        batches[mode] = _generate(
-            cfg, replace(cfg.request, blend_mode=mode, sample_count=seeds)
-        )
+    modes = ("stochastic", "full_average")
+
+    def run(mode):
+        return _generate(cfg, replace(cfg.request, blend_mode=mode, sample_count=seeds))
+
+    batches = dict(zip(modes, _map_ordered(run, modes, cfg.threads)))
     stats = {mode: _empirical(b.endpoints) for mode, b in batches.items()}
     records = [
         make_record(

@@ -382,14 +382,18 @@ def monte_carlo_velocity(
     kernel = np.exp(-0.5 * sq / bandwidth**2)
     if kernel.sum() <= 0.0:
         raise ContractViolation("no Monte-Carlo mass near the query point")
-    displacement = x1 - x0
-    design = np.concatenate([np.ones((draws, 1)), xt - x], axis=1)
-    weighted = kernel[:, None] * design
-    gram = design.T @ weighted
-    coeff = np.linalg.solve(gram, weighted.T @ displacement)
+    # Feature-major: the design's D + 1 rows are [1, xt - x]. Each product
+    # over the draws is a weighted sum by np.einsum, which without
+    # optimize= runs in numpy's own loops: a BLAS product would run on
+    # every BLAS thread, whatever --threads says.
+    displacement = np.ascontiguousarray((x1 - x0).T)
+    design = np.concatenate([np.ones((1, draws)), (xt - x).T])
+    weighted = kernel * design
+    gram = np.einsum("ir,jr->ij", design, weighted)
+    coeff = np.linalg.solve(gram, np.einsum("ir,dr->id", weighted, displacement))
     estimate = coeff[0]
     # sandwich standard error of the intercept's influence weights
-    influence = (np.linalg.inv(gram)[0] @ design.T) * kernel
-    resid = displacement - design @ coeff
-    se = np.sqrt(((influence**2)[:, None] * resid**2).sum(axis=0))
+    influence = np.einsum("i,ir->r", np.linalg.inv(gram)[0], design) * kernel
+    resid = displacement - np.einsum("id,ir->dr", coeff, design)
+    se = np.sqrt((influence**2 * resid**2).sum(axis=1))
     return estimate, se

@@ -1,7 +1,9 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogflow import streams
 from cogflow.blend import (
@@ -473,9 +475,9 @@ def hash_calls(monkeypatch):
     calls = []
     randbelow = streams.randbelow
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return randbelow(*args)
+        return randbelow(*args, **kwargs)
 
     monkeypatch.setattr(streams, "randbelow", counted)
     return calls
@@ -499,9 +501,105 @@ def test_per_step_scope_hashes_once_per_step(n, wrap, hash_calls):
     field = BlendedField(spec, np.arange(6, dtype=np.uint64))
     integrate(field, np.zeros((6, 3)), IntegrationConfig("rk4", 7))
     assert field.eval_counter == 6 * 7 * 4 * spec.evals_per_call()
-    assert [args[3] for args in hash_calls] == list(range(7))  # one hash per step ordinal
+    assert [args[2] for args in hash_calls] == list(range(7))  # one hash per step ordinal
     with pytest.raises(ContractViolation):  # the shape check still runs on a reused draw
         field.eval(np.zeros(3), 0.5)
+
+
+# --- the folded draw key and the field's hash buffer ---------------------------
+
+EDGE_SEEDS = np.array([(1 << 63) | 5, (1 << 64) - 1, 0, 12345, 1 << 63], dtype=np.uint64)
+EDGE_ORDINALS = [0, 1, 1 << 32, (1 << 63) - 1]
+
+
+def reference_draws(n, seed, ordinal):
+    """The draws by the plain counter tuple, hashed from scratch."""
+    seed = np.asarray(seed)[:, None] if np.ndim(seed) else seed
+    return streams.randbelow(
+        n, seed, streams.STREAM_CHAIN_DRAW, ordinal, np.arange(1 << n)
+    )
+
+
+def assert_draws_equal(got, want, n):
+    # at n = 1 the field skips the hash and returns one (K,) row of zeros
+    assert got.dtype == np.int64
+    assert np.array_equal(np.broadcast_to(got, want.shape) if n == 1 else got, want)
+
+
+@functools.lru_cache(maxsize=None)
+def stochastic_spec(n, draw_scope):
+    return gaussian_spec(n, mode="stochastic", draw_scope=draw_scope)
+
+
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_field_draws_equal_randbelow(n, draw_scope):
+    spec = stochastic_spec(n, draw_scope)
+    for seed in (int(EDGE_SEEDS[0]), 7, EDGE_SEEDS):
+        field = BlendedField(spec, seed)
+        x = np.zeros((len(EDGE_SEEDS), 3))
+        for ordinal in EDGE_ORDINALS:
+            got = field._draws(x, ordinal).copy()
+            assert_draws_equal(got, reference_draws(n, seed, ordinal), n)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    n=st.integers(1, 6),
+    seeds=st.one_of(
+        st.integers(0, (1 << 64) - 1),
+        st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=9),
+    ),
+    ordinals=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4),
+    draw_scope=st.sampled_from(["per_eval", "per_step"]),
+)
+def test_field_draws_equal_randbelow_property(n, seeds, ordinals, draw_scope):
+    seed = np.array(seeds, dtype=np.uint64) if isinstance(seeds, list) else seeds
+    field = BlendedField(stochastic_spec(n, draw_scope), seed)
+    x = np.zeros((np.size(seed), 3))
+    for ordinal in ordinals:
+        assert_draws_equal(field._draws(x, ordinal), reference_draws(n, seed, ordinal), n)
+
+
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+def test_interleaved_fields_equal_fields_run_alone(wrap, draw_scope):
+    xs = np.random.default_rng(9).normal(size=(8, 3))
+    specs = [
+        gaussian_spec(n, wrap=wrap, seed=n, mode="stochastic", draw_scope=draw_scope)
+        for n in (4, 4, 4, 3)
+    ]
+    rows = np.arange(8, dtype=np.uint64)
+    seeds = [rows, rows + np.uint64(100), EDGE_SEEDS[0], rows]
+    alone = [run_steps(BlendedField(spec, seed), xs) for spec, seed in zip(specs, seeds)]
+    fields = [BlendedField(spec, seed) for spec, seed in zip(specs, seeds)]
+    interleaved = [[] for _ in fields]
+    for step in range(3):
+        for field in fields:
+            field.begin_step(step)
+        for t in (0.1 * step, 0.1 * step + 0.05, 0.1 * step + 0.05, 0.1 * step + 0.1):
+            for outs, field in zip(interleaved, fields):
+                outs.append(field.eval(xs, t))
+    for want, got in zip(alone, interleaved):
+        assert all(np.array_equal(w, g) for w, g in zip(want, got))
+
+
+@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+def test_per_step_draws_survive_every_stage_of_a_step(wrap):
+    spec = gaussian_spec(4, wrap=wrap, mode="stochastic", draw_scope="per_step")
+    seeds = np.arange(8, dtype=np.uint64)
+    xs = np.random.default_rng(4).normal(size=(8, 3))
+    field = BlendedField(spec, seeds)
+    for step in range(4):
+        field.begin_step(step)
+        want = reference_draws(4, seeds, step)
+        for t in (0.1 * step, 0.1 * step + 0.05, 0.1 * step + 0.05, 0.1 * step + 0.1):
+            out = field.eval(xs, t)
+            # a fresh field at the same step draws the same chains
+            fresh = BlendedField(spec, seeds)
+            fresh.begin_step(step)
+            assert np.array_equal(out, fresh.eval(xs, t))
+            assert np.array_equal(field._drawn[1], want)
 
 
 def test_one_dimension_stochastic_equals_full_average():

@@ -278,6 +278,30 @@ def test_generate_and_experiment_stamp_the_same_digest(tmp_path):
     assert report["config_digest"] == meta["config_digest"]
 
 
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+def test_threaded_experiment_writes_the_sequential_records(tmp_path, draw_scope):
+    # stochastic_equivalence runs a stochastic and a full_average generate,
+    # on two worker threads at --threads 2; each field owns its hash buffer
+    cfg = write_config(
+        tmp_path,
+        semantics={"latent_dim": 4},
+        space={"dimensions": [{"name": f"d{i}"} for i in range(4)]},
+        blend={"mode": "stochastic", "draw_scope": draw_scope},
+        experiment={"kind": "stochastic_equivalence", "equivalence_seeds": 64},
+    )
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert run_cli("experiment", "--config", str(cfg), "--threads", threads,
+                       "--out", str(out)) == 0
+        report = json.loads((out / "metrics.json").read_text())
+        for record in report["records"]:
+            record.pop("wall_ms")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["records"][0]["label"] == "mode_stochastic"
+
+
 def test_experiment_unwritable_out_dir(tmp_path):
     cfg = write_config(
         tmp_path,

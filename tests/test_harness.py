@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from cogflow.harness import (
     ExperimentConfig,
     MetricsReport,
     RECORD_FIELDS,
+    _generate,
+    _map_ordered,
     continuity_sweep,
     cost_accounting,
     emit_report,
@@ -99,6 +102,27 @@ def test_vertex_recovery_threads_match_sequential():
         for rec in doc["records"]:
             rec["wall_ms"] = None
     assert a == b
+
+
+def test_concurrent_stochastic_generates_equal_sequential_ones():
+    # every BlendedField owns its draw key and hash buffer, so generates on
+    # more threads than cores give the bits they give one at a time
+    cfg = make_config(n=4, blend_mode="stochastic", sample_count=128)
+    requests = [
+        dataclasses.replace(cfg.request, seed=seed, draw_scope=scope)
+        for seed in (1, 2)
+        for scope in ("per_eval", "per_step")
+    ]
+    sequential = [_generate(cfg, request).endpoints for request in requests]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = _map_ordered(
+            lambda request: _generate(cfg, request).endpoints, requests, threads=4
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(a, b) for a, b in zip(sequential, threaded))
 
 
 # --- continuity -------------------------------------------------------------

@@ -112,6 +112,27 @@ def test_gaussian_field_matches_monte_carlo_oracle_spot():
     assert np.all(np.abs(estimate - closed) <= 3.0 * se + 1e-9)
 
 
+def test_monte_carlo_regression_equals_the_matrix_form():
+    # the weighted sums give the local-linear fit of the textbook matrix
+    # products, up to summation order (relative 1e-10 on 20 000 draws)
+    mean, variance, t, draws, bandwidth = np.array([1.0, -0.5, 0.2]), 0.7, 0.6, 20_000, 0.4
+    x = np.array([0.4, -0.1, 0.3])
+    estimate, se = monte_carlo_velocity(mean, variance, x, t, draws, bandwidth, seed=4)
+    rng = np.random.default_rng(4)
+    x0 = rng.standard_normal((draws, 3))
+    x1 = mean + np.sqrt(variance) * rng.standard_normal((draws, 3))
+    xt = (1.0 - t) * x0 + t * x1
+    kernel = np.exp(-0.5 * np.sum((xt - x) ** 2, axis=1) / bandwidth**2)
+    design = np.concatenate([np.ones((draws, 1)), xt - x], axis=1)
+    gram = design.T @ (kernel[:, None] * design)
+    coeff = np.linalg.solve(gram, (kernel[:, None] * design).T @ (x1 - x0))
+    influence = (np.linalg.inv(gram)[0] @ design.T) * kernel
+    resid = (x1 - x0) - design @ coeff
+    want_se = np.sqrt(((influence**2)[:, None] * resid**2).sum(axis=0))
+    assert np.allclose(estimate, coeff[0], rtol=1e-10, atol=0)
+    assert np.allclose(se, want_se, rtol=1e-10, atol=0)
+
+
 def test_gaussian_field_push_forward():
     # integrating the exact marginal field transports N(0, I) onto the target
     mean = np.array([1.5, -1.0])

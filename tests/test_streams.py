@@ -57,3 +57,78 @@ def test_derive_seed_is_plain_int():
     seed = streams.derive_seed(1, 2)
     assert isinstance(seed, int)
     assert 0 <= seed < (1 << 64)
+
+
+# --- the key/counter split and the in-place buffer ---------------------------
+
+_M64 = (1 << 64) - 1
+
+
+def python_hash(*counters):
+    """The splitmix64 fold in Python integers, independent of numpy."""
+
+    def avalanche(h):
+        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _M64
+        return h ^ (h >> 31)
+
+    h = 0x8EF827D8B29AA77D
+    for c in counters:
+        h = avalanche(((h * 0x9E3779B97F4A7C15) & _M64) ^ (c & _M64))
+    return avalanche((h * 0x9E3779B97F4A7C15) & _M64)
+
+
+EDGE_COUNTERS = [0, 1, 3, (1 << 32), (1 << 63) - 1, 1 << 63, _M64, -1]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
+def test_counter_hash_matches_python_reference(count):
+    rng = np.random.default_rng(count)
+    for _ in range(20):
+        counters = [int(c) for c in rng.choice(EDGE_COUNTERS, size=count)]
+        assert int(streams.counter_hash(*counters)) == python_hash(*counters)
+
+
+@pytest.mark.parametrize("split", [0, 1, 2, 3])
+def test_folded_key_continues_the_plain_fold(split):
+    seeds = np.array([5, (1 << 63) + 9, _M64, 0], dtype=np.uint64)[:, None]
+    counters = (seeds, streams.STREAM_CHAIN_DRAW, (1 << 63) - 1, np.arange(16))
+    key = streams.fold_key(*counters[:split])
+    want = streams.counter_hash(*counters)
+    assert np.array_equal(streams.counter_hash(key, *counters[split:]), want)
+    # a key folds further, and a key alone hashes as its whole prefix
+    whole = streams.fold_key(key, *counters[split:])
+    assert np.array_equal(streams.counter_hash(whole), want)
+    assert int(want[1, 7]) == python_hash((1 << 63) + 9, 3, (1 << 63) - 1, 7)
+    with pytest.raises(TypeError):  # a key is only ever the leading counter
+        streams.counter_hash(3, key)
+
+
+def test_out_buffer_receives_the_hash_in_place():
+    key = streams.fold_key(np.arange(6, dtype=np.uint64)[:, None], 3)
+    buffer = streams.hash_buffer((6, 4))
+    got = streams.counter_hash(key, 1 << 32, np.arange(4), out=buffer)
+    assert np.shares_memory(got, buffer[0])
+    assert np.array_equal(got, streams.counter_hash(key, 1 << 32, np.arange(4)))
+    scalar = streams.hash_buffer(())
+    assert int(streams.counter_hash(7, 9, out=scalar)) == python_hash(7, 9)
+    assert int(scalar[0]) == python_hash(7, 9)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6, 8, 64])
+def test_randbelow_masked_and_modular_bounds_equal_the_remainder(bound):
+    seeds = np.array([1, (1 << 63) | 77, _M64], dtype=np.uint64)[:, None]
+    for ordinal in (0, 1 << 32, (1 << 63) - 1):
+        draws = streams.randbelow(bound, seeds, 3, ordinal, np.arange(8))
+        want = [
+            [python_hash(int(s), 3, ordinal, k) % bound for k in range(8)]
+            for s in seeds[:, 0]
+        ]
+        assert draws.dtype == np.int64
+        assert draws.tolist() == want
+        buffer = streams.hash_buffer((3, 8))
+        key = streams.fold_key(seeds, 3)
+        in_place = streams.randbelow(bound, key, ordinal, np.arange(8), out=buffer)
+        assert np.array_equal(in_place, draws)
+        assert np.shares_memory(in_place, buffer)
+    assert isinstance(streams.randbelow(bound, 4, 2), np.int64)
