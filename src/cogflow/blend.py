@@ -34,14 +34,20 @@ and every chain field are plain GaussianTargetFields (the template
 backend without mixture bindings), both modes read a stacked Gaussian
 bank built when the field is made: the base mean (D, 1) and variance,
 chain means stored feature-major as (K, D, n), and chain variances
-(K, n). An evaluation copies x once into a C-contiguous (D, B) block,
-computes kappa(t) for all chains at once and every Gaussian closed form
-in that block (in stochastic mode on each row's drawn mean and kappa),
-and copies the result back once to (B, D); no inner field's eval is
-called. Feature-major, a per-field (D, 1) mean broadcasts along the
-long axis, which numpy does several times faster than a (D,) mean over
-(B, D) rows at small D. Every elementwise expression and its order is
-the generic path's, so the bits are too. Any other inner field (a
+(K, n). An evaluation works in a C-contiguous (D, B) block: it computes
+kappa(t) for all chains at once and every Gaussian closed form in that
+block (in stochastic mode on each row's drawn mean and kappa); no inner
+field's eval is called. Feature-major, a per-field (D, 1) mean
+broadcasts along the long axis, which numpy does several times faster
+than a (D,) mean over (B, D) rows at small D. integrate holds its whole
+batch in that layout (eval's feature_major), so the state is neither
+copied in nor copied back per evaluation; a (B, D) batch passed to
+eval directly is copied in and the result copied back, as (B, D).
+Every elementwise expression and its order is the generic path's, so
+the bits are too. Sums accumulate in place, in arrays the evaluation
+allocated (an inner field's result may be an array it keeps, so it is
+never written into); IEEE + and * commute, so acc /= n; acc += first
+has the bits of first + acc / n. Any other inner field (a
 mixture, a subclass, a test double) selects the generic path, which
 calls eval on each chain field, in stochastic mode for the rows that
 drew it. The path follows from the inner fields' types alone.
@@ -159,14 +165,29 @@ class BlendSpec:
 
 def _deviation_mean(values):
     """Mean of the values as first + sum(v - first) / n, the sum taken in
-    order from zeros, so that it is bit-exact when all values agree."""
+    order, so that it is bit-exact when all values agree.
+
+    The sum accumulates in place in arrays allocated here, never in a
+    value, which an inner field may own. It starts at the first deviation
+    rather than at zeros: the two differ only when every deviation is
+    -0.0, which needs first == +0.0, and then first + sum / n is +0.0
+    either way. IEEE + and * commute, so acc / n + first has the bits of
+    first + acc / n.
+    """
     values = iter(values)
     first = next(values)
-    acc, n = np.zeros_like(first), 1
+    acc, n = None, 1
     for v in values:
-        acc = acc + (v - first)
+        if acc is None:
+            acc = v - first
+        else:
+            acc += v - first
         n += 1
-    return first if n == 1 else first + acc / n
+    if acc is None:
+        return first
+    acc /= n
+    acc += first
+    return acc
 
 
 class GaussianBank(NamedTuple):
@@ -263,16 +284,22 @@ class BlendedField(VelocityField):
     def _draws(self, x, ordinal: int) -> np.ndarray:
         """Chain index per anchor: (K,) for a scalar seed, (B, K) per row.
 
-        The draws are a view of the field's hash buffer, valid until the
-        next hash. They depend on the ordinal alone, so in per_step scope
-        they are kept and reused by the stages of one solver step, and
-        the buffer is not written again until the step ordinal changes.
+        x is the state, (D,) or (B, D); per-row seeds need one seed per
+        row. The draws are a view of the field's hash buffer, valid until
+        the next hash. They depend on the ordinal alone, so in per_step
+        scope they are kept and reused by the stages of one solver step,
+        and the buffer is not written again until the step ordinal
+        changes.
         """
-        per_row = np.ndim(self.seed) > 0
-        if per_row and x.ndim == 1:
-            raise ContractViolation(
-                "per-row seeds require batched states of shape (rows, dim)"
-            )
+        if np.ndim(self.seed) > 0:
+            if x.ndim == 1:
+                raise ContractViolation(
+                    "per-row seeds require batched states of shape (rows, dim)"
+                )
+            if x.shape[0] != len(self.seed):
+                raise ContractViolation(
+                    f"{len(self.seed)} per-row seeds for a batch of {x.shape[0]} rows"
+                )
         last, draws = self._drawn
         if ordinal == last:
             return draws
@@ -300,18 +327,33 @@ class BlendedField(VelocityField):
                 out[rows] = f.eval(x[rows], t)
         return out
 
-    def eval(self, x, t):
+    @property
+    def feature_major(self) -> bool:
+        """Whether eval computes in a feature-major (D, B) block, that is,
+        whether the spec reads a Gaussian bank; see eval."""
+        return self._bank is not None
+
+    def eval(self, x, t, feature_major: bool = False):
+        """Blended velocity at a state (D,) or a batch (B, D), same shape.
+
+        With feature_major, which needs a bank-backed field, x is a batch
+        held feature-major as (D, B) and so is the result, and no copy is
+        made in or out; integrate keeps its state that way.
+        """
         x = np.asarray(x, dtype=float)
         spec = self.spec
+        bank = self._bank
+        if feature_major and bank is None:
+            raise ContractViolation("feature-major states need a Gaussian bank")
+        batch = x.T if feature_major else x  # the state as (B, D) or (D,)
         draws = None
         if spec.mode == "stochastic":
             per_step = spec.draw_scope == "per_step"
-            draws = self._draws(x, self._step_ordinal if per_step else self._eval_ordinal)
-        bank = self._bank
+            draws = self._draws(batch, self._step_ordinal if per_step else self._eval_ordinal)
         if bank is not None:
-            # one copy into a feature-major (D, B) block; see the module notes
-            x_in = np.array(x.reshape(-1, x.shape[-1]).T, order="C")
-            base, vhats = bank.values(x_in, t, draws)
+            # the batch as a C-contiguous (D, B) block; see the module notes
+            block = x if feature_major else np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+            base, vhats = bank.values(block, t, draws)
         else:
             base = spec.base_field.eval(x, t)
             vhats = (
@@ -320,17 +362,22 @@ class BlendedField(VelocityField):
                 )
                 for k, entry in enumerate(spec.anchor_sets)
             )
-        acc = np.zeros_like(base)
+        # base + (1 - base_mix) * sum_k w_k * (vhat_k - base), summed in
+        # order from zeros, in place in arrays allocated here: base and
+        # the vhats may be arrays an inner field owns
+        acc, dev = np.zeros_like(base), np.empty_like(base)
         for w, vhat in zip(self._weights, vhats):
-            acc = acc + w * (vhat - base)
+            np.subtract(vhat, base, out=dev)
+            dev *= w
+            acc += dev
+        acc *= 1.0 - spec.base_mix
+        acc += base
         if spec.draw_scope != "per_step":
             self._eval_ordinal += 1
-        rows = 1 if x.ndim == 1 else x.shape[0]
-        self.eval_counter += rows * spec.evals_per_call()
-        out = base + (1.0 - spec.base_mix) * acc
-        if bank is not None:
-            out = np.ascontiguousarray(out.T).reshape(x.shape)
-        return out
+        self.eval_counter += (1 if batch.ndim == 1 else len(batch)) * spec.evals_per_call()
+        if bank is None or feature_major:
+            return acc
+        return np.ascontiguousarray(acc.T).reshape(x.shape)
 
 
 class ExpectedFieldCheck(NamedTuple):

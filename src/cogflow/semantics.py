@@ -136,11 +136,16 @@ def gaussian_velocity(mean, kappa, x, t: float) -> np.ndarray:
     """The closed form mean + kappa * (x - t * mean) for a given kappa(t).
 
     Unchecked and broadcasting: mean (D,) or per-row (B, D), kappa a
-    scalar or per-row (B, 1). Every Gaussian velocity in the package goes
-    through this one expression, so batched and per-field evaluations
-    agree bit for bit.
+    scalar or per-row (B, 1), and kappa must not widen x - t * mean.
+    Every Gaussian velocity in the package goes through this one
+    expression, so batched and per-field evaluations agree bit for bit.
+    The product and the sum run in place in the new array x - t * mean;
+    IEEE + and * commute, so the bits are those of the formula.
     """
-    return mean + kappa * (x - t * mean)
+    v = x - t * mean
+    v *= kappa
+    v += mean
+    return v
 
 
 class VelocityField:

@@ -26,6 +26,17 @@ class ConstantField(VelocityField):
         return 0.0, self.value.copy()
 
 
+class StoredField(VelocityField):
+    """Test double: returns the same stored array on every call."""
+
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=float)
+        self.dim = self.value.shape[-1]
+
+    def eval(self, x, t):
+        return self.value
+
+
 class DelegatingField(VelocityField):
     """Test double: forwards to an inner field. Its type is not a plain
     GaussianTargetField, so a blend over it takes the generic path."""

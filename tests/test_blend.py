@@ -1,4 +1,5 @@
 import functools
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from cogflow.blend import (
     AnchorFields,
     BlendedField,
     BlendSpec,
+    _deviation_mean,
     expected_field_check,
 )
 from cogflow.cogspace import (
@@ -35,7 +37,7 @@ from cogflow.semantics import (
     TargetDistribution,
 )
 
-from conftest import ConstantField, DelegatingField, make_space
+from conftest import ConstantField, DelegatingField, StoredField, make_space
 
 
 def spec_with_constant_chains(values_by_anchor, score, n=2, **kwargs):
@@ -437,6 +439,84 @@ def test_bank_path_keeps_eval_count_and_time_check():
         field.eval(np.zeros((5, 3)), 1.5)
     with pytest.raises(ContractViolation):
         field.eval(np.zeros(3), 0.5)
+
+
+def test_deviation_mean_keeps_the_bits_of_the_zero_started_sum():
+    # every combination of signed zeros and +-tiny values, one per column:
+    # starting the sum at the first deviation must give the bits of the
+    # sum started at zeros
+    values = (0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324)
+    for count in (1, 2, 3, 4):
+        columns = np.array(list(itertools.product(values, repeat=count))).T
+        acc = np.zeros(columns.shape[1])
+        for v in columns[1:]:
+            acc = acc + (v - columns[0])
+        want = columns[0] + acc / count if count > 1 else columns[0]
+        got = _deviation_mean(iter(columns))
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+def test_bank_matches_generic_path_on_signed_zeros(mode, monkeypatch):
+    """Means and states of +-0.0 give velocities of exactly +-0.0 at t = 0;
+    the bank path keeps their signs as the generic path does."""
+    zeros = itertools.cycle([0.0, -0.0, -0.0, 0.0, -0.0])
+
+    def field(wrap):
+        return wrap(GaussianTargetField([next(zeros) for _ in range(3)], 0.5))
+
+    def spec(wrap):
+        anchors = enumerate_anchors(make_space(2))
+        return BlendSpec(
+            base_field=field(wrap),
+            anchor_sets=tuple(AnchorFields(a, (field(wrap), field(wrap))) for a in anchors),
+            score=ScoreVector((0.25, 1.0)),
+            mode=mode,
+        )
+
+    x = np.array([[next(zeros) for _ in range(3)] for _ in range(7)])
+    seeds = np.arange(7, dtype=np.uint64)
+    generic, bank = spec(DelegatingField), spec(lambda f: f)
+    want = [BlendedField(generic, seeds).eval(x, t) for t in (0.0, 0.5)]
+    got = [BlendedField(bank, seeds).eval(x, t) for t in (0.0, 0.5)]
+    inner = np.stack([f.eval(x, 0.0) for e in bank.anchor_sets for f in e.chain_fields])
+    assert not inner.any() and np.signbit(inner).any() and not np.signbit(inner).all()
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+def test_blend_never_writes_into_inner_results(mode):
+    rows = 5
+    fields = [StoredField(np.tile([0.5 + k, -k / 4], (rows, 1))) for k in range(9)]
+    anchors = enumerate_anchors(make_space(2))
+    spec = BlendSpec(
+        base_field=fields[0],
+        anchor_sets=tuple(
+            AnchorFields(a, tuple(fields[1 + 2 * k : 3 + 2 * k])) for k, a in enumerate(anchors)
+        ),
+        score=ScoreVector((0.3, 0.8)),
+        mode=mode,
+        base_mix=0.25,
+    )
+    stored = [f.value.copy() for f in fields]
+    field = BlendedField(spec, 3)
+    for t in (0.0, 0.5, 1.0):
+        out = field.eval(np.zeros((rows, 2)), t)
+        assert all(out is not f.value for f in fields)
+    assert all(np.array_equal(f.value, want) for f, want in zip(fields, stored))
+
+
+@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+@pytest.mark.parametrize("seed_count", [4, 1])
+def test_per_row_seed_count_must_match_the_rows(wrap, seed_count):
+    spec = gaussian_spec(2, wrap=wrap, mode="stochastic")
+    field = BlendedField(spec, np.arange(seed_count, dtype=np.uint64))
+    message = f"{seed_count} per-row seeds for a batch of 3 rows"
+    with pytest.raises(ContractViolation, match=message):
+        field.eval(np.zeros((3, 3)), 0.5)
+    with pytest.raises(ContractViolation, match="per-row seeds for a batch of 3 rows"):
+        integrate(field, np.zeros((3, 3)), IntegrationConfig("euler", 2))
+    assert field.eval(np.zeros((seed_count, 3)), 0.5).shape == (seed_count, 3)
 
 
 def test_mixture_chain_takes_generic_path_with_row_equality(space2, biased_model, monkeypatch):

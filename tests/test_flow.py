@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cogflow import flow
-from cogflow.blend import AnchorFields, BlendSpec
+from cogflow.blend import AnchorFields, BlendedField, BlendSpec
 from cogflow.cogspace import CognitiveSpace, ScoreVector, enumerate_anchors, weight_vector
 from cogflow.errors import ContractViolation, DivergenceError
 from cogflow.flow import (
@@ -32,7 +32,7 @@ from cogflow.semantics import (
     bind,
 )
 
-from conftest import ConstantField, make_space
+from conftest import ConstantField, DelegatingField, StoredField, make_space
 
 
 class FuncField:
@@ -120,6 +120,43 @@ def test_divergence_error_reports_the_failing_samples_last_state():
     # row 1 moves 0.5 -> -0.5 -> -1.5, then diverges in the step from t = 0.5
     assert (err.value.sample_index, err.value.step_index) == (1, 2)
     assert (err.value.last_max_abs, err.value.last_time) == (1.5, 0.5)
+
+
+class ReturnsInput(VelocityField):
+    def eval(self, x, t):
+        return x
+
+
+def reference_endpoint(field, x0, solver, n_steps):
+    """The solver loop written with out-of-place expressions."""
+    x = np.array(x0, dtype=float)
+    h = 1.0 / n_steps
+    for i, times in enumerate(stage_times(IntegrationConfig(solver, n_steps))):
+        if solver == "euler":
+            x = x + h * field.eval(x, times[0])
+        elif solver == "midpoint":
+            k1 = field.eval(x, times[0])
+            x = x + h * field.eval(x + 0.5 * h * k1, times[1])
+        else:
+            t, t_mid, t_next = times
+            k1 = field.eval(x, t)
+            k2 = field.eval(x + 0.5 * h * k1, t_mid)
+            k3 = field.eval(x + 0.5 * h * k2, t_mid)
+            k4 = field.eval(x + h * k3, t_next)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
+def test_in_place_solver_keeps_the_bits_and_writes_no_field_array(solver):
+    x0 = np.random.default_rng(3).normal(size=(6, 3))
+    stored = np.random.default_rng(4).normal(size=(6, 3))
+    kept = stored.copy()
+    x0_kept = x0.copy()
+    for field in (ReturnsInput(), StoredField(stored)):
+        got = integrate(field, x0, IntegrationConfig(solver, 9)).endpoint
+        assert got.tobytes() == reference_endpoint(field, x0, solver, 9).tobytes()
+    assert np.array_equal(stored, kept) and np.array_equal(x0, x0_kept)
 
 
 def test_integration_config_validation():
@@ -227,6 +264,66 @@ def test_sample_streams_are_prefix_stable(space2, biased_model):
     big = generate(request, space2, biased_model)
     small = generate(dataclasses.replace(request, sample_count=3), space2, biased_model)
     assert np.array_equal(big.endpoints[:3], small.endpoints)
+
+
+@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+def test_feature_major_generate_matches_generic_path(solver, mode, monkeypatch):
+    space = make_space(3)
+    model = SemanticModel.for_space(space, effect_magnitudes=1.5, position_bias=0.5)
+    request = GenerationRequest(
+        base_prompt="a valley", score=ScoreVector((0.3, 0.8, 0.6)), seed=2,
+        sample_count=11, blend_mode=mode, draw_scope="per_step",
+        integration=IntegrationConfig(solver, 6, record_trajectory=True),
+    )
+    layouts = []
+    blended_eval = BlendedField.eval
+
+    def spy(self, x, t, feature_major=False):
+        layouts.append(feature_major)
+        return blended_eval(self, x, t, feature_major)
+
+    monkeypatch.setattr(BlendedField, "eval", spy)
+    bank = generate(request, space, model)
+    assert layouts and all(layouts)
+    layouts.clear()
+    bind_field = flow.field_for_prompt
+    monkeypatch.setattr(flow, "field_for_prompt", lambda m, p: DelegatingField(bind_field(m, p)))
+    generic = generate(request, space, model)
+    assert layouts and not any(layouts)
+    assert bank.trajectories.shape == generic.trajectories.shape == (11, 7, 3)
+    for got, want in (
+        (bank.endpoints, generic.endpoints),
+        (bank.trajectories, generic.trajectories),
+        (bank.decoded, generic.decoded),
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert bank.endpoints.flags.c_contiguous
+    assert bank.metadata["eval_count"] == generic.metadata["eval_count"]
+
+
+@pytest.mark.parametrize(
+    "wrap, feature_major", [(lambda f: f, True), (DelegatingField, False)], ids=["bank", "generic"]
+)
+def test_non_finite_row_reports_its_index_on_both_paths(wrap, feature_major):
+    rng = np.random.default_rng(6)
+    anchors = enumerate_anchors(make_space(2))
+
+    def field():
+        return wrap(GaussianTargetField(rng.normal(size=3), 0.7))
+
+    spec = BlendSpec(
+        base_field=field(),
+        anchor_sets=tuple(AnchorFields(a, (field(), field())) for a in anchors),
+        score=ScoreVector((0.3, 0.8)),
+    )
+    x0 = rng.normal(size=(8, 3))
+    x0[5, 1] = np.nan
+    blended = BlendedField(spec, np.arange(8, dtype=np.uint64))
+    assert blended.feature_major == feature_major
+    with pytest.raises(DivergenceError) as err:
+        integrate(blended, x0, IntegrationConfig("rk4", 4))
+    assert (err.value.sample_index, err.value.step_index) == (5, 0)
 
 
 def test_generate_pure_base_matches_target_push_forward(space2):
