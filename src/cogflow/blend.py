@@ -19,12 +19,13 @@ row r and anchor k is randbelow(n, seed_r, STREAM_CHAIN_DRAW, ordinal, k),
 where ordinal counts evaluations (per_eval) or solver steps (per_step).
 Trajectories are therefore reproducible and independent of batching or
 scheduling. The hash is split into a key and a counter: when the field
-is built, (seed_r, STREAM_CHAIN_DRAW) is folded once into a key, (B, 1)
+is built, (seed_r, STREAM_CHAIN_DRAW) is folded once into a key, (1, B)
 for per-row seeds or a scalar for a scalar seed. One randbelow call per
-ordinal then folds only the ordinal and the anchor ids, and draws every
-pair at once, (B, K) or (K,), K = 2**n. Its last round and finalizer run
-in place in a hash buffer that the field owns, so an evaluation
-allocates no (B, K) temporaries, and a power-of-two n is taken by mask.
+ordinal then folds only the ordinal and the anchor ids, (K, 1) or (K,),
+and draws every pair at once, (K, B) or (K,), K = 2**n: anchor k's draws
+are the contiguous row draws[k]. Its last round and finalizer run in
+place in a hash buffer that the field owns, so an evaluation allocates
+no (K, B) temporaries, and a power-of-two n is taken by mask.
 The bits are those of the plain call. The draws are a view of that
 buffer until the next hash. At n = 1 each anchor has a single chain and
 no hash is made.
@@ -219,7 +220,7 @@ class GaussianBank(NamedTuple):
         """Base velocity and an iterator over vhat_k, k = 0..K-1, at a
         feature-major state x of shape (D, B).
 
-        draws holds chain indices of shape (K,) or (B, K), or is None for
+        draws holds chain indices of shape (K,) or (K, B), or is None for
         the full average; the expressions are the generic path's, so the
         bits equal its bits.
         """
@@ -238,7 +239,7 @@ class GaussianBank(NamedTuple):
 
         def drawn():
             for k, (means, kappa) in enumerate(zip(self.means, kappas)):
-                chosen = draws[..., k]
+                chosen = draws[k]
                 mean = means.take(chosen, axis=1).reshape(len(means), -1)
                 yield gaussian_velocity(mean, kappa.take(chosen), x, t)
 
@@ -266,9 +267,11 @@ class BlendedField(VelocityField):
             # the key/counter split and the buffers; see the module notes
             per_row = np.ndim(seed) > 0
             self._key = streams.fold_key(
-                np.asarray(seed)[:, None] if per_row else seed, streams.STREAM_CHAIN_DRAW
+                np.asarray(seed)[None, :] if per_row else seed, streams.STREAM_CHAIN_DRAW
             )
             self._anchor_ids = np.arange(spec.anchor_count, dtype=np.uint64)
+            if per_row:
+                self._anchor_ids = self._anchor_ids[:, None]
             self._hash_out = streams.hash_buffer(
                 np.broadcast_shapes(self._key.shape, self._anchor_ids.shape)
             )
@@ -282,7 +285,7 @@ class BlendedField(VelocityField):
         self._step_ordinal = step_index
 
     def _draws(self, x, ordinal: int) -> np.ndarray:
-        """Chain index per anchor: (K,) for a scalar seed, (B, K) per row.
+        """Chain index per anchor: (K,) for a scalar seed, (K, B) per row.
 
         x is the state, (D,) or (B, D); per-row seeds need one seed per
         row. The draws are a view of the field's hash buffer, valid until
@@ -358,7 +361,7 @@ class BlendedField(VelocityField):
             base = spec.base_field.eval(x, t)
             vhats = (
                 self._chain_value(
-                    entry.chain_fields, x, t, None if draws is None else draws[..., k]
+                    entry.chain_fields, x, t, None if draws is None else draws[k]
                 )
                 for k, entry in enumerate(spec.anchor_sets)
             )

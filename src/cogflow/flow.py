@@ -2,8 +2,9 @@
 
 Time runs from t = 0 (standard-normal noise) to t = 1 (data); the state
 follows dx/dt = v(x, t) on the uniform grid t_i = i / N with fixed-step
-explicit solvers. Endpoints of affine blends can be cross-checked against
-a moment ODE that evolves the exact Gaussian mean and covariance, which
+explicit solvers. Endpoints of full_average blends of Gaussian fields
+can be cross-checked against the exact Gaussian mean and covariance,
+which moment_reference computes in closed form without the solver: that
 is the module's independent oracle.
 """
 
@@ -11,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,11 +27,11 @@ from .errors import ContractViolation, DivergenceError
 from .polarize import PolarizationCache, PolarizerBackend, TemplateBackend, build_all_sets
 from .semantics import (
     GaussianTargetField,
+    MixtureTargetField,
     SemanticModel,
     VelocityField,
     bind,
     field_for_prompt,
-    flow_kappa,
 )
 from ._fsio import atomic_write_text
 
@@ -78,11 +80,7 @@ def _check_finite(x: np.ndarray, step: int, last: np.ndarray, last_time: float):
 
 
 def stage_times(config: IntegrationConfig):
-    """Per step, the times at which integrate() evaluates the field.
-
-    integrate() takes its times from here, so a table keyed by these
-    floats (the moment oracle's) matches its lookups exactly.
-    """
+    """Per step, the times at which integrate() evaluates the field."""
     n_steps = config.steps
     h = 1.0 / n_steps
     for i in range(n_steps):
@@ -221,6 +219,12 @@ class GenerationRequest:
             raise ContractViolation(f"draw_scope must be one of {DRAW_SCOPES}")
         if not 0.0 <= self.base_mix <= 1.0:
             raise ContractViolation(f"base_mix must be in [0, 1], got {self.base_mix}")
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            # the streams take seeds as uint64, so any other seed would
+            # alias an integer one in range
+            raise ContractViolation(
+                f"seed must be an integer in [0, 2**64), got {self.seed!r}"
+            )
 
     def to_config(self) -> dict:
         decoder: dict = {"kind": self.decoder.kind}
@@ -250,10 +254,10 @@ class SampleBatch:
     metadata: dict
 
 
-def initial_states(seed: int, sample_count: int, dim: int) -> np.ndarray:
-    """Per-sample standard-normal starts; sample i is a pure function of
-    (seed, i), so adding samples never perturbs existing ones."""
-    row_seeds = sample_seeds(seed, sample_count)
+def initial_states(row_seeds: np.ndarray, dim: int) -> np.ndarray:
+    """Per-sample standard-normal starts from the row seeds of
+    sample_seeds; sample i is a pure function of (seed, i), so adding
+    samples never perturbs existing ones."""
     return streams.standard_normal(
         row_seeds[:, None], streams.STREAM_INIT_STATE, np.arange(dim)[None, :]
     )
@@ -303,8 +307,9 @@ def generate(
     """Run the full pipeline: polarize, bind, integrate, decode."""
     started = time.perf_counter()
     spec = build_blend_spec(request, space, model, backend, cache)
-    x0 = initial_states(request.seed, request.sample_count, model.latent_dim)
-    field = BlendedField(spec, seed=sample_seeds(request.seed, request.sample_count))
+    row_seeds = sample_seeds(request.seed, request.sample_count)
+    x0 = initial_states(row_seeds, model.latent_dim)
+    field = BlendedField(spec, seed=row_seeds)
     result = integrate(field, x0, request.integration)
     decoded = request.decoder.apply(result.endpoint)
     trajectories = None
@@ -340,77 +345,87 @@ class MomentPaths(NamedTuple):
         return self.covariances[-1]
 
 
-class _StageTable(NamedTuple):
-    """The distinct stage times of a solver run, each with its table row."""
+@functools.cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (-1, 1) and weights of the count-point Gauss-Legendre rule.
 
-    rows: dict  # time -> row, in row order
-    times: np.ndarray  # (T,)
-    decay: np.ndarray  # (T,) (1 - t)**2 by Python's float power; see flow_kappa
+    Newton's method on the Legendre polynomial P_count, from the usual
+    cosine guesses, with P and P' by the three-term recurrence. Unlike
+    Golub-Welsch it makes no LAPACK call, whose first use pages in
+    about 0.6 MB. Read-only, since the cache hands them to every caller.
+    """
 
-    @classmethod
-    def of(cls, config: IntegrationConfig) -> "_StageTable":
-        rows = {}
-        for step in stage_times(config):
-            for t in step:
-                rows.setdefault(t, len(rows))
-        times = np.fromiter(rows, dtype=float, count=len(rows))
-        return cls(rows, times, np.array([(1.0 - t) ** 2 for t in rows]))
+    def legendre(x):  # P_count(x) and its derivative
+        p, p_prev = x, np.ones_like(x)
+        for k in range(2, count + 1):
+            p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
+        return p, count * (x * p - p_prev) / (x * x - 1.0)
+
+    x = np.cos(np.pi * (np.arange(count) + 0.75) / (count + 0.5))
+    for _ in range(100):
+        p, slope = legendre(x)
+        step = p / slope
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    _, slope = legendre(x)
+    weights = 2.0 / ((1.0 - x * x) * slope * slope)
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
 
 
-def _tabulate(field: VelocityField, table: _StageTable, slopes, offsets, what: str):
-    """Write field's slope and offset at every stage time into slopes (T,)
-    and offsets (T, D).
+def _gaussian_target(field: VelocityField) -> tuple[np.ndarray, float] | None:
+    """(mean, variance) of a field whose target is one Gaussian, else None."""
+    if isinstance(field, GaussianTargetField):
+        return field.mean, field.variance
+    if isinstance(field, MixtureTargetField) and len(field.dist.components) == 1:
+        _, mean, variance = field.dist.components[0]
+        return mean, variance
+    return None
 
-    A plain GaussianTargetField is tabulated in one pass over the times,
-    with affine_coefficients' expressions; any other field makes one
-    affine_coefficients call per time."""
-    if type(field) is GaussianTargetField:
-        t = table.times
-        slope = flow_kappa(t, field.variance, decay=table.decay)
-        slopes[:] = slope
-        offsets[:] = (1.0 - t * slope)[:, None] * field.mean
-        return
+
+def _offset_path(field: VelocityField, times: np.ndarray, what: str) -> np.ndarray:
+    """The offsets b(t) of a slope-0 affine field at each of times, (T, D)."""
     coeffs = getattr(field, "affine_coefficients", None)
     if coeffs is None:
         raise ContractViolation(f"{what} is not affine; no moment oracle")
-    for t, row in table.rows.items():
-        slopes[row], offsets[row] = coeffs(t)
-
-
-class _IsotropicMomentField(VelocityField):
-    """Moment ODE of N(m, c * I) as one state z = (m, c) of size D + 1.
-
-    The blend's slope a(t) and offset b(t) are looked up by exact time;
-    dm = a * m + b and dc = a * c + c * a, which is the matrix form
-    a * C + C * a restricted to C = c * I, bit for bit. Both are one
-    multiply-add, scale[row] * z + shift[row], with scale = (a, ..., a, 2a)
-    and shift = (b, 0): doubling is exact, so 2a * c equals a * c + c * a.
-    """
-
-    def __init__(self, rows: dict, slopes: np.ndarray, offsets: np.ndarray):
-        self.rows = rows
-        self.scale = np.repeat(slopes[:, None], offsets.shape[1] + 1, axis=1)
-        self.scale[:, -1] *= 2.0
-        self.shift = np.zeros_like(self.scale)
-        self.shift[:, :-1] = offsets
-
-    def eval(self, z, t):
-        row = self.rows.get(t)
-        if row is None:
-            raise ContractViolation(f"no blend coefficients tabulated at t={t!r}")
-        return self.scale[row] * z + self.shift[row]
+    offsets = []
+    for t in times:
+        slope, offset = coeffs(t)
+        if slope != 0.0:
+            raise ContractViolation(
+                f"{what} is neither Gaussian nor a slope-0 affine field; no moment oracle"
+            )
+        offsets.append(offset)
+    return np.array(offsets)
 
 
 def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
-    """Exact mean/covariance evolution of the transported Gaussian.
+    """Exact mean and covariance of the transported Gaussian, in closed form.
 
-    Valid only for full_average blends of affine (single-Gaussian) inner
-    fields; serves as the distribution-level oracle for generate(). The
-    blend's slope and offset are tabulated once per distinct stage time
-    (2N + 1 of them for rk4): a plain Gaussian field in one pass over the
-    times, any other field queried once per time. The sums run base
-    first, then anchor by anchor, each chain mean over its n fields, as a
-    per-time evaluation would.
+    Valid for full_average blends whose inner fields are Gaussian (a
+    GaussianTargetField or a single-component mixture) or affine with
+    slope 0; it is the distribution-level oracle for generate(), and it
+    shares no code with the solver. The path is reported on the grid
+    t_i = i / config.steps; the solver setting is ignored.
+
+    The blend gives field i the share c_i: base_mix for the base field
+    and (1 - base_mix) * w_k / n for each chain field of anchor k. A
+    Gaussian field toward N(mu_i, v_i I) has slope kappa_i = D_i' / (2 D_i)
+    with D_i(t) = (1 - t)**2 + t**2 v_i, and offset (1 - t) / D_i * mu_i.
+    The blend is a(t) x + b(t) with a scalar slope, so starting from
+    N(0, I) the state stays N(m(t), c(t) I) with
+
+        c(t) = prod_i D_i(t)**c_i = Phi(t)**2,
+        m(t) = Phi(t) * integral_0^t b(s) / Phi(s) ds.
+
+    The integral is taken by Gauss-Legendre quadrature on panels that
+    split each grid interval. A panel is at most a quarter as wide as
+    the distance from the real axis to the nearest zero of a D_i, and
+    has as many nodes (3 to 8) as bring the rule's error to about 1e-18
+    of the integrand's scale. A slope-0 field is queried once per node,
+    and its offsets are taken to be as smooth. The few (steps, nodes)
+    arrays are allocated once and reused for every field.
     """
     if spec.mode != "full_average":
         raise ContractViolation("moment oracle requires full_average mode")
@@ -418,27 +433,64 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     if len(dims) != 1:
         raise ContractViolation("cannot infer a unique latent dimension")
     dim = dims.pop()
-    table = _StageTable.of(config)
-    count = len(table.rows)
-    slopes, offsets = np.empty(count), np.empty((count, dim))
-    _tabulate(spec.base_field, table, slopes, offsets, "base field")
-    slopes *= spec.base_mix
-    offsets *= spec.base_mix
+    shares = [(spec.base_mix, spec.base_field, "base field")]
     anchor_share = 1.0 - spec.base_mix
     for entry, weight in zip(spec.anchor_sets, spec.weights()):
-        n = len(entry.chain_fields)
-        chain_slopes, chain_offsets = np.empty((count, n)), np.empty((n, count, dim))
         what = f"chain field of anchor {entry.anchor.bits}"
-        for j, f in enumerate(entry.chain_fields):
-            _tabulate(f, table, chain_slopes[:, j], chain_offsets[j], what)
-        slopes += anchor_share * weight * np.mean(chain_slopes, axis=-1)
-        offsets += anchor_share * weight * np.mean(chain_offsets, axis=0)
-    z0 = np.concatenate([np.zeros(dim), [1.0]])
-    cfg = replace(config, record_trajectory=True)
-    result = integrate(_IsotropicMomentField(table.rows, slopes, offsets), z0, cfg)
-    times = np.arange(cfg.steps + 1) / cfg.steps
-    means = result.trajectory[:, :dim]
-    covariances = result.trajectory[:, dim, None, None] * np.eye(dim)
+        n = len(entry.chain_fields)
+        shares += [(anchor_share * weight / n, f, what) for f in entry.chain_fields]
+    gaussians, affine = [], []
+    for share, field, what in shares:
+        target = _gaussian_target(field)
+        if target is None:
+            affine.append((share, field, what))
+        elif share != 0.0:
+            gaussians.append((share, *target))
+
+    steps = config.steps
+    times = np.arange(steps + 1) / steps
+    # D_i has zeros at t = 1 / (1 +- i sqrt(v_i)), sqrt(v_i) / (1 + v_i) off the axis
+    reach = min((np.sqrt(v) / (1.0 + v) for _, _, v in gaussians), default=np.inf)
+    panels = max(1, math.ceil(4.0 / (steps * reach)))
+    width = 1.0 / (steps * panels)
+    # the rule's error falls as rho**(-2 * count), rho the largest Bernstein
+    # ellipse of a panel that holds no zero: at least 16 at this width
+    ratio = 2.0 * reach / width
+    count = max(3, math.ceil(9.0 / math.log10(ratio + math.hypot(ratio, 1.0))))
+    x, w = _gauss_legendre(count)
+    nodes = ((np.arange(steps * panels)[:, None] + 0.5 * (x + 1.0)) * width).reshape(steps, -1)
+    weights = np.tile(0.5 * width * w, panels)
+
+    decay, square = (1.0 - nodes) ** 2, nodes * nodes
+    log_cov = np.zeros(steps + 1)  # ln c(t) on the grid
+    scaled = np.zeros_like(nodes)  # ln Phi(s), then quadrature weight / Phi(s)
+    d = np.empty_like(nodes)
+    for share, _, v in gaussians:
+        log_cov += share * np.log((1.0 - times) ** 2 + times * times * v)
+        np.multiply(square, v, out=d)
+        d += decay
+        np.log(d, out=d)
+        d *= 0.5 * share
+        scaled += d
+    np.negative(scaled, out=scaled)
+    np.exp(scaled, out=scaled)
+    scaled *= weights
+    falling = 1.0 - nodes
+    falling *= scaled
+    integral = np.zeros((steps + 1, dim))  # of b / Phi from 0 to each grid time
+    for share, mean, v in gaussians:
+        np.multiply(square, v, out=d)
+        d += decay
+        np.divide(falling, d, out=d)
+        integral[1:] += np.outer(np.cumsum(d.sum(axis=1)), share * mean)
+    for share, field, what in affine:
+        offsets = _offset_path(field, nodes.ravel(), what).reshape(*nodes.shape, dim)
+        if share != 0.0:
+            per_step = np.einsum("sq,sqd->sd", scaled, offsets)
+            integral[1:] += share * np.cumsum(per_step, axis=0)
+    covariance = np.exp(log_cov)
+    means = np.sqrt(covariance)[:, None] * integral
+    covariances = covariance[:, None, None] * np.eye(dim)
     return MomentPaths(times=times, means=means, covariances=covariances)
 
 

@@ -1,7 +1,7 @@
 """Named experiments verifying the blending mechanism, with reports.
 
 Each experiment compares sampled endpoint statistics against an
-independent reference (bound target distributions, the moment ODE, or
+independent reference (bound target distributions, the moment oracle, or
 exact counting) and emits a MetricsReport. The tolerance convention for
 statistical comparisons is |empirical - oracle| <= 3 * SE + 1e-9 per
 scalar; criteria report the normalized discrepancy max |diff| / (3 * SE
@@ -203,7 +203,7 @@ def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
     Leg A (anchor target): base_mix=0, full mode, position bias zeroed;
     the blend reduces to the anchor's own field, so endpoints must match
     the anchor's bound target. Leg B (half-base): base_mix=0.5 with the
-    configured model, checked against the moment ODE.
+    configured model, checked against the closed-form moment oracle.
     """
     flat_model = replace(cfg.model, position_bias=0.0)
     sets = build_all_sets(cfg.backend, cfg.request.base_prompt, cfg.space, cfg.cache)

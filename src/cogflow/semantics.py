@@ -107,17 +107,9 @@ class TargetDistribution:
         ]
 
 
-def flow_kappa(t: float, variance: float, decay=None) -> float:
-    """Slope of the marginal field: kappa(t) for target variance var.
-
-    decay is (1 - t)**2, computed here when not given. For an array of
-    times pass the squares computed with Python's float power, one per
-    time: numpy squares (u * u) where Python calls the C library's pow,
-    and the two differ in the last bit for some t.
-    """
-    if decay is None:
-        decay = (1.0 - t) ** 2
-    return (t * variance - (1.0 - t)) / (decay + t * t * variance)
+def flow_kappa(t: float, variance: float) -> float:
+    """Slope of the marginal field: kappa(t) for target variance var."""
+    return (t * variance - (1.0 - t)) / ((1.0 - t) ** 2 + t * t * variance)
 
 
 def gaussian_field(mean, variance: float, x, t: float) -> np.ndarray:

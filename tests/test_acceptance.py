@@ -23,6 +23,7 @@ from cogflow.flow import (
     initial_states,
     integrate,
     moment_reference,
+    sample_seeds,
 )
 from cogflow.harness import (
     ExperimentConfig,
@@ -77,7 +78,7 @@ def test_criterion_04_gaussian_push_forward():
     mean = np.array([3.0, -2.0])
     variance = 0.25
     started = time.perf_counter()
-    x0 = initial_states(seed=404, sample_count=20_000, dim=2)
+    x0 = initial_states(sample_seeds(404, 20_000), dim=2)
     endpoints = integrate(
         GaussianTargetField(mean, variance), x0, IntegrationConfig("rk4", 200)
     ).endpoint

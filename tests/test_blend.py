@@ -594,16 +594,20 @@ EDGE_ORDINALS = [0, 1, 1 << 32, (1 << 63) - 1]
 
 def reference_draws(n, seed, ordinal):
     """The draws by the plain counter tuple, hashed from scratch."""
-    seed = np.asarray(seed)[:, None] if np.ndim(seed) else seed
-    return streams.randbelow(
-        n, seed, streams.STREAM_CHAIN_DRAW, ordinal, np.arange(1 << n)
-    )
+    if np.ndim(seed):
+        return streams.randbelow(
+            n, np.asarray(seed)[None, :], streams.STREAM_CHAIN_DRAW, ordinal,
+            np.arange(1 << n)[:, None],
+        )
+    return streams.randbelow(n, seed, streams.STREAM_CHAIN_DRAW, ordinal, np.arange(1 << n))
 
 
 def assert_draws_equal(got, want, n):
-    # at n = 1 the field skips the hash and returns one (K,) row of zeros
+    # at n = 1 the field skips the hash and returns one (K,) column of zeros
     assert got.dtype == np.int64
-    assert np.array_equal(np.broadcast_to(got, want.shape) if n == 1 else got, want)
+    if n == 1:
+        got = np.broadcast_to(got.reshape(-1, *(1,) * (want.ndim - 1)), want.shape)
+    assert np.array_equal(got, want)
 
 
 @functools.lru_cache(maxsize=None)

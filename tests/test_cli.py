@@ -201,6 +201,19 @@ def test_out_of_range_lambda_fails_before_any_backend_call(tmp_path):
     assert not (tmp_path / "cache.ndjson").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+@pytest.mark.parametrize("flag", [
+    ("--set", "flow.seed=18446744073709551616"), ("--set", "flow.seed=-1"),
+    ("--seed", "18446744073709551616"), ("--seed", "-1"),
+], ids=["set-2**64", "set-minus-1", "flag-2**64", "flag-minus-1"])
+def test_out_of_range_seed_fails_before_any_backend_call(tmp_path, caplog, command, flag):
+    # seeds fold modulo 2**64, so these would alias 0 and 2**64 - 1
+    cfg = write_config(tmp_path)
+    assert run_cli(command, "--config", str(cfg), *flag) == 2
+    assert "seed must be an integer in [0, 2**64)" in caplog.text
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
 @pytest.mark.parametrize("override", [
     "flow.steps=0", "flow.sample_count=0", "experiment.oracle_steps=0",
     "experiment.grid_points=-1", "experiment.equivalence_seeds=1",

@@ -1,3 +1,4 @@
+import functools
 import json
 from collections import Counter
 from dataclasses import replace
@@ -19,6 +20,7 @@ from cogflow.flow import (
     initial_states,
     integrate,
     moment_reference,
+    sample_seeds,
     stage_times,
     write_sample_batch,
 )
@@ -231,7 +233,7 @@ def test_generate_records_trajectories(space2, biased_model):
     batch = generate(request, space2, biased_model)
     assert batch.trajectories.shape == (3, 7, 2)
     assert np.array_equal(batch.trajectories[:, -1], batch.endpoints)
-    x0 = initial_states(request.seed, 3, 2)
+    x0 = initial_states(sample_seeds(request.seed, 3), 2)
     assert np.array_equal(batch.trajectories[:, 0], x0)
 
 
@@ -365,6 +367,11 @@ def test_request_validation():
         GenerationRequest(base_prompt="p", score=score, sample_count=0)
     with pytest.raises(ContractViolation):
         GenerationRequest(base_prompt="p", score=score, blend_mode="sometimes")
+    # the streams take seeds as uint64: any other seed would alias one
+    for seed in (-1, 1 << 64, 1.5, True):
+        with pytest.raises(ContractViolation):
+            GenerationRequest(base_prompt="p", score=score, seed=seed)
+    GenerationRequest(base_prompt="p", score=score, seed=(1 << 64) - 1)
 
 
 # --- moment oracle ------------------------------------------------------------
@@ -408,6 +415,11 @@ def test_moment_reference_pure_base_push_forward():
     paths = moment_reference(spec, IntegrationConfig("rk4", 2000))
     assert np.allclose(paths.endpoint_mean, [2.0, -1.0], atol=1e-8)
     assert np.allclose(paths.endpoint_cov, 0.5 * np.eye(2), atol=1e-8)
+    # a single-component mixture is the same Gaussian
+    single = MixtureTargetField(TargetDistribution.single([2.0, -1.0], 0.5))
+    same = moment_reference(replace(spec, base_field=single), IntegrationConfig("rk4", 2000))
+    assert same.means.tobytes() == paths.means.tobytes()
+    assert same.covariances.tobytes() == paths.covariances.tobytes()
 
 
 def test_moment_reference_center_blend_matches_sampler():
@@ -459,10 +471,16 @@ def test_moment_reference_contract_errors():
     )
     with pytest.raises(ContractViolation):
         moment_reference(bad, IntegrationConfig("rk4", 10))
+    # an affine field of unknown variance has no closed form
+    sloped = CountingAffineField(GaussianTargetField(np.zeros(2), 1.0))
+    with pytest.raises(ContractViolation):
+        moment_reference(replace(spec, base_field=sloped), IntegrationConfig("rk4", 10))
+    with pytest.raises(ContractViolation):
+        moment_reference(replace(spec, base_field=DelegatingField(sloped)), IntegrationConfig("rk4", 10))
 
 
-# The coefficient loop and matrix state the tabulated oracle replaced,
-# kept verbatim as the bit-identity reference.
+# The coefficient loop and matrix state of the moment ODE, integrated by
+# the solver: the reference that the closed form is held to.
 
 def blended_affine_coefficients(
     spec: BlendSpec, t: float, weights: np.ndarray
@@ -503,10 +521,13 @@ class _MomentField(VelocityField):
         self.spec = spec
         self.state_dim = dim
         self.weights = spec.weights()
+        self.coefficients = {}
 
     def eval(self, z, t):
         d = self.state_dim
-        slope, offset = blended_affine_coefficients(self.spec, t, self.weights)
+        if t not in self.coefficients:  # rk4's two mid-stages share a time
+            self.coefficients[t] = blended_affine_coefficients(self.spec, t, self.weights)
+        slope, offset = self.coefficients[t]
         m = z[:d]
         cov = z[d:].reshape(d, d)
         dm = slope * m + offset
@@ -520,12 +541,16 @@ def reference_moments(spec: BlendSpec, config: IntegrationConfig, dim: int):
     return result.trajectory[:, :dim], result.trajectory[:, dim:].reshape(-1, dim, dim)
 
 
+REFERENCE = IntegrationConfig("rk4", 2000)
+REFERENCE_TOLERANCE = 1e-12
+
+
 def random_gaussian_spec(n, base_mix, seed, dim=3):
     """Every field with its own mean and variance, so slopes differ."""
     rng = np.random.default_rng(seed)
 
     def field():
-        return GaussianTargetField(rng.normal(size=dim), rng.uniform(0.2, 2.0))
+        return GaussianTargetField(rng.normal(size=dim), rng.uniform(0.05, 3.0))
 
     anchors = enumerate_anchors(make_space(n))
     return BlendSpec(
@@ -551,19 +576,54 @@ def constant_spec(n, base_mix):
     )
 
 
+def mixed_spec(n, base_mix, seed):
+    # anchor by anchor, chains alternate between Gaussian and ConstantField
+    gaussian = random_gaussian_spec(n, base_mix, seed, dim=2)
+    return replace(gaussian, anchor_sets=tuple(
+        replace(entry, chain_fields=tuple(
+            ConstantField([0.2 * k - j, 0.7 + j]) if (j + k) % 2 else f
+            for j, f in enumerate(entry.chain_fields)
+        ))
+        for k, entry in enumerate(gaussian.anchor_sets)
+    ))
+
+
+SPECS = {"gaussian": random_gaussian_spec, "constant": constant_spec, "mixed": mixed_spec}
+
+
+@functools.lru_cache(maxsize=None)
+def reference_path(kind, *args):
+    """The reference path for SPECS[kind](*args) on the REFERENCE grid,
+    computed once."""
+    spec = SPECS[kind](*args)
+    dim = spec.latent_dims().pop()
+    if kind == "constant":
+        # every slope is 0, so the ODE's solution is N(t b, I) exactly
+        _, offset = blended_affine_coefficients(spec, 0.0, spec.weights())
+        times = np.arange(REFERENCE.steps + 1) / REFERENCE.steps
+        return times[:, None] * offset, np.broadcast_to(np.eye(dim), (len(times), dim, dim))
+    return reference_moments(spec, REFERENCE, dim)
+
+
+def assert_matches_reference(paths, reference):
+    """paths lies within REFERENCE_TOLERANCE of the reference on its grid,
+    whose steps divide the reference's, and is exactly isotropic."""
+    means, covariances = reference
+    stride = REFERENCE.steps // (len(paths.times) - 1)
+    assert np.max(np.abs(paths.means - means[::stride])) <= REFERENCE_TOLERANCE
+    assert np.max(np.abs(paths.covariances - covariances[::stride])) <= REFERENCE_TOLERANCE
+    dim = paths.means.shape[1]
+    assert np.all(paths.covariances[:, ~np.eye(dim, dtype=bool)] == 0.0)
+
+
 @pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_moment_reference_bit_identical_to_coefficient_loop(solver, n):
     config = IntegrationConfig(solver, 50)
     for base_mix in (0.0, 0.5, 1.0):
-        for spec in (random_gaussian_spec(n, base_mix, seed=10 * n), constant_spec(n, base_mix)):
-            dim = spec.latent_dims().pop()
-            means, covariances = reference_moments(spec, config, dim)
-            paths = moment_reference(spec, config)
-            assert paths.means.tobytes() == means.tobytes()
-            assert paths.covariances.tobytes() == covariances.tobytes()
-            off_diagonal = ~np.eye(dim, dtype=bool)
-            assert np.all(paths.endpoint_cov[off_diagonal] == 0.0)
+        for kind, args in (("gaussian", (n, base_mix, 10 * n)), ("constant", (n, base_mix))):
+            paths = moment_reference(SPECS[kind](*args), config)
+            assert_matches_reference(paths, reference_path(kind, *args))
 
 
 def test_moment_reference_bit_identical_on_template_spec(space2, biased_model):
@@ -571,11 +631,8 @@ def test_moment_reference_bit_identical_on_template_spec(space2, biased_model):
         base_prompt="a valley", score=ScoreVector((0.3, 0.8)), blend_mode="full_average",
     )
     spec = build_blend_spec(request, space2, biased_model)
-    config = IntegrationConfig("rk4", 50)
-    means, covariances = reference_moments(spec, config, biased_model.latent_dim)
-    paths = moment_reference(spec, config)
-    assert paths.means.tobytes() == means.tobytes()
-    assert paths.covariances.tobytes() == covariances.tobytes()
+    paths = moment_reference(spec, IntegrationConfig("rk4", 50))
+    assert_matches_reference(paths, reference_moments(spec, REFERENCE, biased_model.latent_dim))
 
 
 class CountingAffineField(VelocityField):
@@ -594,10 +651,8 @@ class CountingAffineField(VelocityField):
         return self.inner.affine_coefficients(t)
 
 
-@pytest.mark.parametrize("solver, distinct", [("euler", 40), ("midpoint", 80), ("rk4", 81)])
-def test_moment_reference_queries_each_field_once_per_stage_time(solver, distinct):
-    spec = random_gaussian_spec(2, 0.5, seed=7)
-    counting = replace(
+def counting_spec(spec):
+    return replace(
         spec,
         base_field=CountingAffineField(spec.base_field),
         anchor_sets=tuple(
@@ -605,74 +660,102 @@ def test_moment_reference_queries_each_field_once_per_stage_time(solver, distinc
             for entry in spec.anchor_sets
         ),
     )
+
+
+@pytest.mark.parametrize("solver, distinct", [("euler", 40), ("midpoint", 80), ("rk4", 81)])
+def test_moment_reference_queries_each_field_once_per_stage_time(solver, distinct):
+    # a slope-0 affine field is queried once per quadrature node, at times
+    # that depend on the grid alone, not on the solver's stage times
     config = IntegrationConfig(solver, 40)
-    moment_reference(counting, config)
     visited = {t for step in stage_times(config) for t in step}
     assert len(visited) == distinct
+    counting, euler = counting_spec(constant_spec(2, 0.5)), counting_spec(constant_spec(2, 0.5))
+    paths = moment_reference(counting, config)
+    moment_reference(euler, IntegrationConfig("euler", 40))
+    assert_matches_reference(paths, reference_path("constant", 2, 0.5))
     fields = [counting.base_field] + [f for e in counting.anchor_sets for f in e.chain_fields]
+    assert set(fields[0].calls.values()) == {1}
+    assert len(fields[0].calls) >= 3 * config.steps
     for f in fields:
-        assert set(f.calls) == visited
-        assert set(f.calls.values()) == {1}
+        assert f.calls == euler.base_field.calls
 
 
 @pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
 def test_plain_gaussian_spec_is_tabulated_without_coefficient_calls(solver, monkeypatch):
-    specs = [random_gaussian_spec(n, 0.5, seed=20 + n) for n in (1, 2, 3)]
-    config = IntegrationConfig(solver, 30)
-    want = [reference_moments(spec, config, spec.latent_dims().pop()) for spec in specs]
-
     def no_call(self, t):
-        raise AssertionError("a plain Gaussian field was queried per time")
+        raise AssertionError("a Gaussian field was queried for its coefficients")
 
+    want = [reference_path("gaussian", n, 0.5, 10 * n) for n in (1, 2, 3)]
     monkeypatch.setattr(GaussianTargetField, "affine_coefficients", no_call)
-    for spec, (means, covariances) in zip(specs, want):
-        paths = moment_reference(spec, config)
-        assert paths.means.tobytes() == means.tobytes()
-        assert paths.covariances.tobytes() == covariances.tobytes()
+    for n, reference in zip((1, 2, 3), want):
+        paths = moment_reference(random_gaussian_spec(n, 0.5, 10 * n), IntegrationConfig(solver, 40))
+        assert_matches_reference(paths, reference)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_mixed_gaussian_and_constant_chains_bit_identical_to_coefficient_loop(n):
-    # anchor by anchor, chains alternate between Gaussian and ConstantField,
-    # so both tabulation paths fill columns of the same chain table
-    gaussian = random_gaussian_spec(n, 0.5, seed=30 + n, dim=2)
-    mixed = replace(gaussian, anchor_sets=tuple(
-        replace(entry, chain_fields=tuple(
-            ConstantField([0.2 * k - j, 0.7 + j]) if (j + k) % 2 else f
-            for j, f in enumerate(entry.chain_fields)
-        ))
-        for k, entry in enumerate(gaussian.anchor_sets)
-    ))
     for base_mix in (0.0, 0.5, 1.0):
-        spec = replace(mixed, base_mix=base_mix)
+        reference = reference_path("mixed", n, base_mix, 30 + n)
         for solver in ("euler", "rk4"):
             config = IntegrationConfig(solver, 40)
-            means, covariances = reference_moments(spec, config, 2)
-            paths = moment_reference(spec, config)
-            assert paths.means.tobytes() == means.tobytes()
-            assert paths.covariances.tobytes() == covariances.tobytes()
+            assert_matches_reference(moment_reference(mixed_spec(n, base_mix, 30 + n), config), reference)
 
 
 def test_one_pass_tabulation_keeps_the_bits_of_per_time_calls():
-    # numpy squares an array of 1 - t as u * u, while a float's ** calls the
-    # C library's pow; they differ in the last bit at some rk4/2000 times
-    table = flow._StageTable.of(IntegrationConfig("rk4", 2000))
-    count = len(table.rows)
-    assert list(table.times) == list(table.rows)
+    # one field alone transports N(0, I) along the interpolation path, to
+    # N(t mu, D(t) I) with D(t) = (1 - t)**2 + t**2 v
+    mean = np.array([0.3, -1.7])
+    times = np.arange(2001) / 2000
     for variance in np.linspace(0.05, 3.0, 30):
-        field = GaussianTargetField([0.3, -1.7], variance)
-        slopes, offsets = np.empty(count), np.empty((count, 2))
-        flow._tabulate(field, table, slopes, offsets, "field")
-        coeffs = [field.affine_coefficients(t) for t in table.rows]
-        assert slopes.tobytes() == np.array([a for a, _ in coeffs]).tobytes()
-        assert offsets.tobytes() == np.array([b for _, b in coeffs]).tobytes()
+        spec = vertex_pair_spec([1.0, 0.0], [-1.0, 0.0], mean, (0.5,), base_mix=1.0)
+        spec = replace(spec, base_field=GaussianTargetField(mean, variance))
+        paths = moment_reference(spec, REFERENCE)
+        assert np.max(np.abs(paths.means - times[:, None] * mean)) <= REFERENCE_TOLERANCE
+        decay = (1.0 - times) ** 2 + times * times * variance
+        assert np.max(np.abs(paths.covariances - decay[:, None, None] * np.eye(2))) <= REFERENCE_TOLERANCE
 
 
 def test_moment_field_rejects_an_untabulated_time():
-    field = flow._IsotropicMomentField({0.0: 0, 0.5: 1}, np.zeros(2), np.zeros((2, 2)))
-    field.eval(np.array([0.0, 0.0, 1.0]), 0.5)
-    with pytest.raises(ContractViolation):
-        field.eval(np.array([0.0, 0.0, 1.0]), 0.25)
+    # any grid works, and the endpoint does not depend on it
+    spec = random_gaussian_spec(2, 0.5, 20)
+    paths = moment_reference(spec, IntegrationConfig("rk4", 8))
+    assert_matches_reference(paths, reference_path("gaussian", 2, 0.5, 20))
+    for steps in (1, 7, 2000):
+        other = moment_reference(spec, IntegrationConfig("euler", steps))
+        assert np.max(np.abs(other.endpoint_mean - paths.endpoint_mean)) <= 1e-14
+        assert np.max(np.abs(other.endpoint_cov - paths.endpoint_cov)) <= 1e-14
+
+
+def test_moment_reference_makes_no_integrate_call(monkeypatch):
+    def no_call(*args, **kwargs):
+        raise AssertionError("the oracle called the solver")
+
+    monkeypatch.setattr(flow, "integrate", no_call)
+    paths = moment_reference(random_gaussian_spec(2, 0.5, 20), IntegrationConfig("rk4", 40))
+    assert_matches_reference(paths, reference_path("gaussian", 2, 0.5, 20))
+
+
+def test_endpoint_check_against_the_oracle_catches_a_perturbed_solver(monkeypatch):
+    # a full_average blend maps x0 affinely, to oracle mean + sqrt(c(1)) x0
+    spec = random_gaussian_spec(3, 0.5, 40)
+    config = IntegrationConfig("rk4", 100)
+    seeds = sample_seeds(7, 64)
+    x0 = initial_states(seeds, 3)
+    oracle = moment_reference(spec, config)
+    exact = oracle.endpoint_mean + np.sqrt(oracle.endpoint_cov[0, 0]) * x0
+
+    def gap():
+        return np.max(np.abs(integrate(BlendedField(spec, seeds), x0, config).endpoint - exact))
+
+    assert gap() <= 1e-7
+    check_finite = flow._check_finite
+
+    def nudged(x, *args):  # runs once per solver step, on the new state
+        x += 1e-6
+        check_finite(x, *args)
+
+    monkeypatch.setattr(flow, "_check_finite", nudged)
+    assert gap() > 1e-7
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -743,10 +826,9 @@ def test_batched_generation_equals_per_sample(space2, biased_model):
             dataclasses.replace(request, sample_count=1), space2, biased_model
         )
         from cogflow.blend import BlendedField
-        from cogflow.flow import sample_seeds
 
         seeds = sample_seeds(request.seed, request.sample_count)
-        x0 = initial_states(request.seed, request.sample_count, 2)
+        x0 = initial_states(seeds, 2)
         for i in range(4):
             solo = integrate(
                 BlendedField(spec, int(seeds[i])), x0[i], request.integration
