@@ -40,10 +40,13 @@ kappa(t) for all chains at once and every Gaussian closed form in that
 block (in stochastic mode on each row's drawn mean and kappa); no inner
 field's eval is called. Feature-major, a per-field (D, 1) mean
 broadcasts along the long axis, which numpy does several times faster
-than a (D,) mean over (B, D) rows at small D. integrate holds its whole
-batch in that layout (eval's feature_major), so the state is neither
-copied in nor copied back per evaluation; a (B, D) batch passed to
-eval directly is copied in and the result copied back, as (B, D).
+than a (D,) mean over (B, D) rows at small D. The layout is this
+class's decision alone: eval takes a (B, D) or (D,) state of any
+layout, and returns acc.T, the (B, D) view of its (D, B) result, which
+is Fortran-ordered. numpy's elementwise operations keep their inputs'
+layout, so a solver that combines states and velocities elementwise
+holds its state Fortran-ordered after the first evaluation; x.T is then
+the C-contiguous block and no evaluation copies the state in or out.
 Every elementwise expression and its order is the generic path's, so
 the bits are too. Sums accumulate in place, in arrays the evaluation
 allocated (an inner field's result may be an array it keeps, so it is
@@ -330,33 +333,23 @@ class BlendedField(VelocityField):
                 out[rows] = f.eval(x[rows], t)
         return out
 
-    @property
-    def feature_major(self) -> bool:
-        """Whether eval computes in a feature-major (D, B) block, that is,
-        whether the spec reads a Gaussian bank; see eval."""
-        return self._bank is not None
-
-    def eval(self, x, t, feature_major: bool = False):
+    def eval(self, x, t):
         """Blended velocity at a state (D,) or a batch (B, D), same shape.
 
-        With feature_major, which needs a bank-backed field, x is a batch
-        held feature-major as (D, B) and so is the result, and no copy is
-        made in or out; integrate keeps its state that way.
+        On the bank path the result is a transposed view of the (D, B)
+        block the evaluation computed in, so a batch comes back
+        Fortran-ordered; see the module notes.
         """
         x = np.asarray(x, dtype=float)
         spec = self.spec
-        bank = self._bank
-        if feature_major and bank is None:
-            raise ContractViolation("feature-major states need a Gaussian bank")
-        batch = x.T if feature_major else x  # the state as (B, D) or (D,)
         draws = None
         if spec.mode == "stochastic":
             per_step = spec.draw_scope == "per_step"
-            draws = self._draws(batch, self._step_ordinal if per_step else self._eval_ordinal)
-        if bank is not None:
-            # the batch as a C-contiguous (D, B) block; see the module notes
-            block = x if feature_major else np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
-            base, vhats = bank.values(block, t, draws)
+            draws = self._draws(x, self._step_ordinal if per_step else self._eval_ordinal)
+        if self._bank is not None:
+            # no copy when x is a view of a C-contiguous (D, B) block
+            block = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+            base, vhats = self._bank.values(block, t, draws)
         else:
             base = spec.base_field.eval(x, t)
             vhats = (
@@ -377,10 +370,10 @@ class BlendedField(VelocityField):
         acc += base
         if spec.draw_scope != "per_step":
             self._eval_ordinal += 1
-        self.eval_counter += (1 if batch.ndim == 1 else len(batch)) * spec.evals_per_call()
-        if bank is None or feature_major:
+        self.eval_counter += (1 if x.ndim == 1 else len(x)) * spec.evals_per_call()
+        if self._bank is None:
             return acc
-        return np.ascontiguousarray(acc.T).reshape(x.shape)
+        return acc.T.reshape(x.shape)
 
 
 class ExpectedFieldCheck(NamedTuple):

@@ -73,7 +73,6 @@ DEFAULT_CONFIG = {
         "steps": 100,
         "sample_count": 2048,
         "seed": 0,
-        "record_trajectory": False,
         "decoder": {"kind": "identity", "matrix": None, "offset": None},
     },
     "experiment": {
@@ -325,11 +324,7 @@ def build_cache(resolved: dict) -> PolarizationCache:
 
 def build_integration(resolved: dict) -> IntegrationConfig:
     flow_cfg = resolved["flow"]
-    return IntegrationConfig(
-        solver=flow_cfg["solver"],
-        steps=flow_cfg["steps"],
-        record_trajectory=flow_cfg["record_trajectory"],
-    )
+    return IntegrationConfig(solver=flow_cfg["solver"], steps=flow_cfg["steps"])
 
 
 def build_decoder(resolved: dict):

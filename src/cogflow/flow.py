@@ -39,6 +39,14 @@ SOLVERS = ("euler", "midpoint", "rk4")
 _STAGES = {"euler": 1, "midpoint": 2, "rk4": 4}
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ContractViolation unless value is an int >= 1 (a bool, a
+    float or a numpy scalar would be recorded as given yet used as some
+    other count, or fail later)."""
+    if type(value) is not int or value < 1:
+        raise ContractViolation(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IntegrationConfig:
     solver: str = "rk4"
@@ -50,8 +58,7 @@ class IntegrationConfig:
         if solver not in SOLVERS:
             raise ContractViolation(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         object.__setattr__(self, "solver", solver)
-        if self.steps < 1:
-            raise ContractViolation(f"steps must be >= 1, got {self.steps}")
+        _check_count("steps", self.steps)
 
     @property
     def stages_per_step(self) -> int:
@@ -109,10 +116,10 @@ def integrate(
     lockstep, which matches per-sample integration exactly because the
     draw streams are keyed per row.
 
-    A batch under a field that computes feature-major (a Gaussian-bank
-    blend) is carried as one C-contiguous (D, B) block from x0 to the
-    endpoint: x0, the endpoint and the trajectory are each transposed
-    once, and no evaluation copies the state in or out.
+    The memory layout of the state is the field's choice: the solver
+    keeps whatever layout eval returns, so a field may hand back a view
+    of the block it computes in and read it back without a copy. The
+    endpoint is made C-contiguous once, at the end.
 
     The solver's combinations run in place, but only in arrays a step
     allocated itself: a field may return its input or an array it keeps,
@@ -122,11 +129,7 @@ def integrate(
     to right.
     """
     x = np.array(x0, dtype=float)
-    feature_major = x.ndim == 2 and isinstance(field, BlendedField) and field.feature_major
     evaluate = field.eval
-    if feature_major:
-        x = np.ascontiguousarray(x.T)
-        evaluate = functools.partial(field.eval, feature_major=True)
     n_steps = config.steps
     h = 1.0 / n_steps
     trajectory = None
@@ -157,17 +160,10 @@ def integrate(
             s *= h / 6.0
             s += x
             x = s
-        if feature_major:
-            _check_finite(x.T, i, start.T, times[0])
-        else:
-            _check_finite(x, i, start, times[0])
+        _check_finite(x, i, start, times[0])
         if trajectory is not None:
             trajectory[i + 1] = x
-    if feature_major:
-        x = np.ascontiguousarray(x.T)
-        if trajectory is not None:
-            trajectory = np.ascontiguousarray(trajectory.transpose(0, 2, 1))
-    return IntegrationResult(endpoint=x, trajectory=trajectory)
+    return IntegrationResult(endpoint=np.ascontiguousarray(x), trajectory=trajectory)
 
 
 @dataclass(frozen=True)
@@ -211,8 +207,7 @@ class GenerationRequest:
     decoder: IdentityDecoder | AffineDecoder = dc_field(default_factory=IdentityDecoder)
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ContractViolation(f"sample_count must be >= 1, got {self.sample_count}")
+        _check_count("sample_count", self.sample_count)
         if self.blend_mode not in MODES:
             raise ContractViolation(f"blend_mode must be one of {MODES}")
         if self.draw_scope not in DRAW_SCOPES:

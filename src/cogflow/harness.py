@@ -197,6 +197,15 @@ def normalized_discrepancy(diff, se) -> float:
     return float(np.max(diff / denom))
 
 
+def _require_two_samples(cfg: ExperimentConfig, kind: str) -> None:
+    """Sampled variances and standard errors need at least two samples;
+    with one, a criterion would divide by zero or compare against NaN."""
+    if cfg.request.sample_count < 2:
+        raise ContractViolation(
+            f"{kind} needs sample_count >= 2, got {cfg.request.sample_count}"
+        )
+
+
 def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
     """Endpoints at vertex scores against their exact references.
 
@@ -205,6 +214,7 @@ def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
     the anchor's bound target. Leg B (half-base): base_mix=0.5 with the
     configured model, checked against the closed-form moment oracle.
     """
+    _require_two_samples(cfg, "vertex_recovery")
     flat_model = replace(cfg.model, position_bias=0.0)
     sets = build_all_sets(cfg.backend, cfg.request.base_prompt, cfg.space, cfg.cache)
     oracle_cfg = IntegrationConfig(solver="rk4", steps=cfg.oracle_steps)
@@ -298,6 +308,7 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
     linearly. Axis-aligned paths also get a monotone-response criterion
     on the projected endpoint mean.
     """
+    _require_two_samples(cfg, "continuity_sweep")
     if cfg.request.blend_mode != "full_average":
         raise ContractViolation(
             "continuity_sweep needs full_average mode (stochastic draws break pairing)"

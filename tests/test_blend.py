@@ -418,16 +418,21 @@ def test_full_average_bank_matches_generic_path_bit_for_bit(n, base_mix, monkeyp
 
 
 @pytest.mark.parametrize("mode", ["stochastic", "full_average"])
-def test_bank_path_returns_contiguous_row_major_arrays(mode):
-    spec = gaussian_spec(3, mode=mode)
-    field = BlendedField(spec, 5)
-    assert field._bank is not None
-    # a Fortran-ordered batch, a strided single state and an int batch
-    batch = np.asfortranarray(np.random.default_rng(2).normal(size=(6, 3)))
-    for x in (batch, batch[2], np.ones((6, 3), dtype=int)):
-        out = field.eval(x, 0.4)
+def test_bank_path_returns_the_generic_paths_shape_dtype_and_bits(mode):
+    """Whatever the input's layout or dtype, the bank path's result has its
+    shape, float64 and the generic path's bits; its layout is the bank's
+    own business."""
+    batch = np.random.default_rng(2).normal(size=(6, 3))
+    fortran = np.asfortranarray(batch)
+    inputs = (batch, fortran, fortran[2], np.ones((6, 3), dtype=int))
+    assert not fortran[2].flags.c_contiguous  # a strided single state
+    for x in inputs:
+        bank = BlendedField(gaussian_spec(3, mode=mode), 5)
+        generic = BlendedField(gaussian_spec(3, wrap=DelegatingField, mode=mode), 5)
+        assert bank._bank is not None and generic._bank is None
+        out, want = bank.eval(x, 0.4), generic.eval(x, 0.4)
         assert out.shape == x.shape and out.dtype == np.float64
-        assert out.flags.c_contiguous
+        assert out.tobytes() == want.tobytes()
 
 
 def test_bank_path_keeps_eval_count_and_time_check():

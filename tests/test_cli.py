@@ -181,6 +181,14 @@ def test_unknown_override_rejected(tmp_path):
     assert run_cli("generate", "--config", str(cfg), "--set", "blend.nope=1") == 2
 
 
+def test_record_trajectory_is_not_a_config_key(tmp_path):
+    # the batch files never held trajectories, so the key was dropped
+    cfg = write_config(tmp_path, flow={"record_trajectory": True})
+    assert run_cli("generate", "--config", str(cfg)) == 2
+    cfg = write_config(tmp_path)
+    assert run_cli("generate", "--config", str(cfg), "--set", "flow.record_trajectory=true") == 2
+
+
 def test_out_of_range_config_value(tmp_path):
     cfg = write_config(tmp_path, experiment={"score": [0.5, 1.5]})
     assert run_cli("generate", "--config", str(cfg)) == 2
@@ -252,6 +260,19 @@ def test_nested_numeric_leaves_are_type_checked(tmp_path, caplog, override):
     code = run_cli("generate", "--config", str(cfg), "--set", override)
     assert code == 2
     assert override.split("=")[0] in caplog.text
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
+@pytest.mark.parametrize("kind", ["vertex_recovery", "continuity_sweep"])
+def test_sampled_experiment_on_one_sample_fails_before_any_backend_call(
+    tmp_path, caplog, kind
+):
+    # one sample has no variance: vertex_recovery divided by zero, and
+    # continuity_sweep passed monotone_response at -inf on a NaN SE
+    cfg = write_config(tmp_path, experiment={"kind": kind})
+    code = run_cli("experiment", "--config", str(cfg), "--set", "flow.sample_count=1")
+    assert code == 2
+    assert f"{kind} needs sample_count >= 2, got 1" in caplog.text
     assert not (tmp_path / "cache.ndjson").exists()
 
 

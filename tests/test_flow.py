@@ -164,8 +164,10 @@ def test_in_place_solver_keeps_the_bits_and_writes_no_field_array(solver):
 def test_integration_config_validation():
     with pytest.raises(ContractViolation):
         IntegrationConfig(solver="leapfrog")
-    with pytest.raises(ContractViolation):
-        IntegrationConfig(steps=0)
+    # steps=True would be recorded as True, steps=2.5 fail in range()
+    for steps in (0, -1, True, 2.5, np.int64(4), "4"):
+        with pytest.raises(ContractViolation):
+            IntegrationConfig(steps=steps)
     assert IntegrationConfig(solver="RK4").solver == "rk4"
 
 
@@ -278,21 +280,25 @@ def test_feature_major_generate_matches_generic_path(solver, mode, monkeypatch):
         sample_count=11, blend_mode=mode, draw_scope="per_step",
         integration=IntegrationConfig(solver, 6, record_trajectory=True),
     )
-    layouts = []
+    calls = []  # (bank-backed, state F-contiguous) per evaluation
     blended_eval = BlendedField.eval
 
-    def spy(self, x, t, feature_major=False):
-        layouts.append(feature_major)
-        return blended_eval(self, x, t, feature_major)
+    def spy(self, x, t):
+        calls.append((self._bank is not None, x.flags.f_contiguous))
+        return blended_eval(self, x, t)
 
     monkeypatch.setattr(BlendedField, "eval", spy)
     bank = generate(request, space, model)
-    assert layouts and all(layouts)
-    layouts.clear()
+    # the solver keeps the layout eval returns: only the first evaluation
+    # gets the C-ordered x0, and every later one a state the bank reads
+    # as its (D, B) block without a copy
+    assert calls[0] == (True, False)
+    assert len(calls) > 1 and all(c == (True, True) for c in calls[1:])
+    calls.clear()
     bind_field = flow.field_for_prompt
     monkeypatch.setattr(flow, "field_for_prompt", lambda m, p: DelegatingField(bind_field(m, p)))
     generic = generate(request, space, model)
-    assert layouts and not any(layouts)
+    assert calls and not any(banked for banked, _ in calls)
     assert bank.trajectories.shape == generic.trajectories.shape == (11, 7, 3)
     for got, want in (
         (bank.endpoints, generic.endpoints),
@@ -305,9 +311,9 @@ def test_feature_major_generate_matches_generic_path(solver, mode, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "wrap, feature_major", [(lambda f: f, True), (DelegatingField, False)], ids=["bank", "generic"]
+    "wrap, banked", [(lambda f: f, True), (DelegatingField, False)], ids=["bank", "generic"]
 )
-def test_non_finite_row_reports_its_index_on_both_paths(wrap, feature_major):
+def test_non_finite_row_reports_its_index_on_both_paths(wrap, banked):
     rng = np.random.default_rng(6)
     anchors = enumerate_anchors(make_space(2))
 
@@ -322,7 +328,7 @@ def test_non_finite_row_reports_its_index_on_both_paths(wrap, feature_major):
     x0 = rng.normal(size=(8, 3))
     x0[5, 1] = np.nan
     blended = BlendedField(spec, np.arange(8, dtype=np.uint64))
-    assert blended.feature_major == feature_major
+    assert (blended._bank is not None) == banked
     with pytest.raises(DivergenceError) as err:
         integrate(blended, x0, IntegrationConfig("rk4", 4))
     assert (err.value.sample_index, err.value.step_index) == (5, 0)
@@ -363,8 +369,10 @@ def test_affine_decoder(space2, biased_model):
 
 def test_request_validation():
     score = ScoreVector((0.5, 0.5))
-    with pytest.raises(ContractViolation):
-        GenerationRequest(base_prompt="p", score=score, sample_count=0)
+    # sample_count=2.5 would write 3 samples and record 2.5
+    for count in (0, -1, True, 2.5, np.int64(4), "4"):
+        with pytest.raises(ContractViolation):
+            GenerationRequest(base_prompt="p", score=score, sample_count=count)
     with pytest.raises(ContractViolation):
         GenerationRequest(base_prompt="p", score=score, blend_mode="sometimes")
     # the streams take seeds as uint64: any other seed would alias one

@@ -1,8 +1,11 @@
-"""Golden digests of integrate() endpoints on Gaussian-bank blends.
+"""Golden digests of integrate() endpoints and trajectories.
 
-The digests were recorded before the bank and the solver loop moved to
-in-place, feature-major arithmetic; a change that alters any bit of the
-sampler's output fails here. Every input is dyadic (x0, means,
+The endpoint digests were recorded before the bank and the solver loop
+moved to in-place, feature-major arithmetic, and the trajectory digests
+before the Gaussian bank's layout became private to BlendedField; a
+change that alters any bit of the sampler's output fails here. The
+generic path (inner fields wrapped so that no bank is built) must give
+the same digests as the bank path. Every input is dyadic (x0, means,
 variances, scores, base_mix, and stage times i/8 and i/8 + 1/16), so the
 path uses only IEEE + - * / and exact squares, and the bits do not
 depend on the platform's libm.
@@ -18,23 +21,23 @@ from cogflow.cogspace import ScoreVector, enumerate_anchors
 from cogflow.flow import IntegrationConfig, integrate
 from cogflow.semantics import GaussianTargetField
 
-from conftest import make_space
+from conftest import DelegatingField, make_space
 
 DIM, ROWS, STEPS = 3, 8, 8
 SCORES = (0.25, 0.75, 0.625, 0.375)
 
 
-def dyadic_field(j):
+def dyadic_field(j, wrap):
     mean = [((3 * j + 5 * d) % 17 - 8) / 8 for d in range(DIM)]
-    return GaussianTargetField(mean, (1 + j % 7) / 4)
+    return wrap(GaussianTargetField(mean, (1 + j % 7) / 4))
 
 
-def dyadic_spec(n, mode, draw_scope):
+def dyadic_spec(n, mode, draw_scope, wrap):
     anchors = enumerate_anchors(make_space(n))
     return BlendSpec(
-        base_field=dyadic_field(0),
+        base_field=dyadic_field(0, wrap),
         anchor_sets=tuple(
-            AnchorFields(a, tuple(dyadic_field(1 + k * n + j) for j in range(n)))
+            AnchorFields(a, tuple(dyadic_field(1 + k * n + j, wrap) for j in range(n)))
             for k, a in enumerate(anchors)
         ),
         score=ScoreVector(SCORES[:n]),
@@ -44,14 +47,34 @@ def dyadic_spec(n, mode, draw_scope):
     )
 
 
-def endpoint_digest(n, mode, draw_scope, solver):
+WRAPS = {"bank": lambda f: f, "generic": DelegatingField}
+
+
+def digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
+
+
+def run(n, mode, draw_scope, solver, path="bank", record_trajectory=False):
     x0 = np.array([[((7 * r + 3 * d) % 13 - 6) / 4 for d in range(DIM)] for r in range(ROWS)])
     field = BlendedField(
-        dyadic_spec(n, mode, draw_scope), np.arange(100, 100 + ROWS, dtype=np.uint64)
+        dyadic_spec(n, mode, draw_scope, WRAPS[path]),
+        np.arange(100, 100 + ROWS, dtype=np.uint64),
     )
-    endpoint = integrate(field, x0, IntegrationConfig(solver, STEPS)).endpoint
-    assert endpoint.shape == (ROWS, DIM)
-    return hashlib.sha256(np.ascontiguousarray(endpoint, dtype="<f8").tobytes()).hexdigest()
+    assert (field._bank is not None) == (path == "bank")
+    config = IntegrationConfig(solver, STEPS, record_trajectory=record_trajectory)
+    result = integrate(field, x0, config)
+    assert result.endpoint.shape == (ROWS, DIM)
+    return result
+
+
+def endpoint_digest(n, mode, draw_scope, solver, path="bank"):
+    return digest(run(n, mode, draw_scope, solver, path).endpoint)
+
+
+def trajectory_digest(n, mode, draw_scope, solver, path):
+    trajectory = run(n, mode, draw_scope, solver, path, record_trajectory=True).trajectory
+    assert trajectory.shape == (STEPS + 1, ROWS, DIM)
+    return digest(trajectory)
 
 
 GOLDEN = {
@@ -112,3 +135,74 @@ GOLDEN = {
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_integrate_endpoint_matches_golden_digest(n, mode, draw_scope, solver):
     assert endpoint_digest(n, mode, draw_scope, solver) == GOLDEN[n, mode, draw_scope, solver]
+
+
+@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generic_path_endpoint_matches_golden_digest(n, mode, draw_scope, solver):
+    got = endpoint_digest(n, mode, draw_scope, solver, path="generic")
+    assert got == GOLDEN[n, mode, draw_scope, solver]
+
+
+TRAJECTORY_GOLDEN = {
+    (1, "stochastic", "per_eval", "euler"): "c5c04b0c63f4408de197d82fecbe6f9d8a4b79e034501e0a01d6622b20756acf",
+    (1, "stochastic", "per_eval", "midpoint"): "08e4225747ae92ee8a5a37fcd6607bee72add45efb4f625c0a0038c9b9e06d8c",
+    (1, "stochastic", "per_eval", "rk4"): "1481f90c660ef12c1ae9f9c679d22c04ef4017da4ebc36abc399a22a33e7cd7a",
+    (1, "stochastic", "per_step", "euler"): "c5c04b0c63f4408de197d82fecbe6f9d8a4b79e034501e0a01d6622b20756acf",
+    (1, "stochastic", "per_step", "midpoint"): "08e4225747ae92ee8a5a37fcd6607bee72add45efb4f625c0a0038c9b9e06d8c",
+    (1, "stochastic", "per_step", "rk4"): "1481f90c660ef12c1ae9f9c679d22c04ef4017da4ebc36abc399a22a33e7cd7a",
+    (1, "full_average", "per_eval", "euler"): "c5c04b0c63f4408de197d82fecbe6f9d8a4b79e034501e0a01d6622b20756acf",
+    (1, "full_average", "per_eval", "midpoint"): "08e4225747ae92ee8a5a37fcd6607bee72add45efb4f625c0a0038c9b9e06d8c",
+    (1, "full_average", "per_eval", "rk4"): "1481f90c660ef12c1ae9f9c679d22c04ef4017da4ebc36abc399a22a33e7cd7a",
+    (1, "full_average", "per_step", "euler"): "c5c04b0c63f4408de197d82fecbe6f9d8a4b79e034501e0a01d6622b20756acf",
+    (1, "full_average", "per_step", "midpoint"): "08e4225747ae92ee8a5a37fcd6607bee72add45efb4f625c0a0038c9b9e06d8c",
+    (1, "full_average", "per_step", "rk4"): "1481f90c660ef12c1ae9f9c679d22c04ef4017da4ebc36abc399a22a33e7cd7a",
+    (2, "stochastic", "per_eval", "euler"): "0727a0d451d82cfc9d065bc8462800fe340e72a0dff353b4139186fc4e10340f",
+    (2, "stochastic", "per_eval", "midpoint"): "825ebd3b1be75e7549fadef3e7666f518373b63b62cd2e5984d0e104ca149cf2",
+    (2, "stochastic", "per_eval", "rk4"): "9af35a74e44ea5cdcbee99329e22304ff5008a187d8050d13f8fb423b4a2d85e",
+    (2, "stochastic", "per_step", "euler"): "0727a0d451d82cfc9d065bc8462800fe340e72a0dff353b4139186fc4e10340f",
+    (2, "stochastic", "per_step", "midpoint"): "ed9817fe0f146061fa6252c432058dae8765b81bdec376fb8bc38a11ef81b97a",
+    (2, "stochastic", "per_step", "rk4"): "2369dcce57418ec43bef6e062bb5eeca9f686b95fe273c068ba41f0d6a72aebb",
+    (2, "full_average", "per_eval", "euler"): "4ebeae317763e7b5e9fd2a93e5de233392d740b7c4f69bc525683f82f7ce6ca7",
+    (2, "full_average", "per_eval", "midpoint"): "6835c45bdaddfe01ae4ea1756678d96e0c480b9fdf06d7ea37c38ed0da3467ab",
+    (2, "full_average", "per_eval", "rk4"): "5f3f371ff2d3bbd546d3459bd35df2a4b98c4dec165c8239fa357babffa1ec6f",
+    (2, "full_average", "per_step", "euler"): "4ebeae317763e7b5e9fd2a93e5de233392d740b7c4f69bc525683f82f7ce6ca7",
+    (2, "full_average", "per_step", "midpoint"): "6835c45bdaddfe01ae4ea1756678d96e0c480b9fdf06d7ea37c38ed0da3467ab",
+    (2, "full_average", "per_step", "rk4"): "5f3f371ff2d3bbd546d3459bd35df2a4b98c4dec165c8239fa357babffa1ec6f",
+    (3, "stochastic", "per_eval", "euler"): "d5a193aa10288ca269843edf28a4c7a2ce0ad6f3ceceb2582e39ec030b577cae",
+    (3, "stochastic", "per_eval", "midpoint"): "e0817f42658b5fb6ca229e19aa52d991b84633d726ba6c2fdea0b0e64de5747b",
+    (3, "stochastic", "per_eval", "rk4"): "f3826d78f18daed4f3b8664c4987a04aaac8a9d47c172ababe4a33574dbb11aa",
+    (3, "stochastic", "per_step", "euler"): "d5a193aa10288ca269843edf28a4c7a2ce0ad6f3ceceb2582e39ec030b577cae",
+    (3, "stochastic", "per_step", "midpoint"): "8736a41ef16ffe26330892b9336a6ebf0bb8c95d060dfb6f1b0f20f3feb6dd0a",
+    (3, "stochastic", "per_step", "rk4"): "3fbb8064f17887c1dbe6b2225529180ccbef44cb0bfdf13bb5b22c9cbc7a9176",
+    (3, "full_average", "per_eval", "euler"): "98650f194180a19f6191325fe02c83dc512dec072e3c894c524dfee16f0a1571",
+    (3, "full_average", "per_eval", "midpoint"): "57c90895be66d7cc11551fe3202826ab12561e58311a272914818e233da4a4ae",
+    (3, "full_average", "per_eval", "rk4"): "0795388e65f4cfda13e9ff34c8eb20f7d893d293d068d72551fb1a8562ffaa92",
+    (3, "full_average", "per_step", "euler"): "98650f194180a19f6191325fe02c83dc512dec072e3c894c524dfee16f0a1571",
+    (3, "full_average", "per_step", "midpoint"): "57c90895be66d7cc11551fe3202826ab12561e58311a272914818e233da4a4ae",
+    (3, "full_average", "per_step", "rk4"): "0795388e65f4cfda13e9ff34c8eb20f7d893d293d068d72551fb1a8562ffaa92",
+    (4, "stochastic", "per_eval", "euler"): "3e87826a214d69188385bda0876e2022eef0ef165b3d67084efd1e5ccbc441b3",
+    (4, "stochastic", "per_eval", "midpoint"): "1f885bccb368a48f567aed8437ead14e5347fa70d6e30098503cd145b11b855a",
+    (4, "stochastic", "per_eval", "rk4"): "0400455e1c25e3d4ced7ae84195ec8330e3da6f08da292938505b34a3d9496d4",
+    (4, "stochastic", "per_step", "euler"): "3e87826a214d69188385bda0876e2022eef0ef165b3d67084efd1e5ccbc441b3",
+    (4, "stochastic", "per_step", "midpoint"): "88943905d6434893507cad825c72ef11fd17f6f6da94de70d0b38ca7cacb3d3f",
+    (4, "stochastic", "per_step", "rk4"): "2feaa1e4ef846fa81ded946e7b975e973cff504300ed68a4dc03b33f8e7e4d98",
+    (4, "full_average", "per_eval", "euler"): "7de51d22e84df5d8150075ac3694d92255d27d1b39420cc6dddd251c812a66a7",
+    (4, "full_average", "per_eval", "midpoint"): "74c87a467aa6525104d3800612423be6702815e6a6cf9b4b84554c2155b58ea8",
+    (4, "full_average", "per_eval", "rk4"): "9d5b7f126eb1044e760e99bdd96b2801e30f0b180624aa0aed9a421d59014554",
+    (4, "full_average", "per_step", "euler"): "7de51d22e84df5d8150075ac3694d92255d27d1b39420cc6dddd251c812a66a7",
+    (4, "full_average", "per_step", "midpoint"): "74c87a467aa6525104d3800612423be6702815e6a6cf9b4b84554c2155b58ea8",
+    (4, "full_average", "per_step", "rk4"): "9d5b7f126eb1044e760e99bdd96b2801e30f0b180624aa0aed9a421d59014554",
+}
+
+
+@pytest.mark.parametrize("path", ["bank", "generic"])
+@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integrate_trajectory_matches_golden_digest(n, mode, draw_scope, solver, path):
+    got = trajectory_digest(n, mode, draw_scope, solver, path)
+    assert got == TRAJECTORY_GOLDEN[n, mode, draw_scope, solver]

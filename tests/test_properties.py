@@ -92,7 +92,6 @@ LEAF_KINDS = {
     "flow.steps": {"int"},
     "flow.sample_count": {"int"},
     "flow.seed": {"int"},
-    "flow.record_trajectory": {"bool"},
     "flow.decoder.kind": {"str"},
     "flow.decoder.matrix": {"number_matrix", "null"},
     "flow.decoder.offset": {"number_list", "null"},
