@@ -14,6 +14,17 @@ Sums are accumulated as deviations from the base field value, so when
 every inner field agrees the blend returns that shared value bit-exactly
 regardless of score, mix, or mode.
 
+Only the active anchors, those with w_k != 0, are evaluated. The weights
+are exactly 0 on every face of the cube, so at a vertex score one anchor
+of 2**n is active; at an interior score all are. The skip keeps the
+bits: the sum starts at +0.0, w_k * dev is +-0.0 for a finite dev, and
+acc + +-0.0 == acc, since acc is never -0.0 (it starts at +0.0, and
+x + (-x) rounds to +0.0). The weights sum to 1, so some anchor is always
+active. A non-finite velocity of an inactive anchor therefore no longer
+reaches the blend (NaN * 0 is NaN). eval_count stays the paper's cost
+formula, rows times evals_per_call(), not the evaluations made, so at a
+boundary score it counts more than the work done.
+
 Stochastic draws come from a counter-based stream: the chain drawn for
 row r and anchor k is randbelow(n, seed_r, STREAM_CHAIN_DRAW, ordinal, k),
 where ordinal counts evaluations (per_eval) or solver steps (per_step).
@@ -21,21 +32,24 @@ Trajectories are therefore reproducible and independent of batching or
 scheduling. The hash is split into a key and a counter: when the field
 is built, (seed_r, STREAM_CHAIN_DRAW) is folded once into a key, (1, B)
 for per-row seeds or a scalar for a scalar seed. One randbelow call per
-ordinal then folds only the ordinal and the anchor ids, (K, 1) or (K,),
-and draws every pair at once, (K, B) or (K,), K = 2**n: anchor k's draws
-are the contiguous row draws[k]. Its last round and finalizer run in
+ordinal then folds only the ordinal and the active anchor ids, (A, 1) or
+(A,), and draws every pair at once, (A, B) or (A,), for the A active of
+the K = 2**n anchors: the i-th active anchor's draws are the contiguous
+row draws[i]. An anchor's draws depend on its own id alone, so they are
+those of a hash over all K ids. Its last round and finalizer run in
 place in a hash buffer that the field owns, so an evaluation allocates
-no (K, B) temporaries, and a power-of-two n is taken by mask.
+no (A, B) temporaries, and a power-of-two n is taken by mask.
 The bits are those of the plain call. The draws are a view of that
 buffer until the next hash. At n = 1 each anchor has a single chain and
 no hash is made.
 
 There are two evaluation paths with the same bits. When the base field
-and every chain field are plain GaussianTargetFields (the template
-backend without mixture bindings), both modes read a stacked Gaussian
-bank built when the field is made: the base mean (D, 1) and variance,
-chain means stored feature-major as (K, D, n), and chain variances
-(K, n). An evaluation works in a C-contiguous (D, B) block: it computes
+and the active anchors' chain fields are plain GaussianTargetFields (the
+template backend without mixture bindings), both modes read a stacked
+Gaussian bank of the active anchors, built when the field is made: the
+base mean (D, 1) and variance, chain means stored feature-major as
+(A, D, n), and chain variances (A, n). An evaluation works in a
+C-contiguous (D, B) block: it computes
 kappa(t) for all chains at once and every Gaussian closed form in that
 block (in stochastic mode on each row's drawn mean and kappa); no inner
 field's eval is called. Feature-major, a per-field (D, 1) mean
@@ -54,7 +68,7 @@ never written into); IEEE + and * commute, so acc /= n; acc += first
 has the bits of first + acc / n. Any other inner field (a
 mixture, a subclass, a test double) selects the generic path, which
 calls eval on each chain field, in stochastic mode for the rows that
-drew it. The path follows from the inner fields' types alone.
+drew it. The path follows from the evaluated fields' types alone.
 
 A BlendedField instance owns its ordinal, evaluation counter, draw key
 and hash buffer, and must not be shared across concurrent callers;
@@ -65,6 +79,7 @@ immutable and freely shareable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -87,6 +102,14 @@ from .semantics import (
 
 MODES = ("stochastic", "full_average")
 DRAW_SCOPES = ("per_eval", "per_step")
+
+
+def _check_base_mix(value) -> None:
+    """Raise ContractViolation unless value is a real number in [0, 1] (a
+    bool would be recorded as true or false, and a string would fail the
+    comparison with a bare TypeError)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 <= value <= 1.0:
+        raise ContractViolation(f"base_mix must be a number in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +161,7 @@ class BlendSpec:
             raise ContractViolation(
                 f"draw_scope must be one of {DRAW_SCOPES}, got {self.draw_scope!r}"
             )
-        if not 0.0 <= self.base_mix <= 1.0:
-            raise ContractViolation(f"base_mix must be in [0, 1], got {self.base_mix}")
+        _check_base_mix(self.base_mix)
         dims = self.latent_dims()
         if len(dims) > 1:
             raise SpaceMismatchError(f"inner fields disagree on latent dim: {dims}")
@@ -200,14 +222,15 @@ class GaussianBank(NamedTuple):
 
     base_mean: np.ndarray  # (D, 1)
     base_variance: float
-    means: np.ndarray  # (K, D, n)
-    variances: np.ndarray  # (K, n)
+    means: np.ndarray  # (A, D, n)
+    variances: np.ndarray  # (A, n)
 
     @classmethod
-    def of(cls, spec: BlendSpec) -> "GaussianBank | None":
-        """The bank of spec, or None unless every inner field is exactly a
+    def of(cls, spec: BlendSpec, active) -> "GaussianBank | None":
+        """The bank of spec's base field and of its anchors at the
+        positions active, or None unless each of those fields is exactly a
         GaussianTargetField (subclasses may override eval)."""
-        chains = [entry.chain_fields for entry in spec.anchor_sets]
+        chains = [spec.anchor_sets[k].chain_fields for k in active]
         fields = [spec.base_field, *(f for chain in chains for f in chain)]
         if any(type(f) is not GaussianTargetField for f in fields):
             return None
@@ -220,10 +243,10 @@ class GaussianBank(NamedTuple):
         )
 
     def values(self, x, t, draws):
-        """Base velocity and an iterator over vhat_k, k = 0..K-1, at a
-        feature-major state x of shape (D, B).
+        """Base velocity and an iterator over the bank's vhats, in anchor
+        order, at a feature-major state x of shape (D, B).
 
-        draws holds chain indices of shape (K,) or (K, B), or is None for
+        draws holds chain indices of shape (A,) or (A, B), or is None for
         the full average; the expressions are the generic path's, so the
         bits equal its bits.
         """
@@ -264,15 +287,19 @@ class BlendedField(VelocityField):
         self._eval_ordinal = 0
         self._step_ordinal = 0
         self._drawn = (None, None)  # (ordinal, draws) of the last hash
-        self._weights = spec.weights()
-        self._bank = GaussianBank.of(spec)
+        # only the active anchors are evaluated; see the module notes
+        weights = spec.weights()
+        active = np.flatnonzero(weights)
+        self._weights = weights[active]
+        self._chains = tuple(spec.anchor_sets[k].chain_fields for k in active)
+        self._bank = GaussianBank.of(spec, active)
         if spec.mode == "stochastic" and spec.n > 1:
             # the key/counter split and the buffers; see the module notes
             per_row = np.ndim(seed) > 0
             self._key = streams.fold_key(
                 np.asarray(seed)[None, :] if per_row else seed, streams.STREAM_CHAIN_DRAW
             )
-            self._anchor_ids = np.arange(spec.anchor_count, dtype=np.uint64)
+            self._anchor_ids = active.astype(np.uint64)
             if per_row:
                 self._anchor_ids = self._anchor_ids[:, None]
             self._hash_out = streams.hash_buffer(
@@ -288,7 +315,8 @@ class BlendedField(VelocityField):
         self._step_ordinal = step_index
 
     def _draws(self, x, ordinal: int) -> np.ndarray:
-        """Chain index per anchor: (K,) for a scalar seed, (K, B) per row.
+        """Chain index per active anchor: (A,) for a scalar seed, (A, B)
+        per row.
 
         x is the state, (D,) or (B, D); per-row seeds need one seed per
         row. The draws are a view of the field's hash buffer, valid until
@@ -311,7 +339,7 @@ class BlendedField(VelocityField):
             return draws
         if self.spec.n == 1:
             # randbelow(1, ...) is always 0: skip the hash
-            draws = np.zeros(self.spec.anchor_count, dtype=np.int64)
+            draws = np.zeros(len(self._weights), dtype=np.int64)
         else:
             draws = streams.randbelow(
                 self.spec.n, self._key, ordinal, self._anchor_ids, out=self._hash_out
@@ -353,14 +381,13 @@ class BlendedField(VelocityField):
         else:
             base = spec.base_field.eval(x, t)
             vhats = (
-                self._chain_value(
-                    entry.chain_fields, x, t, None if draws is None else draws[k]
-                )
-                for k, entry in enumerate(spec.anchor_sets)
+                self._chain_value(fields, x, t, None if draws is None else draws[i])
+                for i, fields in enumerate(self._chains)
             )
-        # base + (1 - base_mix) * sum_k w_k * (vhat_k - base), summed in
-        # order from zeros, in place in arrays allocated here: base and
-        # the vhats may be arrays an inner field owns
+        # base + (1 - base_mix) * sum_k w_k * (vhat_k - base) over the
+        # active anchors, summed in order from zeros, in place in arrays
+        # allocated here: base and the vhats may be arrays an inner field
+        # owns
         acc, dev = np.zeros_like(base), np.empty_like(base)
         for w, vhat in zip(self._weights, vhats):
             np.subtract(vhat, base, out=dev)

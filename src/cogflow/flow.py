@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import streams
-from .blend import AnchorFields, BlendedField, BlendSpec, DRAW_SCOPES, MODES
+from .blend import AnchorFields, BlendedField, BlendSpec, DRAW_SCOPES, MODES, _check_base_mix
 from .cogspace import CognitiveSpace, ScoreVector
 from .errors import ContractViolation, DivergenceError
 from .polarize import PolarizationCache, PolarizerBackend, TemplateBackend, build_all_sets
@@ -212,8 +212,7 @@ class GenerationRequest:
             raise ContractViolation(f"blend_mode must be one of {MODES}")
         if self.draw_scope not in DRAW_SCOPES:
             raise ContractViolation(f"draw_scope must be one of {DRAW_SCOPES}")
-        if not 0.0 <= self.base_mix <= 1.0:
-            raise ContractViolation(f"base_mix must be in [0, 1], got {self.base_mix}")
+        _check_base_mix(self.base_mix)
         if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
             # the streams take seeds as uint64, so any other seed would
             # alias an integer one in range

@@ -324,8 +324,9 @@ def test_spec_validation_errors():
         BlendSpec(base, good_sets[:3], ScoreVector((0.5, 0.5)))
     with pytest.raises(ContractViolation):
         BlendSpec(base, good_sets, ScoreVector((0.5, 0.5)), mode="bogus")
-    with pytest.raises(ContractViolation):
-        BlendSpec(base, good_sets, ScoreVector((0.5, 0.5)), base_mix=1.5)
+    for mix in (1.5, float("nan"), True, "0.5", None):
+        with pytest.raises(ContractViolation):
+            BlendSpec(base, good_sets, ScoreVector((0.5, 0.5)), base_mix=mix)
     with pytest.raises(ContractViolation):
         BlendSpec(base, good_sets, ScoreVector((0.5, 0.5)), draw_scope="sometimes")
     shuffled = (good_sets[1], good_sets[0]) + good_sets[2:]
@@ -721,3 +722,101 @@ def test_weights_equal_anchor_weight_bits():
             spec = gaussian_spec(n, seed=int(rng.integers(1 << 30)), mode="stochastic")
             want = [anchor_weight(spec.score, e.anchor) for e in spec.anchor_sets]
             assert spec.weights().tolist() == want
+
+
+# --- zero-weight anchors ------------------------------------------------------
+
+class SpyField(DelegatingField):
+    """Generic-path double that counts the rows it evaluates."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.rows = 0
+
+    def eval(self, x, t):
+        self.rows += 1 if np.ndim(x) == 1 else len(x)
+        return super().eval(x, t)
+
+
+class NaNField(DelegatingField):
+    """Generic-path double whose velocity is NaN everywhere."""
+
+    def eval(self, x, t):
+        return np.full(np.shape(x), np.nan)
+
+
+def active_anchor_ids(spec):
+    """Positions of the anchors that anchor_weight gives a nonzero weight."""
+    return [
+        k
+        for k, entry in enumerate(spec.anchor_sets)
+        if anchor_weight(spec.score, entry.anchor) != 0.0
+    ]
+
+
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+def test_vertex_score_evaluates_only_the_weighted_anchor(mode, draw_scope):
+    spec = gaussian_spec(3, wrap=SpyField, mode=mode, draw_scope=draw_scope)
+    spec = replace(spec, score=ScoreVector((1.0, 0.0, 1.0)))
+    (active,) = active_anchor_ids(spec)
+    assert spec.anchor_sets[active].anchor.bits == (1, 0, 1)
+    rows = 8
+    field = BlendedField(spec, np.arange(rows, dtype=np.uint64))
+    outs = run_steps(field, np.random.default_rng(3).normal(size=(rows, 3)))
+    evaluated = len(outs) * rows
+    assert spec.base_field.rows == evaluated
+    for k, entry in enumerate(spec.anchor_sets):
+        chain_rows = [f.rows for f in entry.chain_fields]
+        if k != active:
+            assert chain_rows == [0, 0, 0]
+        elif mode == "stochastic":
+            assert sum(chain_rows) == evaluated  # one drawn chain per row
+        else:
+            assert chain_rows == [evaluated] * 3
+    # eval_count is the cost formula, not the evaluations made
+    assert field.eval_counter == evaluated * spec.evals_per_call()
+
+
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_face_score_draws_are_the_active_anchors_reference_draws(n, draw_scope):
+    spec = replace(
+        stochastic_spec(n, draw_scope), score=ScoreVector((0.0, 0.75, 1.0, 0.375)[:n])
+    )
+    active = active_anchor_ids(spec)
+    assert 0 < len(active) < spec.anchor_count
+    for seed in (int(EDGE_SEEDS[0]), 7, EDGE_SEEDS):
+        field = BlendedField(spec, seed)
+        x = np.zeros((len(EDGE_SEEDS), 3))
+        for ordinal in EDGE_ORDINALS:
+            want = reference_draws(n, seed, ordinal)[active]
+            assert np.array_equal(field._draws(x, ordinal), want)
+
+
+@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+def test_non_finite_velocity_of_a_zero_weight_anchor_does_not_reach_the_blend(mode, wrap):
+    """Declared contract: zero-weight anchors are not evaluated, so their
+    NaN no longer poisons the blend through NaN * 0, and their fields'
+    types do not keep the blend off the bank."""
+    face = replace(gaussian_spec(2, wrap=wrap, mode=mode), score=ScoreVector((0.0, 0.75)))
+    active = active_anchor_ids(face)
+    poisoned = replace(
+        face,
+        anchor_sets=tuple(
+            entry if k in active
+            else replace(entry, chain_fields=tuple(map(NaNField, entry.chain_fields)))
+            for k, entry in enumerate(face.anchor_sets)
+        ),
+    )
+    seeds = np.arange(6, dtype=np.uint64)
+    xs = np.random.default_rng(8).normal(size=(6, 3))
+    field = BlendedField(poisoned, seeds)
+    assert (field._bank is not None) == (wrap is not DelegatingField)
+    got = field.eval(xs, 0.5)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == BlendedField(face, seeds).eval(xs, 0.5).tobytes()
+    # under a nonzero weight the NaN still reaches every row
+    interior = replace(poisoned, score=ScoreVector((0.25, 0.75)))
+    assert np.isnan(BlendedField(interior, seeds).eval(xs, 0.5)).all()

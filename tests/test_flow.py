@@ -380,6 +380,12 @@ def test_request_validation():
         with pytest.raises(ContractViolation):
             GenerationRequest(base_prompt="p", score=score, seed=seed)
     GenerationRequest(base_prompt="p", score=score, seed=(1 << 64) - 1)
+    # base_mix=True would be recorded as true; "0.5" failed with a TypeError
+    for mix in (True, False, "0.5", None, float("nan"), -0.5, 1.5):
+        with pytest.raises(ContractViolation):
+            GenerationRequest(base_prompt="p", score=score, base_mix=mix)
+    for mix in (0, 1, 0.25, np.float64(0.75)):
+        assert GenerationRequest(base_prompt="p", score=score, base_mix=mix).base_mix == mix
 
 
 # --- moment oracle ------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The endpoint digests were recorded before the bank and the solver loop
 moved to in-place, feature-major arithmetic, and the trajectory digests
-before the Gaussian bank's layout became private to BlendedField; a
+before the Gaussian bank's layout became private to BlendedField, and
+the boundary digests (face and vertex scores, where some anchors have
+weight exactly 0) before the blend stopped evaluating those anchors; a
 change that alters any bit of the sampler's output fails here. The
 generic path (inner fields wrapped so that no bank is built) must give
 the same digests as the bank path. Every input is dyadic (x0, means,
@@ -25,6 +27,10 @@ from conftest import DelegatingField, make_space
 
 DIM, ROWS, STEPS = 3, 8, 8
 SCORES = (0.25, 0.75, 0.625, 0.375)
+# on the cube's boundary some anchor weights are exactly 0: on a face
+# (a vertex at n = 1, an edge at n = 3) and at a vertex, where one
+# anchor alone has weight 1
+BOUNDARY_SCORES = {"face": (0.0, 0.75, 1.0, 0.375), "vertex": (1.0, 0.0, 1.0, 1.0)}
 
 
 def dyadic_field(j, wrap):
@@ -32,7 +38,7 @@ def dyadic_field(j, wrap):
     return wrap(GaussianTargetField(mean, (1 + j % 7) / 4))
 
 
-def dyadic_spec(n, mode, draw_scope, wrap):
+def dyadic_spec(n, mode, draw_scope, wrap, scores=SCORES):
     anchors = enumerate_anchors(make_space(n))
     return BlendSpec(
         base_field=dyadic_field(0, wrap),
@@ -40,7 +46,7 @@ def dyadic_spec(n, mode, draw_scope, wrap):
             AnchorFields(a, tuple(dyadic_field(1 + k * n + j, wrap) for j in range(n)))
             for k, a in enumerate(anchors)
         ),
-        score=ScoreVector(SCORES[:n]),
+        score=ScoreVector(scores[:n]),
         mode=mode,
         base_mix=0.375,
         draw_scope=draw_scope,
@@ -54,10 +60,10 @@ def digest(array):
     return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
 
 
-def run(n, mode, draw_scope, solver, path="bank", record_trajectory=False):
+def run(n, mode, draw_scope, solver, path="bank", record_trajectory=False, scores=SCORES):
     x0 = np.array([[((7 * r + 3 * d) % 13 - 6) / 4 for d in range(DIM)] for r in range(ROWS)])
     field = BlendedField(
-        dyadic_spec(n, mode, draw_scope, WRAPS[path]),
+        dyadic_spec(n, mode, draw_scope, WRAPS[path], scores),
         np.arange(100, 100 + ROWS, dtype=np.uint64),
     )
     assert (field._bank is not None) == (path == "bank")
@@ -67,8 +73,8 @@ def run(n, mode, draw_scope, solver, path="bank", record_trajectory=False):
     return result
 
 
-def endpoint_digest(n, mode, draw_scope, solver, path="bank"):
-    return digest(run(n, mode, draw_scope, solver, path).endpoint)
+def endpoint_digest(n, mode, draw_scope, solver, path="bank", scores=SCORES):
+    return digest(run(n, mode, draw_scope, solver, path, scores=scores).endpoint)
 
 
 def trajectory_digest(n, mode, draw_scope, solver, path):
@@ -206,3 +212,114 @@ TRAJECTORY_GOLDEN = {
 def test_integrate_trajectory_matches_golden_digest(n, mode, draw_scope, solver, path):
     got = trajectory_digest(n, mode, draw_scope, solver, path)
     assert got == TRAJECTORY_GOLDEN[n, mode, draw_scope, solver]
+
+
+BOUNDARY_GOLDEN = {
+    ("face", 1, "stochastic", "per_eval", "euler"): "ec3df1f6f3e9b0d1148133296c1c95898b6877367db0cf6fc8a9f4d139640326",
+    ("face", 1, "stochastic", "per_eval", "midpoint"): "e15616d0f16be4831a8d80a06915a063ba7e3cee89e720dd410876e8468538d4",
+    ("face", 1, "stochastic", "per_eval", "rk4"): "6c0a429731a09db19c106d8e7f60697e7f80892f194d6c6f6c6df97d819b82b3",
+    ("face", 1, "stochastic", "per_step", "euler"): "ec3df1f6f3e9b0d1148133296c1c95898b6877367db0cf6fc8a9f4d139640326",
+    ("face", 1, "stochastic", "per_step", "midpoint"): "e15616d0f16be4831a8d80a06915a063ba7e3cee89e720dd410876e8468538d4",
+    ("face", 1, "stochastic", "per_step", "rk4"): "6c0a429731a09db19c106d8e7f60697e7f80892f194d6c6f6c6df97d819b82b3",
+    ("face", 1, "full_average", "per_eval", "euler"): "ec3df1f6f3e9b0d1148133296c1c95898b6877367db0cf6fc8a9f4d139640326",
+    ("face", 1, "full_average", "per_eval", "midpoint"): "e15616d0f16be4831a8d80a06915a063ba7e3cee89e720dd410876e8468538d4",
+    ("face", 1, "full_average", "per_eval", "rk4"): "6c0a429731a09db19c106d8e7f60697e7f80892f194d6c6f6c6df97d819b82b3",
+    ("face", 1, "full_average", "per_step", "euler"): "ec3df1f6f3e9b0d1148133296c1c95898b6877367db0cf6fc8a9f4d139640326",
+    ("face", 1, "full_average", "per_step", "midpoint"): "e15616d0f16be4831a8d80a06915a063ba7e3cee89e720dd410876e8468538d4",
+    ("face", 1, "full_average", "per_step", "rk4"): "6c0a429731a09db19c106d8e7f60697e7f80892f194d6c6f6c6df97d819b82b3",
+    ("face", 2, "stochastic", "per_eval", "euler"): "ed561c652d4568a92e6c5a97d8c51595bab4ec9753743277be580ed67975a3a3",
+    ("face", 2, "stochastic", "per_eval", "midpoint"): "be4362ae7471021b49496852884903b1fe65ac4011b229a9f1a784a12aa7e810",
+    ("face", 2, "stochastic", "per_eval", "rk4"): "bf762b38f5c6bc581a1fa2cc6cafa59439f7ed6cfb7a4ec9e422b70754fd662b",
+    ("face", 2, "stochastic", "per_step", "euler"): "ed561c652d4568a92e6c5a97d8c51595bab4ec9753743277be580ed67975a3a3",
+    ("face", 2, "stochastic", "per_step", "midpoint"): "55fc5c783011fbc07047bf784b01cb39d8702cfe3b78bbdd8272766a059885a0",
+    ("face", 2, "stochastic", "per_step", "rk4"): "7bcc335f6782f6ea1c5c9222e7edd68bb99cc1d16a719345a90cab02ee6f27df",
+    ("face", 2, "full_average", "per_eval", "euler"): "fad87ff56773141c9e46bfc5a4f08936dc37509f644e765f88c284d5bcde2bba",
+    ("face", 2, "full_average", "per_eval", "midpoint"): "2f4733b56a0fca02502013a66ea83042d5e6e0e4fdf9cbf0100ccb1810b3f55b",
+    ("face", 2, "full_average", "per_eval", "rk4"): "8afafe72f7954b5ec47dc17f274810b22e07a989c35fbf89e063e91132d8832a",
+    ("face", 2, "full_average", "per_step", "euler"): "fad87ff56773141c9e46bfc5a4f08936dc37509f644e765f88c284d5bcde2bba",
+    ("face", 2, "full_average", "per_step", "midpoint"): "2f4733b56a0fca02502013a66ea83042d5e6e0e4fdf9cbf0100ccb1810b3f55b",
+    ("face", 2, "full_average", "per_step", "rk4"): "8afafe72f7954b5ec47dc17f274810b22e07a989c35fbf89e063e91132d8832a",
+    ("face", 3, "stochastic", "per_eval", "euler"): "536a9ede4404529175c4eb1531f74def99b2d6405267e44e1203976ff981b4be",
+    ("face", 3, "stochastic", "per_eval", "midpoint"): "c6b0d0305df62f4864394ac5cce86814327b24743e9aa97250a668e6531f53de",
+    ("face", 3, "stochastic", "per_eval", "rk4"): "895832c91186dea80dd16b0f9bcac3e3cb3db275943254152dbd5ce2c2fc970e",
+    ("face", 3, "stochastic", "per_step", "euler"): "536a9ede4404529175c4eb1531f74def99b2d6405267e44e1203976ff981b4be",
+    ("face", 3, "stochastic", "per_step", "midpoint"): "bd062fcc3c87403a09bbd5262b2da5472173e8a375deb7e3bcfaa85919a2cbbe",
+    ("face", 3, "stochastic", "per_step", "rk4"): "8dc26a10f76bd33c7266647275b8daf9f5070c1d5daa0990d6e6af5cdf8b5964",
+    ("face", 3, "full_average", "per_eval", "euler"): "d392fc09adb41ab5abbabca16b6d3179d4740e14550d1334a23d6132fe18725d",
+    ("face", 3, "full_average", "per_eval", "midpoint"): "403e981345f783719e5bc805cbf40c85ca428778a7e21dc70a4ebb730a13cc51",
+    ("face", 3, "full_average", "per_eval", "rk4"): "69ffb5ec35bd3bd82ee9f7d30ce0697f8bddcacfbeadf60d0e8e80bf9c9d3596",
+    ("face", 3, "full_average", "per_step", "euler"): "d392fc09adb41ab5abbabca16b6d3179d4740e14550d1334a23d6132fe18725d",
+    ("face", 3, "full_average", "per_step", "midpoint"): "403e981345f783719e5bc805cbf40c85ca428778a7e21dc70a4ebb730a13cc51",
+    ("face", 3, "full_average", "per_step", "rk4"): "69ffb5ec35bd3bd82ee9f7d30ce0697f8bddcacfbeadf60d0e8e80bf9c9d3596",
+    ("face", 4, "stochastic", "per_eval", "euler"): "547c74c82eed3122c9cf0bdaeac255fba9638b4109f8489879e06d1e73695241",
+    ("face", 4, "stochastic", "per_eval", "midpoint"): "93129a5e1447c610e5dd2ac4339d27aa647b92f7738d57de6642f05d6421c484",
+    ("face", 4, "stochastic", "per_eval", "rk4"): "9968e69d2a51b681875d4c58e923ecec1be42655faf78d9805d88a41c73636c6",
+    ("face", 4, "stochastic", "per_step", "euler"): "547c74c82eed3122c9cf0bdaeac255fba9638b4109f8489879e06d1e73695241",
+    ("face", 4, "stochastic", "per_step", "midpoint"): "59389daeec2597f5cc69d653a68b271ae657c20d987a16092cbb195ee4116344",
+    ("face", 4, "stochastic", "per_step", "rk4"): "e183c08bfd3f6a9a6ade735386465b9613f2c24757a9fe78ad9985dcd6679e21",
+    ("face", 4, "full_average", "per_eval", "euler"): "c746be3f2ebf5c5410b851994e85a7c6201ca33b0f5ed768634e807d8a939386",
+    ("face", 4, "full_average", "per_eval", "midpoint"): "422e8233855d69771e10de3ab18558a1cc4af83235b66a8dab20cbff242bcdae",
+    ("face", 4, "full_average", "per_eval", "rk4"): "5395f561776a55436b2319633c943c739a71a4d2b0dec24b6c61c536c7530754",
+    ("face", 4, "full_average", "per_step", "euler"): "c746be3f2ebf5c5410b851994e85a7c6201ca33b0f5ed768634e807d8a939386",
+    ("face", 4, "full_average", "per_step", "midpoint"): "422e8233855d69771e10de3ab18558a1cc4af83235b66a8dab20cbff242bcdae",
+    ("face", 4, "full_average", "per_step", "rk4"): "5395f561776a55436b2319633c943c739a71a4d2b0dec24b6c61c536c7530754",
+    ("vertex", 1, "stochastic", "per_eval", "euler"): "0430b087360f42c6355bbe1ca61fc1c0efbfcd2cb02f8b78bef70c3260b8d721",
+    ("vertex", 1, "stochastic", "per_eval", "midpoint"): "e25413373fa5aaab7ec582340c4145299d378ca60553234581a1a69509db69ad",
+    ("vertex", 1, "stochastic", "per_eval", "rk4"): "899dcbfe3e28af090265f904ffc39d7698532b4be05dde79d9806d7986c5d9bf",
+    ("vertex", 1, "stochastic", "per_step", "euler"): "0430b087360f42c6355bbe1ca61fc1c0efbfcd2cb02f8b78bef70c3260b8d721",
+    ("vertex", 1, "stochastic", "per_step", "midpoint"): "e25413373fa5aaab7ec582340c4145299d378ca60553234581a1a69509db69ad",
+    ("vertex", 1, "stochastic", "per_step", "rk4"): "899dcbfe3e28af090265f904ffc39d7698532b4be05dde79d9806d7986c5d9bf",
+    ("vertex", 1, "full_average", "per_eval", "euler"): "0430b087360f42c6355bbe1ca61fc1c0efbfcd2cb02f8b78bef70c3260b8d721",
+    ("vertex", 1, "full_average", "per_eval", "midpoint"): "e25413373fa5aaab7ec582340c4145299d378ca60553234581a1a69509db69ad",
+    ("vertex", 1, "full_average", "per_eval", "rk4"): "899dcbfe3e28af090265f904ffc39d7698532b4be05dde79d9806d7986c5d9bf",
+    ("vertex", 1, "full_average", "per_step", "euler"): "0430b087360f42c6355bbe1ca61fc1c0efbfcd2cb02f8b78bef70c3260b8d721",
+    ("vertex", 1, "full_average", "per_step", "midpoint"): "e25413373fa5aaab7ec582340c4145299d378ca60553234581a1a69509db69ad",
+    ("vertex", 1, "full_average", "per_step", "rk4"): "899dcbfe3e28af090265f904ffc39d7698532b4be05dde79d9806d7986c5d9bf",
+    ("vertex", 2, "stochastic", "per_eval", "euler"): "f441a7c6956a23469ff74ba22e22f93e9c48529b5649c2e31cf1d394a82b890a",
+    ("vertex", 2, "stochastic", "per_eval", "midpoint"): "9b8207646d8ed417ae9f98eec6e50f47fca26ca9dd733af05b6784444de8f8ec",
+    ("vertex", 2, "stochastic", "per_eval", "rk4"): "0bf056676b0d1affb5b97b84f00aa24931ec320cf14d55d1acba40c33debf47d",
+    ("vertex", 2, "stochastic", "per_step", "euler"): "f441a7c6956a23469ff74ba22e22f93e9c48529b5649c2e31cf1d394a82b890a",
+    ("vertex", 2, "stochastic", "per_step", "midpoint"): "aaff9cc64f54bbac337108f395ec27650b4bcc36394f70c6dbcdec24c5827874",
+    ("vertex", 2, "stochastic", "per_step", "rk4"): "9b226e3386eb85b1ee24206ab605c755adfaca0b5e7417a06ad3553c4b1eaf1e",
+    ("vertex", 2, "full_average", "per_eval", "euler"): "a52ce3a3f76025b0b879fa5d8f7dda6a646505e8f2d223e9af5aa58f7c3ba9f0",
+    ("vertex", 2, "full_average", "per_eval", "midpoint"): "5b4b22487df5a2b7c3989eaac6e856b6623402adb1d5c047cf5e93ed62a4e4cd",
+    ("vertex", 2, "full_average", "per_eval", "rk4"): "adf377ff139c362bc215f0a64b05e5c82e8886df7c0af4a1137807304ff7d95d",
+    ("vertex", 2, "full_average", "per_step", "euler"): "a52ce3a3f76025b0b879fa5d8f7dda6a646505e8f2d223e9af5aa58f7c3ba9f0",
+    ("vertex", 2, "full_average", "per_step", "midpoint"): "5b4b22487df5a2b7c3989eaac6e856b6623402adb1d5c047cf5e93ed62a4e4cd",
+    ("vertex", 2, "full_average", "per_step", "rk4"): "adf377ff139c362bc215f0a64b05e5c82e8886df7c0af4a1137807304ff7d95d",
+    ("vertex", 3, "stochastic", "per_eval", "euler"): "48bcf13dfd7ebc24205bdb3b5f392e79ab63281688a04a13fe73d599fe37c0b5",
+    ("vertex", 3, "stochastic", "per_eval", "midpoint"): "a90a27bf0c4fde7b3c8ed0c5493ec4d51e44419cb3ca8f4ccd429b3da2637ee2",
+    ("vertex", 3, "stochastic", "per_eval", "rk4"): "b14837d075979240cc43276574b4ef2030e60a7d80ade28029e2e3128a563a1b",
+    ("vertex", 3, "stochastic", "per_step", "euler"): "48bcf13dfd7ebc24205bdb3b5f392e79ab63281688a04a13fe73d599fe37c0b5",
+    ("vertex", 3, "stochastic", "per_step", "midpoint"): "dd0022388ac20f0148a1d0e160335f1942d7d4bd04b28c9af92d2bf398199302",
+    ("vertex", 3, "stochastic", "per_step", "rk4"): "08078d8475febcfa8aee1d54c411353252b8a46f49643b3e22ec3f97f856e532",
+    ("vertex", 3, "full_average", "per_eval", "euler"): "1a81c3a8b2ac209703815d714439eba1105d6c9376b9e0d3c4399a86dae58530",
+    ("vertex", 3, "full_average", "per_eval", "midpoint"): "26f294564c2090ca3673e6eb0f55759ac97dce16121eca6f2b6c5b549c7ce496",
+    ("vertex", 3, "full_average", "per_eval", "rk4"): "1bbbf9ede890894cb95ede6bd83721c38affcfd81745ef2eb751e4cde39bc291",
+    ("vertex", 3, "full_average", "per_step", "euler"): "1a81c3a8b2ac209703815d714439eba1105d6c9376b9e0d3c4399a86dae58530",
+    ("vertex", 3, "full_average", "per_step", "midpoint"): "26f294564c2090ca3673e6eb0f55759ac97dce16121eca6f2b6c5b549c7ce496",
+    ("vertex", 3, "full_average", "per_step", "rk4"): "1bbbf9ede890894cb95ede6bd83721c38affcfd81745ef2eb751e4cde39bc291",
+    ("vertex", 4, "stochastic", "per_eval", "euler"): "cae582da7ebc7a389ffcfbd6daa7363716dc09e5e6659ab92042396b4ad466ae",
+    ("vertex", 4, "stochastic", "per_eval", "midpoint"): "a25e3476dd247e9a541557a855d90b4a233861b9ae357729cdcb1f85418896cf",
+    ("vertex", 4, "stochastic", "per_eval", "rk4"): "c82ae4fe09d594cafd2d28c97ae5c7506074796cb5d01dc31cb09dcfbda2605c",
+    ("vertex", 4, "stochastic", "per_step", "euler"): "cae582da7ebc7a389ffcfbd6daa7363716dc09e5e6659ab92042396b4ad466ae",
+    ("vertex", 4, "stochastic", "per_step", "midpoint"): "a9455eda53ffa0236797ca504b85dfaa0039a55cc182ab9803b17dc9972d1286",
+    ("vertex", 4, "stochastic", "per_step", "rk4"): "c564ee599503285b657a1b7a53ad3241ea865c462aa61b0dbdbaadca04e5fc7b",
+    ("vertex", 4, "full_average", "per_eval", "euler"): "5198792d7269b781312421e4ff30cb0d91920955269493134a6921e9da6b8c2b",
+    ("vertex", 4, "full_average", "per_eval", "midpoint"): "f3df90618da9818c523b029df67cb574417e452209416a0b8fe2190d00b0ce86",
+    ("vertex", 4, "full_average", "per_eval", "rk4"): "e6b547aa7a8e311c561d1a9cf7778531598de68428628b00c18fa4e41f7aac29",
+    ("vertex", 4, "full_average", "per_step", "euler"): "5198792d7269b781312421e4ff30cb0d91920955269493134a6921e9da6b8c2b",
+    ("vertex", 4, "full_average", "per_step", "midpoint"): "f3df90618da9818c523b029df67cb574417e452209416a0b8fe2190d00b0ce86",
+    ("vertex", 4, "full_average", "per_step", "rk4"): "e6b547aa7a8e311c561d1a9cf7778531598de68428628b00c18fa4e41f7aac29",
+}
+
+
+@pytest.mark.parametrize("path", ["bank", "generic"])
+@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("where", ["face", "vertex"])
+def test_boundary_endpoint_matches_golden_digest(where, n, mode, draw_scope, solver, path):
+    got = endpoint_digest(n, mode, draw_scope, solver, path, BOUNDARY_SCORES[where])
+    assert got == BOUNDARY_GOLDEN[where, n, mode, draw_scope, solver]
