@@ -2,12 +2,7 @@
 velocity fields, with closed-form desk-scale semantics, a counterbalanced
 prompt-polarization pipeline, and a verification harness."""
 
-from .blend import (
-    AnchorFields,
-    BlendedField,
-    BlendSpec,
-    expected_field_check,
-)
+from .blend import AnchorFields, BlendedField, BlendSpec
 from .cogspace import (
     CognitiveAnchor,
     CognitiveSpace,

@@ -78,7 +78,7 @@ immutable and freely shareable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Real
 from typing import NamedTuple
 
@@ -402,30 +402,3 @@ class BlendedField(VelocityField):
             return acc
         return acc.T.reshape(x.shape)
 
-
-class ExpectedFieldCheck(NamedTuple):
-    stochastic_mean: np.ndarray
-    full_value: np.ndarray
-    std_error: float | None  # max per-coordinate standard error
-
-
-def expected_field_check(
-    spec: BlendSpec, x, t: float, num_draws: int, seed: int = 0
-) -> ExpectedFieldCheck:
-    """Monte-Carlo check that stochastic draws average to the full blend.
-
-    Evaluates the stochastic blend num_draws times with fresh draws at a
-    fixed (x, t) and compares against the full_average value.
-    """
-    if spec.mode != "stochastic":
-        raise ContractViolation("expected_field_check requires stochastic mode")
-    if num_draws < 1:
-        raise ContractViolation(f"num_draws must be >= 1, got {num_draws}")
-    field = BlendedField(spec, seed)
-    samples = np.stack([field.eval(x, t) for _ in range(num_draws)])
-    full_value = BlendedField(replace(spec, mode="full_average"), seed).eval(x, t)
-    mean = samples.mean(axis=0)
-    if num_draws == 1:
-        return ExpectedFieldCheck(mean, full_value, None)
-    se = samples.std(axis=0, ddof=1) / np.sqrt(num_draws)
-    return ExpectedFieldCheck(mean, full_value, float(np.max(se)))

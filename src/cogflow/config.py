@@ -89,10 +89,21 @@ DEFAULT_CONFIG = {
     },
 }
 
-# keys whose values are free-form mappings
+# keys whose values map free-form names (prompts) to lists of records
 _FREE_PATHS = {"semantics.explicit_bindings"}
-# list-of-record keys with a fixed per-record schema
-_RECORD_PATHS = {"space.dimensions": ({"name"}, {"name", "low_pole_text", "high_pole_text"})}
+# per key, the schema of its records: the required keys, and for each
+# allowed key a description and a check of its value
+_TEXT = ("a string", lambda v: isinstance(v, str))
+_NUMBER = ("a number", lambda v: _is_a(v, float))
+_VECTOR = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_NUMBER[1], v)))
+_RECORDS = {
+    "space.dimensions": (
+        {"name"}, {"name": _TEXT, "low_pole_text": _TEXT, "high_pole_text": _TEXT}
+    ),
+    "semantics.explicit_bindings": (
+        {"weight", "mean", "variance"}, {"weight": _NUMBER, "mean": _VECTOR, "variance": _NUMBER}
+    ),
+}
 # leaves whose accepted types are not just the type of their default
 _LEAF_TYPES = {
     "semantics.latent_dim": (int,),
@@ -163,34 +174,30 @@ def _merge(default: dict, user: dict, path: str) -> dict:
         if key not in user:
             out[key] = copy.deepcopy(dval)
             continue
-        uval = user[key]
-        if here in _FREE_PATHS:
-            out[key] = copy.deepcopy(uval)
-        elif here in _RECORD_PATHS:
-            out[key] = _check_records(here, uval)
-        elif isinstance(dval, dict):
-            out[key] = _merge(dval, uval, here)
+        if isinstance(dval, dict) and here not in _FREE_PATHS:
+            out[key] = _merge(dval, user[key], here)
         else:
-            out[key] = copy.deepcopy(uval)
+            out[key] = copy.deepcopy(user[key])
     return out
 
 
-def _check_records(path: str, records) -> list[dict]:
-    required, allowed = _RECORD_PATHS[path]
+def _check_records(path: str, records, schema: str) -> None:
+    required, checks = _RECORDS[schema]
     if not isinstance(records, list):
         raise ConfigError(f"{path} must be a list of objects")
-    out = []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise ConfigError(f"{path}[{i}] must be an object")
-        unknown = set(rec) - allowed
+        unknown = set(rec) - set(checks)
         if unknown:
             raise ConfigError(f"unknown key(s) in {path}[{i}]: {sorted(unknown)}")
         missing = required - set(rec)
         if missing:
             raise ConfigError(f"{path}[{i}] missing required key(s): {sorted(missing)}")
-        out.append(copy.deepcopy(rec))
-    return out
+        for key, value in rec.items():
+            kind, is_kind = checks[key]
+            if not is_kind(value):
+                raise ConfigError(f"{path}[{i}].{key} must be {kind}, got {value!r}")
 
 
 def apply_overrides(resolved: dict, overrides: list[str]) -> dict:
@@ -232,12 +239,18 @@ def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "")
     """Check every leaf against its default's type (an int passes for a
     float), then the elements of _NUMBER_LISTS and _NUMBER_MATRICES and
     the _LOWER_BOUNDS; a null default accepts anything unless _LEAF_TYPES
-    says otherwise. Free-form and record keys are checked where they are
-    used."""
+    says otherwise. Record keys are checked against their _RECORDS schema."""
     for key, dval in default.items():
         here = f"{path}.{key}" if path else key
         value = resolved[key]
-        if here in _FREE_PATHS or here in _RECORD_PATHS:
+        if here in _FREE_PATHS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{here} must be an object")
+            for prompt, records in value.items():
+                _check_records(f"{here}[{prompt!r}]", records, here)
+            continue
+        if here in _RECORDS:
+            _check_records(here, value, here)
             continue
         if isinstance(dval, dict):
             if not isinstance(value, dict):
@@ -253,10 +266,10 @@ def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "")
         numbers = value if isinstance(value, list) else [value]
         if here in _NUMBER_LISTS and not all(_is_a(v, float) for v in numbers):
             raise ConfigError(f"{here} must hold numbers, got {value!r}")
-        if here in _NUMBER_MATRICES and not all(
-            isinstance(row, list) and all(_is_a(v, float) for v in row) for row in value
+        if here in _NUMBER_MATRICES and not (
+            all(_VECTOR[1](row) for row in value) and len(set(map(len, value))) <= 1
         ):
-            raise ConfigError(f"{here} must be a list of lists of numbers, got {value!r}")
+            raise ConfigError(f"{here} must be a list of equal-length number lists, got {value!r}")
         if here in _LOWER_BOUNDS:
             bound, inclusive = _LOWER_BOUNDS[here]
             if not all(v >= bound if inclusive else v > bound for v in numbers):

@@ -35,7 +35,8 @@ from .semantics import (
 )
 from ._fsio import atomic_write_text
 
-SOLVERS = ("euler", "midpoint", "rk4")
+# each explicit solver and its order p: its global error falls as h**p
+SOLVERS = {"euler": 1, "midpoint": 2, "rk4": 4}
 _STAGES = {"euler": 1, "midpoint": 2, "rk4": 4}
 
 
@@ -56,7 +57,7 @@ class IntegrationConfig:
     def __post_init__(self):
         solver = str(self.solver).lower()
         if solver not in SOLVERS:
-            raise ContractViolation(f"solver must be one of {SOLVERS}, got {self.solver!r}")
+            raise ContractViolation(f"solver must be one of {(*SOLVERS,)}, got {self.solver!r}")
         object.__setattr__(self, "solver", solver)
         _check_count("steps", self.steps)
 
@@ -240,6 +241,15 @@ class GenerationRequest:
         }
 
 
+def _check_decoder(request: GenerationRequest, latent_dim: int) -> None:
+    """Raise ContractViolation unless request's decoder reads latent_dim coordinates."""
+    matrix = getattr(request.decoder, "matrix", None)
+    if matrix is not None and matrix.shape[1] != latent_dim:
+        raise ContractViolation(
+            f"flow.decoder.matrix has {matrix.shape[1]} columns, but latent_dim is {latent_dim}"
+        )
+
+
 @dataclass
 class SampleBatch:
     endpoints: np.ndarray  # (B, D)
@@ -300,6 +310,7 @@ def generate(
 ) -> SampleBatch:
     """Run the full pipeline: polarize, bind, integrate, decode."""
     started = time.perf_counter()
+    _check_decoder(request, model.latent_dim)
     spec = build_blend_spec(request, space, model, backend, cache)
     row_seeds = sample_seeds(request.seed, request.sample_count)
     x0 = initial_states(row_seeds, model.latent_dim)
@@ -394,6 +405,33 @@ def _offset_path(field: VelocityField, times: np.ndarray, what: str) -> np.ndarr
     return np.array(offsets)
 
 
+def _field_shares(spec: BlendSpec):
+    """(c_i, mean, variance) of the Gaussian fields with a share c_i != 0
+    (see moment_reference), and (c_i, field, description) of the others."""
+    shares = [(spec.base_mix, spec.base_field, "base field")]
+    anchor_share = 1.0 - spec.base_mix
+    for entry, weight in zip(spec.anchor_sets, spec.weights()):
+        what = f"chain field of anchor {entry.anchor.bits}"
+        n = len(entry.chain_fields)
+        shares += [(anchor_share * weight / n, f, what) for f in entry.chain_fields]
+    gaussians, others = [], []
+    for share, field, what in shares:
+        target = _gaussian_target(field)
+        if target is None:
+            others.append((share, field, what))
+        elif share != 0.0:
+            gaussians.append((share, *target))
+    return gaussians, others
+
+
+def time_scale(spec: BlendSpec) -> float:
+    """The time over which the velocity of spec's Gaussian fields changes, inf
+    if none: D_i has zeros at t = 1 / (1 +- i sqrt(v_i)), sqrt(v_i) / (1 + v_i)
+    off the real axis, and the nearest bounds every derivative in t."""
+    gaussians, _ = _field_shares(spec)
+    return min((np.sqrt(v) / (1.0 + v) for _, _, v in gaussians), default=np.inf)
+
+
 def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     """Exact mean and covariance of the transported Gaussian, in closed form.
 
@@ -427,24 +465,11 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     if len(dims) != 1:
         raise ContractViolation("cannot infer a unique latent dimension")
     dim = dims.pop()
-    shares = [(spec.base_mix, spec.base_field, "base field")]
-    anchor_share = 1.0 - spec.base_mix
-    for entry, weight in zip(spec.anchor_sets, spec.weights()):
-        what = f"chain field of anchor {entry.anchor.bits}"
-        n = len(entry.chain_fields)
-        shares += [(anchor_share * weight / n, f, what) for f in entry.chain_fields]
-    gaussians, affine = [], []
-    for share, field, what in shares:
-        target = _gaussian_target(field)
-        if target is None:
-            affine.append((share, field, what))
-        elif share != 0.0:
-            gaussians.append((share, *target))
+    gaussians, affine = _field_shares(spec)
 
     steps = config.steps
     times = np.arange(steps + 1) / steps
-    # D_i has zeros at t = 1 / (1 +- i sqrt(v_i)), sqrt(v_i) / (1 + v_i) off the axis
-    reach = min((np.sqrt(v) / (1.0 + v) for _, _, v in gaussians), default=np.inf)
+    reach = time_scale(spec)
     panels = max(1, math.ceil(4.0 / (steps * reach)))
     width = 1.0 / (steps * panels)
     # the rule's error falls as rho**(-2 * count), rho the largest Bernstein

@@ -1,6 +1,7 @@
 import functools
 import itertools
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from cogflow.blend import (
     BlendedField,
     BlendSpec,
     _deviation_mean,
-    expected_field_check,
 )
 from cogflow.cogspace import (
     CognitiveAnchor,
@@ -279,6 +279,30 @@ def test_batched_rows_match_per_row_fields():
 
 
 # --- expected_field_check ---------------------------------------------------
+
+class ExpectedFieldCheck(NamedTuple):
+    stochastic_mean: np.ndarray
+    full_value: np.ndarray
+    std_error: float | None  # max per-coordinate standard error
+
+
+def expected_field_check(spec, x, t, num_draws, seed=0) -> ExpectedFieldCheck:
+    """Monte-Carlo check that stochastic draws average to the full blend:
+    the stochastic blend evaluated num_draws times with fresh draws at a
+    fixed (x, t), against the full_average value."""
+    if spec.mode != "stochastic":
+        raise ContractViolation("expected_field_check requires stochastic mode")
+    if num_draws < 1:
+        raise ContractViolation(f"num_draws must be >= 1, got {num_draws}")
+    field = BlendedField(spec, seed)
+    samples = np.stack([field.eval(x, t) for _ in range(num_draws)])
+    full_value = BlendedField(replace(spec, mode="full_average"), seed).eval(x, t)
+    mean = samples.mean(axis=0)
+    if num_draws == 1:
+        return ExpectedFieldCheck(mean, full_value, None)
+    se = samples.std(axis=0, ddof=1) / np.sqrt(num_draws)
+    return ExpectedFieldCheck(mean, full_value, float(np.max(se)))
+
 
 def test_expected_field_check_equal_chains_is_exact():
     spec = uniform_spec(np.array([1.0, -2.0]), mode="stochastic")

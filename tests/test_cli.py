@@ -263,6 +263,28 @@ def test_nested_numeric_leaves_are_type_checked(tmp_path, caplog, override):
     assert not (tmp_path / "cache.ndjson").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+@pytest.mark.parametrize("override", [
+    'space.dimensions=[{"name": ["a"]}, {"name": "b"}]',
+    'semantics.explicit_bindings={"a valley": [{"weight": 1, "variance": 0.6}]}',
+    'semantics.explicit_bindings={"a valley": "x"}',
+    "semantics.dimension_directions=[[1, 0], [0]]",
+    "flow.decoder.matrix=[[1, 0], [0]]",
+    "flow.decoder.matrix=[[1, 0, 0], [0, 1, 0]]",
+], ids=["list-name", "binding-without-mean", "binding-string", "ragged-directions",
+        "ragged-decoder", "decoder-width"])
+def test_malformed_records_and_shapes_fail_before_any_backend_call(
+    tmp_path, caplog, command, override
+):
+    # each of these used to end in a TypeError, KeyError or numpy ValueError
+    # traceback; the decoder width only after the whole integration
+    decoder = {"kind": "affine", "matrix": [[1, 0], [0, 1]], "offset": [0, 0]}
+    cfg = write_config(tmp_path, flow={"decoder": decoder})
+    assert run_cli(command, "--config", str(cfg), "--set", override) == 2
+    assert override.split("=")[0] in caplog.text
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
 @pytest.mark.parametrize("kind", ["vertex_recovery", "continuity_sweep"])
 def test_sampled_experiment_on_one_sample_fails_before_any_backend_call(
     tmp_path, caplog, kind

@@ -1,11 +1,14 @@
 import copy
 import dataclasses
+import functools
 import json
 import sys
 
 import numpy as np
 import pytest
 
+from cogflow import flow
+from cogflow.blend import BlendedField
 from cogflow.cogspace import ScoreVector
 from cogflow.errors import ContractViolation
 from cogflow.flow import GenerationRequest, IntegrationConfig
@@ -56,8 +59,25 @@ def make_config(n=2, kind="vertex_recovery", **kwargs):
 
 # --- vertex recovery --------------------------------------------------------
 
-def test_vertex_recovery_passes():
-    report = vertex_recovery(make_config())
+# the perfbench settings: 2048 samples, rk4 with 100 steps
+PERFBENCH = dict(sample_count=2048, integration=IntegrationConfig("rk4", 100))
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    # seeds at which the former 3-SE statistics failed a correct program
+    dict(PERFBENCH, seed=23),
+    dict(PERFBENCH, seed=32),
+    dict(integration=IntegrationConfig("midpoint", 100)),
+    dict(integration=IntegrationConfig("euler", 100)),
+    dict(integration=IntegrationConfig("rk4", 10)),
+    # the field varies faster as the target variance leaves 1, either way
+    dict(PERFBENCH, model_kwargs={"default_variance": 0.01}),
+    dict(model_kwargs={"default_variance": 10.0}),
+], ids=["rk4-40", "perfbench-seed-23", "perfbench-seed-32", "midpoint-100", "euler-100",
+        "rk4-10", "perfbench-variance-0.01", "variance-10"])
+def test_vertex_recovery_passes(overrides):
+    report = vertex_recovery(make_config(**overrides))
     assert report.experiment == "vertex_recovery"
     assert len(report.records) == 2 * 4  # two legs per vertex
     assert {c.name for c in report.criteria} == {
@@ -67,6 +87,32 @@ def test_vertex_recovery_passes():
         "half_base_oracle_cov",
     }
     assert report.passed, [c for c in report.criteria if not c.passed]
+
+
+def _shift_velocity(monkeypatch, offset):
+    evaluate = BlendedField.eval
+    monkeypatch.setattr(BlendedField, "eval", lambda self, x, t: evaluate(self, x, t) + offset)
+
+
+def _inflate_generate_x0(monkeypatch, factor):
+    # the harness draws its own x0 through the name it imported, so only
+    # generate() sees the inflated states
+    draw = flow.initial_states
+    monkeypatch.setattr(flow, "initial_states", lambda *args: factor * draw(*args))
+
+
+@pytest.mark.parametrize("seed", [0, 23, 32])
+@pytest.mark.parametrize("mutate", [
+    # about 10 tol at rk4/100, and far inside the former 3-SE band of ~0.06
+    functools.partial(_shift_velocity, offset=2e-7),
+    # a 5% variance inflation of the starting states
+    functools.partial(_inflate_generate_x0, factor=np.sqrt(1.05)),
+], ids=["velocity-offset", "x0-inflation"])
+def test_vertex_recovery_fails_a_perturbed_sampler(monkeypatch, mutate, seed):
+    mutate(monkeypatch)
+    report = vertex_recovery(make_config(**PERFBENCH, seed=seed))
+    assert not report.passed
+    assert all(record["discrepancy"] > 1.0 for record in report.records)
 
 
 def test_vertex_recovery_identity_collapse_binding():

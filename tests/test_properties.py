@@ -106,7 +106,7 @@ LEAF_KINDS = {
     "experiment.oracle_steps": {"int"},
     "experiment.output_dir": {"str"},
 }
-# leaves that take any value, or whose records are checked where they are used
+# leaves that take any value, or whose records have a schema of their own
 UNTYPED = {"polarize.cache_path", "semantics.explicit_bindings", "space.dimensions"}
 
 
@@ -141,7 +141,8 @@ def kinds_of(value) -> set[str]:
         kinds = set()
         if all(map(number, value)):
             kinds.add("number_list")
-        if all(isinstance(row, list) and all(map(number, row)) for row in value):
+        rows = all(isinstance(row, list) and all(map(number, row)) for row in value)
+        if rows and len({len(row) for row in value}) <= 1:  # ragged is mistyped
             kinds.add("number_matrix")
         return kinds
     return set()
@@ -153,7 +154,9 @@ VALID = {
     "int": st.integers(2, 50),
     "number": st.one_of(floats, st.integers(-50, 50)),
     "number_list": st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=3),
-    "number_matrix": st.lists(st.lists(floats, max_size=3), max_size=3),
+    "number_matrix": st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.lists(floats, min_size=width, max_size=width), max_size=3)
+    ),
     "str": st.text(max_size=8),
     "bool": st.booleans(),
     "null": st.none(),
