@@ -99,9 +99,9 @@ def _resolved_config(args, required: bool) -> dict:
 
 
 def _out_dir(resolved: dict) -> Path:
-    out = Path(resolved["experiment"]["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; each writer creates it only when it writes,
+    so a run that fails first leaves none behind."""
+    return Path(resolved["experiment"]["output_dir"])
 
 
 def _cmd_orders(args) -> int:
@@ -118,6 +118,7 @@ def _cmd_polarize(args) -> int:
     prompt = resolved["experiment"]["base_prompt"]
     sets = build_all_sets(backend, prompt, space, cache)
     out = _out_dir(resolved)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "polarized_prompts.json"
     atomic_write_text(
         path, json.dumps(prompt_sets_to_json(prompt, space, sets), indent=2) + "\n"
@@ -133,10 +134,9 @@ def _cmd_generate(args) -> int:
     backend = cfgmod.build_backend(resolved)
     cache = cfgmod.build_cache(resolved)
     request = cfgmod.build_request(resolved, space)
-    out = _out_dir(resolved)
     batch = generate(request, space, model, backend, cache)
     batch.metadata["config_digest"] = cfgmod.config_digest(resolved)
-    for path in write_sample_batch(batch, out):
+    for path in write_sample_batch(batch, _out_dir(resolved)):
         print(f"wrote {path}")
     return 0
 
@@ -145,10 +145,9 @@ def _cmd_experiment(args) -> int:
     resolved = _resolved_config(args, required=True)
     cache = cfgmod.build_cache(resolved)
     experiment = cfgmod.build_experiment(resolved, threads=args.threads, cache=cache)
-    out = _out_dir(resolved)
     report = run_experiment(experiment)
     report.config_digest = cfgmod.config_digest(resolved)
-    for path in emit_report(report, out):
+    for path in emit_report(report, _out_dir(resolved)):
         print(f"wrote {path}")
     for criterion in report.criteria:
         status = (

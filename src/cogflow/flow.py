@@ -2,10 +2,11 @@
 
 Time runs from t = 0 (standard-normal noise) to t = 1 (data); the state
 follows dx/dt = v(x, t) on the uniform grid t_i = i / N with fixed-step
-explicit solvers. Endpoints of full_average blends of Gaussian fields
-can be cross-checked against the exact Gaussian mean and covariance,
-which moment_reference computes in closed form without the solver: that
-is the module's independent oracle.
+explicit solvers. Endpoints of full_average blends whose fields with a
+nonzero share are all GaussianTargetFields can be cross-checked against
+the exact Gaussian mean and covariance, which moment_reference computes
+in closed form without the solver: that is the module's independent
+oracle. It refuses any other field with a share in the blend.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import ContractViolation, DivergenceError
 from .polarize import PolarizationCache, PolarizerBackend, TemplateBackend, build_all_sets
 from .semantics import (
     GaussianTargetField,
-    MixtureTargetField,
     SemanticModel,
     VelocityField,
     bind,
@@ -87,20 +87,6 @@ def _check_finite(x: np.ndarray, step: int, last: np.ndarray, last_time: float):
     )
 
 
-def stage_times(config: IntegrationConfig):
-    """Per step, the times at which integrate() evaluates the field."""
-    n_steps = config.steps
-    h = 1.0 / n_steps
-    for i in range(n_steps):
-        t = i / n_steps
-        if config.solver == "euler":
-            yield (t,)
-        elif config.solver == "midpoint":
-            yield t, t + 0.5 * h
-        else:  # rk4; its two mid-stages share one time
-            yield t, t + 0.5 * h, (i + 1) / n_steps
-
-
 def _axpy(a: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x + a * y, in a new array: (a * y) + x has the same bits."""
     out = a * y
@@ -115,7 +101,9 @@ def integrate(
 
     x0 may be one state (D,) or a batch (B, D); batches advance in
     lockstep, which matches per-sample integration exactly because the
-    draw streams are keyed per row.
+    draw streams are keyed per row. Step i, from t = i / N, evaluates
+    the field at t, at t + h / 2 (midpoint, and rk4's two mid-stages) and
+    at (i + 1) / N (rk4's last stage).
 
     The memory layout of the state is the field's choice: the solver
     keeps whatever layout eval returns, so a field may hand back a view
@@ -138,22 +126,22 @@ def integrate(
         trajectory = np.empty((n_steps + 1,) + x.shape)
         trajectory[0] = x
     begin_step = getattr(field, "begin_step", None)
-    for i, times in enumerate(stage_times(config)):
+    for i in range(n_steps):
         if begin_step is not None:
             begin_step(i)
         start = x
+        t = i / n_steps
         if config.solver == "euler":
-            x = _axpy(h, evaluate(x, times[0]), x)
+            x = _axpy(h, evaluate(x, t), x)
         elif config.solver == "midpoint":
-            t, t_mid = times
             k1 = evaluate(x, t)
-            x = _axpy(h, evaluate(_axpy(0.5 * h, k1, x), t_mid), x)
-        else:  # rk4
-            t, t_mid, t_next = times
+            x = _axpy(h, evaluate(_axpy(0.5 * h, k1, x), t + 0.5 * h), x)
+        else:  # rk4; its two mid-stages share one time
+            t_mid = t + 0.5 * h
             k1 = evaluate(x, t)
             k2 = evaluate(_axpy(0.5 * h, k1, x), t_mid)
             k3 = evaluate(_axpy(0.5 * h, k2, x), t_mid)
-            k4 = evaluate(_axpy(h, k3, x), t_next)
+            k4 = evaluate(_axpy(h, k3, x), (i + 1) / n_steps)
             s = 2.0 * k2
             s += k1
             s += 2.0 * k3
@@ -161,7 +149,7 @@ def integrate(
             s *= h / 6.0
             s += x
             x = s
-        _check_finite(x, i, start, times[0])
+        _check_finite(x, i, start, t)
         if trajectory is not None:
             trajectory[i + 1] = x
     return IntegrationResult(endpoint=np.ascontiguousarray(x), trajectory=trajectory)
@@ -379,67 +367,46 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return x, weights
 
 
-def _gaussian_target(field: VelocityField) -> tuple[np.ndarray, float] | None:
-    """(mean, variance) of a field whose target is one Gaussian, else None."""
-    if isinstance(field, GaussianTargetField):
-        return field.mean, field.variance
-    if isinstance(field, MixtureTargetField) and len(field.dist.components) == 1:
-        _, mean, variance = field.dist.components[0]
-        return mean, variance
-    return None
-
-
-def _offset_path(field: VelocityField, times: np.ndarray, what: str) -> np.ndarray:
-    """The offsets b(t) of a slope-0 affine field at each of times, (T, D)."""
-    coeffs = getattr(field, "affine_coefficients", None)
-    if coeffs is None:
-        raise ContractViolation(f"{what} is not affine; no moment oracle")
-    offsets = []
-    for t in times:
-        slope, offset = coeffs(t)
-        if slope != 0.0:
-            raise ContractViolation(
-                f"{what} is neither Gaussian nor a slope-0 affine field; no moment oracle"
-            )
-        offsets.append(offset)
-    return np.array(offsets)
-
-
-def _field_shares(spec: BlendSpec):
-    """(c_i, mean, variance) of the Gaussian fields with a share c_i != 0
-    (see moment_reference), and (c_i, field, description) of the others."""
+def _field_shares(spec: BlendSpec) -> list[tuple[float, np.ndarray, float]]:
+    """(c_i, mean, variance) of each field with a share c_i != 0 (see
+    moment_reference), in blend order. A field whose share is 0 is skipped
+    whatever its type, as the sampler skips an inactive anchor; any other
+    field must be a GaussianTargetField, or the spec has no moment oracle."""
     shares = [(spec.base_mix, spec.base_field, "base field")]
     anchor_share = 1.0 - spec.base_mix
     for entry, weight in zip(spec.anchor_sets, spec.weights()):
         what = f"chain field of anchor {entry.anchor.bits}"
         n = len(entry.chain_fields)
         shares += [(anchor_share * weight / n, f, what) for f in entry.chain_fields]
-    gaussians, others = [], []
+    gaussians = []
     for share, field, what in shares:
-        target = _gaussian_target(field)
-        if target is None:
-            others.append((share, field, what))
-        elif share != 0.0:
-            gaussians.append((share, *target))
-    return gaussians, others
+        if share == 0.0:
+            continue
+        if not isinstance(field, GaussianTargetField):
+            raise ContractViolation(f"{what} is not a Gaussian target field; no moment oracle")
+        gaussians.append((share, field.mean, field.variance))
+    return gaussians
 
 
 def time_scale(spec: BlendSpec) -> float:
-    """The time over which the velocity of spec's Gaussian fields changes, inf
-    if none: D_i has zeros at t = 1 / (1 +- i sqrt(v_i)), sqrt(v_i) / (1 + v_i)
-    off the real axis, and the nearest bounds every derivative in t."""
-    gaussians, _ = _field_shares(spec)
-    return min((np.sqrt(v) / (1.0 + v) for _, _, v in gaussians), default=np.inf)
+    """The time over which the velocity of spec's blend changes: D_i has
+    zeros at t = 1 / (1 +- i sqrt(v_i)), sqrt(v_i) / (1 + v_i) off the real
+    axis, and the nearest bounds every derivative in t. The weights sum to
+    1, so some field has a share and the minimum is over at least one."""
+    return min(np.sqrt(v) / (1.0 + v) for _, _, v in _field_shares(spec))
 
 
 def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     """Exact mean and covariance of the transported Gaussian, in closed form.
 
-    Valid for full_average blends whose inner fields are Gaussian (a
-    GaussianTargetField or a single-component mixture) or affine with
-    slope 0; it is the distribution-level oracle for generate(), and it
-    shares no code with the solver. The path is reported on the grid
-    t_i = i / config.steps; the solver setting is ignored.
+    Valid for full_average blends in which every field with a nonzero
+    share is a GaussianTargetField, the field that field_for_distribution
+    gives a one-component target. Any other such field, a one-component
+    MixtureTargetField included, raises ContractViolation; a field whose
+    share is 0 is skipped whatever its type. It is the distribution-level
+    oracle for generate(), and it shares no code with the solver. The
+    path is reported on the grid t_i = i / config.steps; the solver
+    setting is ignored.
 
     The blend gives field i the share c_i: base_mix for the base field
     and (1 - base_mix) * w_k / n for each chain field of anchor k. A
@@ -455,9 +422,8 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     split each grid interval. A panel is at most a quarter as wide as
     the distance from the real axis to the nearest zero of a D_i, and
     has as many nodes (3 to 8) as bring the rule's error to about 1e-18
-    of the integrand's scale. A slope-0 field is queried once per node,
-    and its offsets are taken to be as smooth. The few (steps, nodes)
-    arrays are allocated once and reused for every field.
+    of the integrand's scale. The few (steps, nodes) arrays are allocated
+    once and reused for every field.
     """
     if spec.mode != "full_average":
         raise ContractViolation("moment oracle requires full_average mode")
@@ -465,7 +431,7 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
     if len(dims) != 1:
         raise ContractViolation("cannot infer a unique latent dimension")
     dim = dims.pop()
-    gaussians, affine = _field_shares(spec)
+    gaussians = _field_shares(spec)
 
     steps = config.steps
     times = np.arange(steps + 1) / steps
@@ -502,11 +468,6 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
         d += decay
         np.divide(falling, d, out=d)
         integral[1:] += np.outer(np.cumsum(d.sum(axis=1)), share * mean)
-    for share, field, what in affine:
-        offsets = _offset_path(field, nodes.ravel(), what).reshape(*nodes.shape, dim)
-        if share != 0.0:
-            per_step = np.einsum("sq,sqd->sd", scaled, offsets)
-            integral[1:] += share * np.cumsum(per_step, axis=0)
     covariance = np.exp(log_cov)
     means = np.sqrt(covariance)[:, None] * integral
     covariances = covariance[:, None, None] * np.eye(dim)

@@ -181,12 +181,10 @@ def _generate(cfg: ExperimentConfig, request: GenerationRequest, model=None) -> 
 
 
 def _empirical(endpoints: np.ndarray):
-    """Mean, covariance (ddof=1), and the standard error of the mean."""
+    """Mean, covariance (ddof=1), and the standard error of the mean, of
+    two or more endpoints (see _require_two_samples)."""
     mean = endpoints.mean(axis=0)
-    if endpoints.shape[0] < 2:
-        cov = np.full((endpoints.shape[1], endpoints.shape[1]), np.nan)
-    else:
-        cov = np.atleast_2d(np.cov(endpoints, rowvar=False, ddof=1))
+    cov = np.atleast_2d(np.cov(endpoints, rowvar=False, ddof=1))
     se_mean = np.sqrt(np.diag(cov) / endpoints.shape[0])
     return mean, cov, se_mean
 
@@ -198,13 +196,11 @@ def normalized_discrepancy(diff, se) -> float:
     return float(np.max(diff / denom))
 
 
-def _require_two_samples(cfg: ExperimentConfig, kind: str) -> None:
+def _require_two_samples(kind: str, name: str, count: int) -> None:
     """Sampled variances, standard errors and spreads need two samples;
     with one, a criterion would divide by zero, see NaN or hold vacuously."""
-    if cfg.request.sample_count < 2:
-        raise ContractViolation(
-            f"{kind} needs sample_count >= 2, got {cfg.request.sample_count}"
-        )
+    if count < 2:
+        raise ContractViolation(f"{kind} needs {name} >= 2, got {count}")
 
 
 # Tolerance of vertex_recovery's exact-map check per unit of (h / T)**p and
@@ -225,7 +221,7 @@ def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
     with the configured model; (m, c) come from the closed-form moment
     oracle. The checks are deterministic: they have no sampling error.
     """
-    _require_two_samples(cfg, "vertex_recovery")
+    _require_two_samples("vertex_recovery", "sample_count", cfg.request.sample_count)
     flat_model = replace(cfg.model, position_bias=0.0)
     sets = build_all_sets(cfg.backend, cfg.request.base_prompt, cfg.space, cfg.cache)
     oracle_cfg = IntegrationConfig(solver="rk4", steps=cfg.oracle_steps)
@@ -314,7 +310,7 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
     linearly. Axis-aligned paths also get a monotone-response criterion
     on the projected endpoint mean.
     """
-    _require_two_samples(cfg, "continuity_sweep")
+    _require_two_samples("continuity_sweep", "sample_count", cfg.request.sample_count)
     if cfg.request.blend_mode != "full_average":
         raise ContractViolation(
             "continuity_sweep needs full_average mode (stochastic draws break pairing)"
@@ -501,10 +497,11 @@ def cost_accounting(cfg: ExperimentConfig) -> MetricsReport:
 
 def stochastic_equivalence(cfg: ExperimentConfig) -> MetricsReport:
     """Stochastic-mode endpoint mean against the full-average reference."""
+    seeds = cfg.equivalence_seeds
+    _require_two_samples("stochastic_equivalence", "equivalence_seeds", seeds)
     if cfg.model.position_bias == 0.0:
         warnings.warn("position_bias is 0; chains are identical and modes agree exactly")
     score = cfg.request.score
-    seeds = cfg.equivalence_seeds
     modes = ("stochastic", "full_average")
 
     def run(mode):
@@ -524,9 +521,6 @@ def stochastic_equivalence(cfg: ExperimentConfig) -> MetricsReport:
         )
         for mode in batches
     ]
-    if seeds < 2:
-        criteria = [Criterion("stochastic_matches_full", None, 1.0, None)]
-        return MetricsReport("stochastic_equivalence", "", records, criteria)
     diff = stats["stochastic"][0] - stats["full_average"][0]
     combined_se = np.hypot(stats["stochastic"][2], stats["full_average"][2])
     value = normalized_discrepancy(diff, combined_se)

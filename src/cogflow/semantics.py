@@ -161,12 +161,6 @@ class GaussianTargetField(VelocityField):
     def eval(self, x, t):
         return gaussian_field(self.mean, self.variance, x, t)
 
-    def affine_coefficients(self, t: float) -> tuple[float, np.ndarray]:
-        """v(x, t) = slope * x + offset with slope scalar (isotropic)."""
-        t = _check_time(t)
-        slope = flow_kappa(t, self.variance)
-        return slope, (1.0 - t * slope) * self.mean
-
 
 class MixtureTargetField(VelocityField):
     """Marginal field of a Gaussian mixture target."""
@@ -206,14 +200,6 @@ class MixtureTargetField(VelocityField):
         for m, (w, mean, var) in enumerate(self.dist.components):
             out += resp[:, m : m + 1] * gaussian_field(mean, var, xb, t)
         return out[0] if squeezed else out
-
-    def affine_coefficients(self, t: float) -> tuple[float, np.ndarray]:
-        if len(self.dist.components) != 1:
-            raise ContractViolation(
-                "mixture field with multiple components is not affine in x"
-            )
-        w, mean, var = self.dist.components[0]
-        return GaussianTargetField(mean, var).affine_coefficients(t)
 
 
 def field_for_distribution(dist: TargetDistribution) -> VelocityField:

@@ -22,9 +22,6 @@ class ConstantField(VelocityField):
             return self.value.copy()
         return np.broadcast_to(self.value, x.shape).copy()
 
-    def affine_coefficients(self, t):
-        return 0.0, self.value.copy()
-
 
 class StoredField(VelocityField):
     """Test double: returns the same stored array on every call."""

@@ -283,6 +283,7 @@ def test_malformed_records_and_shapes_fail_before_any_backend_call(
     assert run_cli(command, "--config", str(cfg), "--set", override) == 2
     assert override.split("=")[0] in caplog.text
     assert not (tmp_path / "cache.ndjson").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", ["vertex_recovery", "continuity_sweep"])
@@ -296,6 +297,7 @@ def test_sampled_experiment_on_one_sample_fails_before_any_backend_call(
     assert code == 2
     assert f"{kind} needs sample_count >= 2, got 1" in caplog.text
     assert not (tmp_path / "cache.ndjson").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_llm_backend_without_endpoint_is_config_error(tmp_path):

@@ -1,6 +1,6 @@
 import functools
 import json
-from collections import Counter
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +21,6 @@ from cogflow.flow import (
     integrate,
     moment_reference,
     sample_seeds,
-    stage_times,
     write_sample_batch,
 )
 from cogflow.polarize import TemplateBackend, build_all_sets
@@ -133,14 +132,15 @@ def reference_endpoint(field, x0, solver, n_steps):
     """The solver loop written with out-of-place expressions."""
     x = np.array(x0, dtype=float)
     h = 1.0 / n_steps
-    for i, times in enumerate(stage_times(IntegrationConfig(solver, n_steps))):
+    for i in range(n_steps):
+        t = i / n_steps
+        t_mid, t_next = t + 0.5 * h, (i + 1) / n_steps
         if solver == "euler":
-            x = x + h * field.eval(x, times[0])
+            x = x + h * field.eval(x, t)
         elif solver == "midpoint":
-            k1 = field.eval(x, times[0])
-            x = x + h * field.eval(x + 0.5 * h * k1, times[1])
+            k1 = field.eval(x, t)
+            x = x + h * field.eval(x + 0.5 * h * k1, t_mid)
         else:
-            t, t_mid, t_next = times
             k1 = field.eval(x, t)
             k2 = field.eval(x + 0.5 * h * k1, t_mid)
             k3 = field.eval(x + 0.5 * h * k2, t_mid)
@@ -159,6 +159,35 @@ def test_in_place_solver_keeps_the_bits_and_writes_no_field_array(solver):
         got = integrate(field, x0, IntegrationConfig(solver, 9)).endpoint
         assert got.tobytes() == reference_endpoint(field, x0, solver, 9).tobytes()
     assert np.array_equal(stored, kept) and np.array_equal(x0, x0_kept)
+
+
+class RecordingField(VelocityField):
+    """Logs every time at which it is evaluated."""
+
+    def __init__(self):
+        self.times = []
+
+    def eval(self, x, t):
+        self.times.append(t)
+        return np.zeros_like(x)
+
+
+@pytest.mark.parametrize("solver, distinct", [("euler", 40), ("midpoint", 80), ("rk4", 81)])
+def test_integrate_evaluates_at_the_documented_stage_times(solver, distinct):
+    n_steps, h = 40, 1.0 / 40
+    want = []
+    for i in range(n_steps):
+        t = i / n_steps
+        want += {
+            "euler": [t],
+            "midpoint": [t, t + 0.5 * h],
+            "rk4": [t, t + 0.5 * h, t + 0.5 * h, (i + 1) / n_steps],
+        }[solver]
+    field = RecordingField()
+    integrate(field, np.zeros(2), IntegrationConfig(solver, n_steps))
+    assert field.times == want
+    # rk4's two mid-stages share one time
+    assert len(set(field.times)) == distinct
 
 
 def test_integration_config_validation():
@@ -405,35 +434,11 @@ def vertex_pair_spec(low, high, base, score, base_mix=0.5):
     )
 
 
-def test_moment_reference_zero_field():
-    space = CognitiveSpace.from_names("d1")
-    anchors = enumerate_anchors(space)
-    zero = ConstantField(np.zeros(2))
-    spec = BlendSpec(
-        base_field=zero,
-        anchor_sets=(
-            AnchorFields(anchors[0], (zero,)),
-            AnchorFields(anchors[1], (zero,)),
-        ),
-        score=ScoreVector((0.5,)),
-        mode="full_average",
-    )
-    paths = moment_reference(spec, IntegrationConfig("rk4", 50))
-    assert np.allclose(paths.endpoint_mean, 0.0)
-    assert np.allclose(paths.endpoint_cov, np.eye(2))
-    assert paths.means.shape == (51, 2)
-
-
 def test_moment_reference_pure_base_push_forward():
     spec = vertex_pair_spec([5.0, 5.0], [-5.0, -5.0], [2.0, -1.0], (0.5,), base_mix=1.0)
     paths = moment_reference(spec, IntegrationConfig("rk4", 2000))
     assert np.allclose(paths.endpoint_mean, [2.0, -1.0], atol=1e-8)
     assert np.allclose(paths.endpoint_cov, 0.5 * np.eye(2), atol=1e-8)
-    # a single-component mixture is the same Gaussian
-    single = MixtureTargetField(TargetDistribution.single([2.0, -1.0], 0.5))
-    same = moment_reference(replace(spec, base_field=single), IntegrationConfig("rk4", 2000))
-    assert same.means.tobytes() == paths.means.tobytes()
-    assert same.covariances.tobytes() == paths.covariances.tobytes()
 
 
 def test_moment_reference_center_blend_matches_sampler():
@@ -467,64 +472,80 @@ def test_moment_reference_contract_errors():
         moment_reference(
             dataclasses.replace(spec, mode="stochastic"), IntegrationConfig("rk4", 10)
         )
-    mixture = MixtureTargetField(
-        TargetDistribution(
-            components=((0.5, np.zeros(2), 1.0), (0.5, np.ones(2), 1.0))
-        )
+
+
+def two_component_mixture():
+    return MixtureTargetField(
+        TargetDistribution(components=((0.5, np.zeros(2), 1.0), (0.5, np.ones(2), 1.0)))
     )
-    space = CognitiveSpace.from_names("d1")
-    anchors = enumerate_anchors(space)
-    bad = BlendSpec(
-        base_field=mixture,
-        anchor_sets=(
-            AnchorFields(anchors[0], (mixture,)),
-            AnchorFields(anchors[1], (mixture,)),
-        ),
-        score=ScoreVector((0.5,)),
-        mode="full_average",
-    )
-    with pytest.raises(ContractViolation):
-        moment_reference(bad, IntegrationConfig("rk4", 10))
-    # an affine field of unknown variance has no closed form
-    sloped = CountingAffineField(GaussianTargetField(np.zeros(2), 1.0))
-    with pytest.raises(ContractViolation):
-        moment_reference(replace(spec, base_field=sloped), IntegrationConfig("rk4", 10))
-    with pytest.raises(ContractViolation):
-        moment_reference(replace(spec, base_field=DelegatingField(sloped)), IntegrationConfig("rk4", 10))
+
+
+NON_GAUSSIAN_FIELDS = {
+    "one-component-mixture": lambda: MixtureTargetField(TargetDistribution.single([2.0, -1.0], 0.5)),
+    "delegating-gaussian": lambda: DelegatingField(GaussianTargetField(np.zeros(2), 1.0)),
+    "constant": lambda: ConstantField([0.3, -1.1]),
+    "two-component-mixture": two_component_mixture,
+}
+
+
+@pytest.mark.parametrize("kind", NON_GAUSSIAN_FIELDS)
+def test_moment_reference_refuses_a_non_gaussian_field_with_a_share(kind):
+    # the closed form knows only GaussianTargetField; anything else with a
+    # share, even a field that evaluates as one Gaussian, has no oracle
+    make = NON_GAUSSIAN_FIELDS[kind]
+    spec = vertex_pair_spec([1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], (0.5,))
+    chain = replace(spec.anchor_sets[1], chain_fields=(make(),))
+    for bad, what in (
+        (replace(spec, base_field=make()), "base field"),
+        (replace(spec, anchor_sets=(spec.anchor_sets[0], chain)), "chain field of anchor (1,)"),
+    ):
+        with pytest.raises(ContractViolation, match=re.escape(what)):
+            moment_reference(bad, IntegrationConfig("rk4", 10))
+
+
+def test_moment_reference_skips_a_zero_share_field_of_any_type():
+    # a vertex score gives the other anchor weight 0, and base_mix=0 gives
+    # the base share 0: a mixture there leaves the oracle's bits unchanged
+    config = IntegrationConfig("rk4", 50)
+    spec = vertex_pair_spec([1.0, 0.0], [-1.0, 0.5], [0.3, 0.2], (1.0,), base_mix=0.0)
+    want = moment_reference(spec, config)
+    low = replace(spec.anchor_sets[0], chain_fields=(two_component_mixture(),))
+    for other in (
+        replace(spec, anchor_sets=(low, spec.anchor_sets[1])),
+        replace(spec, base_field=two_component_mixture()),
+    ):
+        got = moment_reference(other, config)
+        assert got.means.tobytes() == want.means.tobytes()
+        assert got.covariances.tobytes() == want.covariances.tobytes()
 
 
 # The coefficient loop and matrix state of the moment ODE, integrated by
 # the solver: the reference that the closed form is held to.
 
+def gaussian_coefficients(field: GaussianTargetField, t: float) -> tuple[float, np.ndarray]:
+    """Slope and offset of the exact field toward N(mu, v I), from the joint
+    Gaussian of (x0, x1, x_t): with D = (1 - t)**2 + t**2 v, the slope is
+    D' / (2 D) and the offset (1 - t) mu / D."""
+    d = (1.0 - t) ** 2 + t * t * field.variance
+    return (t * field.variance - (1.0 - t)) / d, (1.0 - t) / d * field.mean
+
+
 def blended_affine_coefficients(
     spec: BlendSpec, t: float, weights: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Scalar slope and offset of a full-average blend of affine fields.
+    """Scalar slope and offset of a full-average blend of Gaussian fields.
 
     weights is spec.weights(), computed once by the caller rather than on
     every evaluation of the moment ODE.
     """
-    coeffs = getattr(spec.base_field, "affine_coefficients", None)
-    if coeffs is None:
-        raise ContractViolation("base field is not affine; no moment oracle")
-    slope, offset = coeffs(t)
+    slope, offset = gaussian_coefficients(spec.base_field, t)
     slope *= spec.base_mix
     offset = spec.base_mix * offset
     anchor_share = 1.0 - spec.base_mix
     for k, entry in enumerate(spec.anchor_sets):
-        chain_slopes = []
-        chain_offsets = []
-        for f in entry.chain_fields:
-            fn = getattr(f, "affine_coefficients", None)
-            if fn is None:
-                raise ContractViolation(
-                    f"chain field of anchor {entry.anchor.bits} is not affine"
-                )
-            a, b = fn(t)
-            chain_slopes.append(a)
-            chain_offsets.append(b)
-        slope += anchor_share * weights[k] * np.mean(chain_slopes)
-        offset = offset + anchor_share * weights[k] * np.mean(chain_offsets, axis=0)
+        chain = [gaussian_coefficients(f, t) for f in entry.chain_fields]
+        slope += anchor_share * weights[k] * np.mean([a for a, _ in chain])
+        offset = offset + anchor_share * weights[k] * np.mean([b for _, b in chain], axis=0)
     return slope, offset
 
 
@@ -576,47 +597,12 @@ def random_gaussian_spec(n, base_mix, seed, dim=3):
     )
 
 
-def constant_spec(n, base_mix):
-    anchors = enumerate_anchors(make_space(n))
-    return BlendSpec(
-        base_field=ConstantField([0.3, -1.1]),
-        anchor_sets=tuple(
-            AnchorFields(a, tuple(ConstantField([k + 0.1 * j, 1.0 / (j + 1)]) for j in range(n)))
-            for k, a in enumerate(anchors)
-        ),
-        score=ScoreVector((0.35,) * n),
-        mode="full_average",
-        base_mix=base_mix,
-    )
-
-
-def mixed_spec(n, base_mix, seed):
-    # anchor by anchor, chains alternate between Gaussian and ConstantField
-    gaussian = random_gaussian_spec(n, base_mix, seed, dim=2)
-    return replace(gaussian, anchor_sets=tuple(
-        replace(entry, chain_fields=tuple(
-            ConstantField([0.2 * k - j, 0.7 + j]) if (j + k) % 2 else f
-            for j, f in enumerate(entry.chain_fields)
-        ))
-        for k, entry in enumerate(gaussian.anchor_sets)
-    ))
-
-
-SPECS = {"gaussian": random_gaussian_spec, "constant": constant_spec, "mixed": mixed_spec}
-
-
 @functools.lru_cache(maxsize=None)
-def reference_path(kind, *args):
-    """The reference path for SPECS[kind](*args) on the REFERENCE grid,
-    computed once."""
-    spec = SPECS[kind](*args)
-    dim = spec.latent_dims().pop()
-    if kind == "constant":
-        # every slope is 0, so the ODE's solution is N(t b, I) exactly
-        _, offset = blended_affine_coefficients(spec, 0.0, spec.weights())
-        times = np.arange(REFERENCE.steps + 1) / REFERENCE.steps
-        return times[:, None] * offset, np.broadcast_to(np.eye(dim), (len(times), dim, dim))
-    return reference_moments(spec, REFERENCE, dim)
+def reference_path(*args):
+    """The reference path for random_gaussian_spec(*args) on the REFERENCE
+    grid, computed once."""
+    spec = random_gaussian_spec(*args)
+    return reference_moments(spec, REFERENCE, spec.latent_dims().pop())
 
 
 def assert_matches_reference(paths, reference):
@@ -635,9 +621,8 @@ def assert_matches_reference(paths, reference):
 def test_moment_reference_bit_identical_to_coefficient_loop(solver, n):
     config = IntegrationConfig(solver, 50)
     for base_mix in (0.0, 0.5, 1.0):
-        for kind, args in (("gaussian", (n, base_mix, 10 * n)), ("constant", (n, base_mix))):
-            paths = moment_reference(SPECS[kind](*args), config)
-            assert_matches_reference(paths, reference_path(kind, *args))
+        paths = moment_reference(random_gaussian_spec(n, base_mix, 10 * n), config)
+        assert_matches_reference(paths, reference_path(n, base_mix, 10 * n))
 
 
 def test_moment_reference_bit_identical_on_template_spec(space2, biased_model):
@@ -647,72 +632,6 @@ def test_moment_reference_bit_identical_on_template_spec(space2, biased_model):
     spec = build_blend_spec(request, space2, biased_model)
     paths = moment_reference(spec, IntegrationConfig("rk4", 50))
     assert_matches_reference(paths, reference_moments(spec, REFERENCE, biased_model.latent_dim))
-
-
-class CountingAffineField(VelocityField):
-    """Forwards affine_coefficients to an inner field, counting each time."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.dim = inner.dim
-        self.calls = Counter()
-
-    def eval(self, x, t):
-        return self.inner.eval(x, t)
-
-    def affine_coefficients(self, t):
-        self.calls[t] += 1
-        return self.inner.affine_coefficients(t)
-
-
-def counting_spec(spec):
-    return replace(
-        spec,
-        base_field=CountingAffineField(spec.base_field),
-        anchor_sets=tuple(
-            replace(entry, chain_fields=tuple(map(CountingAffineField, entry.chain_fields)))
-            for entry in spec.anchor_sets
-        ),
-    )
-
-
-@pytest.mark.parametrize("solver, distinct", [("euler", 40), ("midpoint", 80), ("rk4", 81)])
-def test_moment_reference_queries_each_field_once_per_stage_time(solver, distinct):
-    # a slope-0 affine field is queried once per quadrature node, at times
-    # that depend on the grid alone, not on the solver's stage times
-    config = IntegrationConfig(solver, 40)
-    visited = {t for step in stage_times(config) for t in step}
-    assert len(visited) == distinct
-    counting, euler = counting_spec(constant_spec(2, 0.5)), counting_spec(constant_spec(2, 0.5))
-    paths = moment_reference(counting, config)
-    moment_reference(euler, IntegrationConfig("euler", 40))
-    assert_matches_reference(paths, reference_path("constant", 2, 0.5))
-    fields = [counting.base_field] + [f for e in counting.anchor_sets for f in e.chain_fields]
-    assert set(fields[0].calls.values()) == {1}
-    assert len(fields[0].calls) >= 3 * config.steps
-    for f in fields:
-        assert f.calls == euler.base_field.calls
-
-
-@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
-def test_plain_gaussian_spec_is_tabulated_without_coefficient_calls(solver, monkeypatch):
-    def no_call(self, t):
-        raise AssertionError("a Gaussian field was queried for its coefficients")
-
-    want = [reference_path("gaussian", n, 0.5, 10 * n) for n in (1, 2, 3)]
-    monkeypatch.setattr(GaussianTargetField, "affine_coefficients", no_call)
-    for n, reference in zip((1, 2, 3), want):
-        paths = moment_reference(random_gaussian_spec(n, 0.5, 10 * n), IntegrationConfig(solver, 40))
-        assert_matches_reference(paths, reference)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_mixed_gaussian_and_constant_chains_bit_identical_to_coefficient_loop(n):
-    for base_mix in (0.0, 0.5, 1.0):
-        reference = reference_path("mixed", n, base_mix, 30 + n)
-        for solver in ("euler", "rk4"):
-            config = IntegrationConfig(solver, 40)
-            assert_matches_reference(moment_reference(mixed_spec(n, base_mix, 30 + n), config), reference)
 
 
 def test_one_pass_tabulation_keeps_the_bits_of_per_time_calls():
@@ -733,7 +652,7 @@ def test_moment_field_rejects_an_untabulated_time():
     # any grid works, and the endpoint does not depend on it
     spec = random_gaussian_spec(2, 0.5, 20)
     paths = moment_reference(spec, IntegrationConfig("rk4", 8))
-    assert_matches_reference(paths, reference_path("gaussian", 2, 0.5, 20))
+    assert_matches_reference(paths, reference_path(2, 0.5, 20))
     for steps in (1, 7, 2000):
         other = moment_reference(spec, IntegrationConfig("euler", steps))
         assert np.max(np.abs(other.endpoint_mean - paths.endpoint_mean)) <= 1e-14
@@ -746,7 +665,7 @@ def test_moment_reference_makes_no_integrate_call(monkeypatch):
 
     monkeypatch.setattr(flow, "integrate", no_call)
     paths = moment_reference(random_gaussian_spec(2, 0.5, 20), IntegrationConfig("rk4", 40))
-    assert_matches_reference(paths, reference_path("gaussian", 2, 0.5, 20))
+    assert_matches_reference(paths, reference_path(2, 0.5, 20))
 
 
 def test_endpoint_check_against_the_oracle_catches_a_perturbed_solver(monkeypatch):

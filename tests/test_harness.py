@@ -326,12 +326,11 @@ def test_stochastic_equivalence_passes():
     assert criterion.value <= 1.0
 
 
-def test_stochastic_equivalence_single_seed_inconclusive():
+def test_stochastic_equivalence_rejects_a_single_seed():
+    # one seed has no standard error, as for its sibling experiments
     cfg = make_config(kind="stochastic_equivalence", equivalence_seeds=1)
-    report = stochastic_equivalence(cfg)
-    assert report.criteria[0].passed is None
-    assert report.criteria[0].value is None
-    assert report.passed  # inconclusive does not fail the report
+    with pytest.raises(ContractViolation, match="equivalence_seeds >= 2, got 1"):
+        stochastic_equivalence(cfg)
 
 
 # --- reports ---------------------------------------------------------------------

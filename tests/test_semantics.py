@@ -91,15 +91,6 @@ def test_gaussian_field_affine_in_x():
         assert np.allclose(mid, avg, atol=1e-12, rtol=0)
 
 
-def test_affine_coefficients_reproduce_field():
-    field = GaussianTargetField(np.array([3.0, -2.0]), 0.25)
-    rng = np.random.default_rng(9)
-    for t in (0.0, 0.3, 0.9, 1.0):
-        slope, offset = field.affine_coefficients(t)
-        x = rng.normal(size=2)
-        assert np.allclose(field.eval(x, t), slope * x + offset, atol=1e-14)
-
-
 def test_gaussian_field_matches_monte_carlo_oracle_spot():
     mean = np.array([1.0, -0.5])
     variance = 0.5
@@ -205,12 +196,11 @@ def test_mixture_responsibilities_sum_to_one():
         assert np.all(np.abs(resp.sum(axis=1) - 1.0) <= 1e-12)
 
 
-def test_mixture_affine_coefficients_guard():
+def test_field_for_distribution_picks_the_field_by_component_count():
     dist = TargetDistribution(
         components=((0.5, np.zeros(2), 1.0), (0.5, np.ones(2), 1.0))
     )
-    with pytest.raises(ContractViolation):
-        MixtureTargetField(dist).affine_coefficients(0.5)
+    assert type(field_for_distribution(dist)) is MixtureTargetField
     single = field_for_distribution(TargetDistribution.single(np.ones(2), 1.0))
     assert isinstance(single, GaussianTargetField)
 
