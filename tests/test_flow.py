@@ -434,6 +434,20 @@ def vertex_pair_spec(low, high, base, score, base_mix=0.5):
     )
 
 
+def test_moment_reference_zero_mean_blend_returns_to_the_prior():
+    # every field toward N(0, I): the offsets vanish, so the mean stays 0,
+    # and D(1) = 1 brings the covariance back to I
+    prior = GaussianTargetField(np.zeros(2), 1.0)
+    spec = vertex_pair_spec([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], (0.5,))
+    spec = replace(spec, base_field=prior, anchor_sets=tuple(
+        replace(entry, chain_fields=(prior,)) for entry in spec.anchor_sets
+    ))
+    paths = moment_reference(spec, IntegrationConfig("rk4", 50))
+    assert paths.means.shape == (51, 2)
+    assert np.all(paths.means == 0.0)
+    assert np.allclose(paths.endpoint_cov, np.eye(2), atol=1e-14)
+
+
 def test_moment_reference_pure_base_push_forward():
     spec = vertex_pair_spec([5.0, 5.0], [-5.0, -5.0], [2.0, -1.0], (0.5,), base_mix=1.0)
     paths = moment_reference(spec, IntegrationConfig("rk4", 2000))
@@ -528,6 +542,15 @@ def gaussian_coefficients(field: GaussianTargetField, t: float) -> tuple[float, 
     D' / (2 D) and the offset (1 - t) mu / D."""
     d = (1.0 - t) ** 2 + t * t * field.variance
     return (t * field.variance - (1.0 - t)) / d, (1.0 - t) / d * field.mean
+
+
+def test_gaussian_coefficients_reproduce_the_field():
+    field = GaussianTargetField(np.array([3.0, -2.0]), 0.25)
+    rng = np.random.default_rng(9)
+    for t in (0.0, 0.3, 0.9, 1.0):
+        slope, offset = gaussian_coefficients(field, t)
+        x = rng.normal(size=2)
+        assert np.allclose(field.eval(x, t), slope * x + offset, atol=1e-14)
 
 
 def blended_affine_coefficients(
@@ -632,6 +655,19 @@ def test_moment_reference_bit_identical_on_template_spec(space2, biased_model):
     spec = build_blend_spec(request, space2, biased_model)
     paths = moment_reference(spec, IntegrationConfig("rk4", 50))
     assert_matches_reference(paths, reference_moments(spec, REFERENCE, biased_model.latent_dim))
+
+
+@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
+def test_moment_reference_evaluates_no_field(solver, monkeypatch):
+    # the closed form reads each field's mean and variance, never its velocity
+    def no_call(self, x, t):
+        raise AssertionError("the oracle evaluated a field")
+
+    want = [reference_path(n, 0.5, 10 * n) for n in (1, 2, 3)]
+    monkeypatch.setattr(GaussianTargetField, "eval", no_call)
+    for n, reference in zip((1, 2, 3), want):
+        paths = moment_reference(random_gaussian_spec(n, 0.5, 10 * n), IntegrationConfig(solver, 40))
+        assert_matches_reference(paths, reference)
 
 
 def test_one_pass_tabulation_keeps_the_bits_of_per_time_calls():
