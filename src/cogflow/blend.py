@@ -26,22 +26,27 @@ formula, rows times evals_per_call(), not the evaluations made, so at a
 boundary score it counts more than the work done.
 
 Stochastic draws come from a counter-based stream: the chain drawn for
-row r and anchor k is randbelow(n, seed_r, STREAM_CHAIN_DRAW, ordinal, k),
-where ordinal counts evaluations (per_eval) or solver steps (per_step).
-Trajectories are therefore reproducible and independent of batching or
-scheduling. The hash is split into a key and a counter: when the field
-is built, (seed_r, STREAM_CHAIN_DRAW) is folded once into a key, (1, B)
-for per-row seeds or a scalar for a scalar seed. One randbelow call per
-ordinal then folds only the ordinal and the active anchor ids, (A, 1) or
-(A,), and draws every pair at once, (A, B) or (A,), for the A active of
-the K = 2**n anchors: the i-th active anchor's draws are the contiguous
-row draws[i]. An anchor's draws depend on its own id alone, so they are
-those of a hash over all K ids. Its last round and finalizer run in
-place in a hash buffer that the field owns, so an evaluation allocates
-no (A, B) temporaries, and a power-of-two n is taken by mask.
-The bits are those of the plain call. The draws are a view of that
-buffer until the next hash. At n = 1 each anchor has a single chain and
-no hash is made.
+row r and anchor k is randbelow(n, seed_r, STREAM_CHAIN_DRAW, ordinal,
+k), where ordinal counts evaluations (per_eval) or solver steps
+(per_step). Trajectories are therefore reproducible and independent of
+batching or scheduling. randbelow packs the draws into lanes (see
+streams): anchor k takes lane k mod L of the hash of word k div L, with
+lanes b = log2(n) bits wide for a power-of-two n and 32 bits otherwise,
+and L = 64 // b. A row then hashes one word per ordinal at n = 2 and 4,
+4 at n = 3 and 32 at n = 6. The hash is split into a key and a counter:
+when the field is built, (seed_r, STREAM_CHAIN_DRAW) is folded once
+into a key, (1, B) for per-row seeds or a scalar for a scalar seed. One
+randbelow call per ordinal then folds only the ordinal and the distinct
+words of the active anchor ids, (A, 1) or (A,), and gathers every draw
+at once, (A, B) or (A,), for the A active of the K = 2**n anchors: the
+i-th active anchor's draws are the contiguous row draws[i]. An anchor's
+draws depend on its own id alone, so they are those of a draw over all
+K ids, and at a vertex only the word holding the one active anchor is
+hashed. The words are hashed in a (words, B) hash buffer and the draws
+reduced in an (A, B) draw buffer, both owned by the field, so an
+evaluation allocates no (A, B) temporaries. The draws are a view of the
+draw buffer until the next hash. At n = 1 each anchor has a single
+chain and no hash is made.
 
 There are two evaluation paths with the same bits. When the base field
 and the active anchors' chain fields are plain GaussianTargetFields (the
@@ -71,7 +76,7 @@ calls eval on each chain field, in stochastic mode for the rows that
 drew it. The path follows from the evaluated fields' types alone.
 
 A BlendedField instance owns its ordinal, evaluation counter, draw key
-and hash buffer, and must not be shared across concurrent callers;
+and draw buffers, and must not be shared across concurrent callers;
 separate instances may run on separate threads. A BlendSpec is
 immutable and freely shareable.
 """
@@ -302,9 +307,7 @@ class BlendedField(VelocityField):
             self._anchor_ids = active.astype(np.uint64)
             if per_row:
                 self._anchor_ids = self._anchor_ids[:, None]
-            self._hash_out = streams.hash_buffer(
-                np.broadcast_shapes(self._key.shape, self._anchor_ids.shape)
-            )
+            self._draw_out = streams.draw_buffers(spec.n, self._key, 0, self._anchor_ids)
 
     @property
     def dim(self):
@@ -319,7 +322,7 @@ class BlendedField(VelocityField):
         per row.
 
         x is the state, (D,) or (B, D); per-row seeds need one seed per
-        row. The draws are a view of the field's hash buffer, valid until
+        row. The draws are a view of the field's draw buffer, valid until
         the next hash. They depend on the ordinal alone, so in per_step
         scope they are kept and reused by the stages of one solver step,
         and the buffer is not written again until the step ordinal
@@ -342,7 +345,7 @@ class BlendedField(VelocityField):
             draws = np.zeros(len(self._weights), dtype=np.int64)
         else:
             draws = streams.randbelow(
-                self.spec.n, self._key, ordinal, self._anchor_ids, out=self._hash_out
+                self.spec.n, self._key, ordinal, self._anchor_ids, out=self._draw_out
             )
         if self.spec.draw_scope == "per_step":
             self._drawn = (ordinal, draws)

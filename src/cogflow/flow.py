@@ -30,7 +30,6 @@ from .semantics import (
     GaussianTargetField,
     SemanticModel,
     VelocityField,
-    bind,
     field_for_prompt,
 )
 from ._fsio import atomic_write_text
@@ -393,7 +392,12 @@ def time_scale(spec: BlendSpec) -> float:
     zeros at t = 1 / (1 +- i sqrt(v_i)), sqrt(v_i) / (1 + v_i) off the real
     axis, and the nearest bounds every derivative in t. The weights sum to
     1, so some field has a share and the minimum is over at least one."""
-    return min(np.sqrt(v) / (1.0 + v) for _, _, v in _field_shares(spec))
+    return _time_scale_of(_field_shares(spec))
+
+
+def _time_scale_of(gaussians) -> float:
+    """time_scale from the (share, mean, variance) list of _field_shares."""
+    return min(np.sqrt(v) / (1.0 + v) for _, _, v in gaussians)
 
 
 def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
@@ -435,7 +439,7 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
 
     steps = config.steps
     times = np.arange(steps + 1) / steps
-    reach = time_scale(spec)
+    reach = _time_scale_of(gaussians)
     panels = max(1, math.ceil(4.0 / (steps * reach)))
     width = 1.0 / (steps * panels)
     # the rule's error falls as rho**(-2 * count), rho the largest Bernstein

@@ -16,11 +16,28 @@ code. The last round and the finalizer run in place, in a buffer from
 hash_buffer that the caller may own and pass as out= on every call;
 without one, each call allocates its own. The module keeps no state, so
 calls on separate buffers may run on separate threads.
+
+randbelow packs several small draws into one hash. Draws below a bound
+take b-bit lanes of a 64-bit word, b = log2(bound) for a power of two
+and 32 otherwise, so L = 64 // b draws share a word (a bound of 1 has
+0-bit lanes and L = 64; every draw is 0). The draw with last counter k
+is lane k mod L, bits [b * (k mod L), b * (k mod L) + b), of
+counter_hash(*other counters, k div L), reduced to (lane * bound) >> b.
+That is the lane itself for a power of two, exactly uniform; for any
+other bound each value has floor(2**32 / bound) or ceil(2**32 / bound)
+of the 2**32 lane values, so |P(j) - 1/bound| < 2**-32. Each draw
+depends on its own counters alone, so draws by the same counters agree
+whichever other last counters are drawn with them. When the last
+counter varies along one axis and the other counters do not, each
+distinct word is hashed once and the words are gathered along that
+axis; otherwise each draw hashes its own word.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,18 +166,86 @@ def standard_normal(*counters) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
-def randbelow(bound: int, *counters, out=None) -> np.ndarray:
-    """Integer draws in [0, bound). Modulo bias is < bound / 2**64.
-
-    Counters and out are as for counter_hash. The draws are reduced in
-    place and returned as int64: with out, as a view of out[0]. A
-    power-of-two bound is taken by mask, which gives the bits of %.
-    """
+def _lane_bits(bound) -> int:
+    """The lane width b for draws below bound; see the module notes."""
+    bound = operator.index(bound)
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
-    h = _hash(counters, out)
     if bound & (bound - 1) == 0:
-        np.bitwise_and(h, np.uint64(bound - 1), out=h)
+        if bound > 1 << 63:
+            raise ValueError(f"draws are int64: bound must be at most 2**63, got {bound}")
+        return bound.bit_length() - 1
+    if bound > 1 << 32:
+        raise ValueError(
+            f"a bound that is not a power of two must be at most 2**32, got {bound}"
+        )
+    return 32
+
+
+class _Plan(NamedTuple):
+    """How randbelow hashes and gathers the draws of one counter tuple."""
+
+    key: Key
+    words: np.ndarray  # the hashed words, along the draw axis if there is one
+    inverse: np.ndarray | None  # each draw's word, along that axis
+    axis: int | None
+    shifts: np.ndarray  # each draw's lane offset in bits, shaped as the last counter
+    shape: tuple
+
+
+def _plan(bits: int, counters) -> _Plan:
+    """Split counters into the key, the words to hash and each draw's
+    lane; find the draw axis, if any (see the module notes)."""
+    if not counters or isinstance(counters[-1], Key):
+        raise TypeError("randbelow needs a last counter after any key")
+    key, last = fold_key(*counters[:-1]), _as_u64(counters[-1])
+    lanes = np.uint64(64 // max(bits, 1))
+    words, shifts = last // lanes, (last % lanes) * np.uint64(bits)
+    shape = np.broadcast_shapes(key.shape, last.shape)
+    pad = len(shape) - last.ndim
+    varying = [i for i, size in enumerate(last.shape, pad) if size > 1]
+    key_sizes = (1,) * (len(shape) - len(key.shape)) + key.shape
+    if len(varying) != 1 or key_sizes[varying[0]] > 1:
+        return _Plan(key, words, None, None, shifts, shape)
+    axis, flat = varying[0], words.reshape(-1)
+    # a set, not np.unique, which raised a generate's peak RSS by 6 MB
+    words = np.array(sorted(set(flat.tolist())), dtype=np.uint64)
+    along = [1] * len(shape)
+    along[axis] = len(words)
+    return _Plan(key, words.reshape(along), np.searchsorted(words, flat), axis, shifts, shape)
+
+
+def draw_buffers(bound: int, *counters) -> tuple[np.ndarray, np.ndarray]:
+    """The (hash buffer, draws) pair for randbelow(bound, *counters, out=)
+    and any counters of these shapes with this last counter."""
+    plan = _plan(_lane_bits(bound), counters)
+    hash_shape = np.broadcast_shapes(plan.key.shape, plan.words.shape)
+    return hash_buffer(hash_shape), np.empty(plan.shape, dtype=np.uint64)
+
+
+def randbelow(bound: int, *counters, out=None) -> np.ndarray:
+    """Integer draws in [0, bound), lane-packed; see the module notes.
+
+    Exact for a power-of-two bound, at most 2**63 as the draws are
+    int64; for another bound, at most 2**32, |P(j) - 1/bound| < 2**-32.
+    Any other bound raises ValueError. Counters are as for counter_hash,
+    with at least one after any Key; the last picks the word and the
+    lane. out, if given, is a pair from draw_buffers: the words are
+    hashed in its hash buffer and the draws reduced in place in its
+    draws array. The draws are returned as int64, with out as a view of
+    that array.
+    """
+    bits = _lane_bits(bound)
+    plan = _plan(bits, counters)
+    hash_out, draws = out if out is not None else (None, np.empty(plan.shape, np.uint64))
+    h = _hash((plan.key, plan.words), hash_out)
+    if plan.axis is None:
+        np.right_shift(h, plan.shifts, out=draws)
     else:
-        np.remainder(h, np.uint64(bound), out=h)
-    return h.view(np.int64)[()]
+        np.take(h, plan.inverse, axis=plan.axis, out=draws, mode="clip")
+        np.right_shift(draws, plan.shifts, out=draws)
+    np.bitwise_and(draws, np.uint64((1 << bits) - 1), out=draws)
+    if bound != 1 << bits:
+        draws *= np.uint64(bound)
+        draws >>= np.uint64(bits)
+    return draws.view(np.int64)[()]

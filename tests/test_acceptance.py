@@ -12,7 +12,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from cogflow import invariants
 from cogflow.cli import main as cli_main

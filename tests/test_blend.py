@@ -818,6 +818,34 @@ def test_face_score_draws_are_the_active_anchors_reference_draws(n, draw_scope):
             assert np.array_equal(field._draws(x, ordinal), want)
 
 
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_an_anchors_draws_are_the_same_at_interior_face_and_vertex_scores(n, draw_scope):
+    interior = stochastic_spec(n, draw_scope)
+    scores = [
+        interior.score,
+        ScoreVector((1.0, 0.75, 1.0, 0.375, 0.5, 0.25)[:n]),
+        ScoreVector((1.0, 0.0, 1.0, 1.0, 0.0, 1.0)[:n]),
+    ]
+    x = np.zeros((len(EDGE_SEEDS), 3))
+    for seed in (int(EDGE_SEEDS[0]), EDGE_SEEDS):
+        seen = {}  # (anchor, ordinal) -> its draws under each score
+        for score in scores:
+            spec = replace(interior, score=score)
+            field = BlendedField(spec, seed)
+            for ordinal in EDGE_ORDINALS:
+                draws = field._draws(x, ordinal)
+                for k, row in zip(active_anchor_ids(spec), draws):
+                    seen.setdefault((k, ordinal), []).append(np.array(row))
+        (vertex,) = active_anchor_ids(replace(interior, score=scores[-1]))
+        assert len(seen[vertex, 0]) == 3  # active under all three scores
+        for rows in seen.values():
+            assert all(np.array_equal(row, rows[0]) for row in rows)
+        # at the vertex only the word holding the active anchor is hashed
+        hashes, _ = field._draw_out
+        assert hashes.shape[1:] == ((1, len(EDGE_SEEDS)) if np.ndim(seed) else (1,))
+
+
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
 @pytest.mark.parametrize("mode", ["stochastic", "full_average"])
 def test_non_finite_velocity_of_a_zero_weight_anchor_does_not_reach_the_blend(mode, wrap):

@@ -13,7 +13,6 @@ from cogflow.errors import ContractViolation, DivergenceError
 from cogflow.flow import (
     AffineDecoder,
     GenerationRequest,
-    IdentityDecoder,
     IntegrationConfig,
     build_blend_spec,
     generate,
