@@ -150,12 +150,8 @@ def _cmd_experiment(args) -> int:
     for path in emit_report(report, _out_dir(resolved)):
         print(f"wrote {path}")
     for criterion in report.criteria:
-        status = (
-            "PASS"
-            if criterion.passed
-            else ("INCONCLUSIVE" if criterion.passed is None else "FAIL")
-        )
-        print(f"{status:12s} {criterion.name}: value={criterion.value} "
+        status = "PASS" if criterion.passed else "FAIL"
+        print(f"{status} {criterion.name}: value={criterion.value} "
               f"threshold={criterion.threshold}")
     return 0 if report.passed else 1
 

@@ -147,23 +147,20 @@ def enumerate_anchors(space: CognitiveSpace) -> list[CognitiveAnchor]:
 
 
 def anchor_weight(score: ScoreVector, anchor: CognitiveAnchor) -> float:
-    """Multilinear weight of one anchor: prod_i (s_i a_i + (1-a_i)(1-s_i))."""
+    """Multilinear weight of one anchor: prod_i (s_i a_i + (1-a_i)(1-s_i)),
+    the anchor's entry of weight_vector."""
     if len(score) != len(anchor):
         raise SpaceMismatchError(
             f"score has {len(score)} components but anchor has {len(anchor)}"
         )
-    w = 1.0
-    for s, a in zip(score.values, anchor.bits):
-        w *= s if a else (1.0 - s)
-    return w
+    return float(weight_vector(score)[anchor.index - 1])
 
 
 def weight_vector(score: ScoreVector, space: CognitiveSpace | None = None) -> np.ndarray:
     """Weights for all anchors in canonical order; a partition of unity.
 
-    Each anchor's product runs over the dimensions in order, as in
-    anchor_weight, so both give the same bits. The score is checked
-    against space when one is given.
+    Each anchor's product runs over the dimensions in order. The score is
+    checked against space when one is given.
     """
     if space is not None and len(score) != space.n:
         raise SpaceMismatchError(

@@ -326,7 +326,7 @@ def generate(
 class MomentPaths(NamedTuple):
     times: np.ndarray  # (N+1,)
     means: np.ndarray  # (N+1, D)
-    covariances: np.ndarray  # (N+1, D, D)
+    variances: np.ndarray  # (N+1,): the covariance at times[i] is variances[i] * I
 
     @property
     def endpoint_mean(self) -> np.ndarray:
@@ -334,7 +334,7 @@ class MomentPaths(NamedTuple):
 
     @property
     def endpoint_cov(self) -> np.ndarray:
-        return self.covariances[-1]
+        return self.variances[-1] * np.eye(self.means.shape[1])
 
 
 @functools.cache
@@ -472,10 +472,9 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
         d += decay
         np.divide(falling, d, out=d)
         integral[1:] += np.outer(np.cumsum(d.sum(axis=1)), share * mean)
-    covariance = np.exp(log_cov)
-    means = np.sqrt(covariance)[:, None] * integral
-    covariances = covariance[:, None, None] * np.eye(dim)
-    return MomentPaths(times=times, means=means, covariances=covariances)
+    variances = np.exp(log_cov)
+    means = np.sqrt(variances)[:, None] * integral
+    return MomentPaths(times=times, means=means, variances=variances)
 
 
 def _csv_lines(header: list[str], rows: np.ndarray) -> str:

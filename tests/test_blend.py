@@ -739,13 +739,22 @@ def test_one_dimension_stochastic_equals_full_average():
     assert np.array_equal(batches[0].endpoints, batches[1].endpoints)
 
 
+def product_weight(score, anchor):
+    """The multilinear weight as a left-to-right product over the dimensions."""
+    w = 1.0
+    for s, a in zip(score.values, anchor.bits):
+        w *= s if a else (1.0 - s)
+    return w
+
+
 def test_weights_equal_anchor_weight_bits():
     rng = np.random.default_rng(21)
     for n in range(1, 7):
         for _ in range(50):
             spec = gaussian_spec(n, seed=int(rng.integers(1 << 30)), mode="stochastic")
-            want = [anchor_weight(spec.score, e.anchor) for e in spec.anchor_sets]
+            want = [product_weight(spec.score, e.anchor) for e in spec.anchor_sets]
             assert spec.weights().tolist() == want
+            assert [anchor_weight(spec.score, e.anchor) for e in spec.anchor_sets] == want
 
 
 # --- zero-weight anchors ------------------------------------------------------

@@ -373,6 +373,16 @@ def test_experiment_unwritable_out_dir(tmp_path):
     assert blocker.read_text() == "file"
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_experiment_rejects_a_non_positive_thread_count(tmp_path, caplog, threads):
+    cfg = write_config(tmp_path, experiment={"kind": "cost_accounting"})
+    out = tmp_path / "run"
+    assert run_cli("experiment", "--config", str(cfg), "--threads", threads,
+                   "--out", str(out)) == 2
+    assert f"threads must be an integer >= 1, got {threads}" in caplog.text
+    assert not out.exists()
+
+
 def test_experiment_unknown_kind(tmp_path):
     cfg = write_config(tmp_path, experiment={"kind": "nope"})
     assert run_cli("experiment", "--config", str(cfg)) == 2

@@ -529,7 +529,7 @@ def test_moment_reference_skips_a_zero_share_field_of_any_type():
     ):
         got = moment_reference(other, config)
         assert got.means.tobytes() == want.means.tobytes()
-        assert got.covariances.tobytes() == want.covariances.tobytes()
+        assert got.variances.tobytes() == want.variances.tobytes()
 
 
 # The coefficient loop and matrix state of the moment ODE, integrated by
@@ -629,13 +629,14 @@ def reference_path(*args):
 
 def assert_matches_reference(paths, reference):
     """paths lies within REFERENCE_TOLERANCE of the reference on its grid,
-    whose steps divide the reference's, and is exactly isotropic."""
+    whose steps divide the reference's; its covariance at times[i] is
+    variances[i] * I, one variance per time."""
     means, covariances = reference
     stride = REFERENCE.steps // (len(paths.times) - 1)
     assert np.max(np.abs(paths.means - means[::stride])) <= REFERENCE_TOLERANCE
-    assert np.max(np.abs(paths.covariances - covariances[::stride])) <= REFERENCE_TOLERANCE
-    dim = paths.means.shape[1]
-    assert np.all(paths.covariances[:, ~np.eye(dim, dtype=bool)] == 0.0)
+    assert paths.variances.shape == paths.times.shape
+    isotropic = paths.variances[:, None, None] * np.eye(paths.means.shape[1])
+    assert np.max(np.abs(isotropic - covariances[::stride])) <= REFERENCE_TOLERANCE
 
 
 @pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
@@ -680,7 +681,7 @@ def test_one_pass_tabulation_keeps_the_bits_of_per_time_calls():
         paths = moment_reference(spec, REFERENCE)
         assert np.max(np.abs(paths.means - times[:, None] * mean)) <= REFERENCE_TOLERANCE
         decay = (1.0 - times) ** 2 + times * times * variance
-        assert np.max(np.abs(paths.covariances - decay[:, None, None] * np.eye(2))) <= REFERENCE_TOLERANCE
+        assert np.max(np.abs(paths.variances - decay)) <= REFERENCE_TOLERANCE
 
 
 def test_moment_field_rejects_an_untabulated_time():

@@ -63,7 +63,8 @@ def make_config(n=2, kind="vertex_recovery", **kwargs):
 PERFBENCH = dict(sample_count=2048, integration=IntegrationConfig("rk4", 100))
 
 
-@pytest.mark.parametrize("overrides", [
+# settings at which the exact-map checks of a correct program must pass
+MAP_SETTINGS = pytest.mark.parametrize("overrides", [
     {},
     # seeds at which the former 3-SE statistics failed a correct program
     dict(PERFBENCH, seed=23),
@@ -76,6 +77,9 @@ PERFBENCH = dict(sample_count=2048, integration=IntegrationConfig("rk4", 100))
     dict(model_kwargs={"default_variance": 10.0}),
 ], ids=["rk4-40", "perfbench-seed-23", "perfbench-seed-32", "midpoint-100", "euler-100",
         "rk4-10", "perfbench-variance-0.01", "variance-10"])
+
+
+@MAP_SETTINGS
 def test_vertex_recovery_passes(overrides):
     report = vertex_recovery(make_config(**overrides))
     assert report.experiment == "vertex_recovery"
@@ -101,13 +105,17 @@ def _inflate_generate_x0(monkeypatch, factor):
     monkeypatch.setattr(flow, "initial_states", lambda *args: factor * draw(*args))
 
 
-@pytest.mark.parametrize("seed", [0, 23, 32])
-@pytest.mark.parametrize("mutate", [
+# sampler faults that every exact-map check must catch, at perfbench settings
+PERTURBATIONS = pytest.mark.parametrize("mutate", [
     # about 10 tol at rk4/100, and far inside the former 3-SE band of ~0.06
     functools.partial(_shift_velocity, offset=2e-7),
     # a 5% variance inflation of the starting states
     functools.partial(_inflate_generate_x0, factor=np.sqrt(1.05)),
 ], ids=["velocity-offset", "x0-inflation"])
+
+
+@pytest.mark.parametrize("seed", [0, 23, 32])
+@PERTURBATIONS
 def test_vertex_recovery_fails_a_perturbed_sampler(monkeypatch, mutate, seed):
     mutate(monkeypatch)
     report = vertex_recovery(make_config(**PERFBENCH, seed=seed))
@@ -173,18 +181,48 @@ def test_concurrent_stochastic_generates_equal_sequential_ones():
 
 # --- continuity -------------------------------------------------------------
 
-def test_continuity_sweep_ratios_and_monotonicity():
-    cfg = make_config(
-        kind="continuity_sweep", sample_count=256,
-        deltas=(1e-2, 1e-3, 1e-4), grid_points=5,
-    )
-    report = continuity_sweep(cfg)
-    names = {c.name for c in report.criteria}
-    assert names == {"displacement_ratio_window", "monotone_response"}
+# fewer points and probes than the default sweep, to keep the suite fast
+SHORT_SWEEP = dict(kind="continuity_sweep", grid_points=3, deltas=(1e-2, 1e-4))
+
+
+@MAP_SETTINGS
+def test_continuity_sweep_passes(overrides):
+    report = continuity_sweep(make_config(**SHORT_SWEEP, **overrides))
+    assert {c.name for c in report.criteria} == {
+        "displacement_ratio_window", "monotone_response",
+    }
     assert report.passed, report.criteria
+    assert len(report.records) == 3
     for record in report.records:
-        for ratio in record["extra"]["ratios"]:
-            assert 5.0 <= ratio <= 20.0
+        assert record["discrepancy"] <= 1.0
+        assert len(record["oracle_mean"]) == 2
+        assert set(record["extra"]) == {"displacements", "projection"}
+
+
+@pytest.mark.parametrize("seed", [0, 23, 32])
+@PERTURBATIONS
+def test_continuity_sweep_fails_a_perturbed_sampler(monkeypatch, mutate, seed):
+    mutate(monkeypatch)
+    cfg = make_config(**PERFBENCH, seed=seed, kind="continuity_sweep", grid_points=2,
+                      deltas=(1e-3,))
+    report = continuity_sweep(cfg)
+    window = next(c for c in report.criteria if c.name == "displacement_ratio_window")
+    assert not window.passed and not report.passed
+    assert all(record["discrepancy"] > 1.0 for record in report.records)
+
+
+@pytest.mark.parametrize("kind", ["vertex_recovery", "continuity_sweep"])
+def test_exact_map_experiments_reject_a_mixture_binding(kind):
+    # the moment oracle has no map for a mixture with a share in the blend
+    cfg = make_config(kind=kind, sample_count=64)
+    mixture = TargetDistribution(
+        components=((0.3, np.array([1.0, -1.0]), 0.5), (0.7, np.array([-0.5, 2.0]), 0.8))
+    )
+    cfg.model = dataclasses.replace(
+        cfg.model, explicit_bindings={cfg.request.base_prompt: mixture}
+    )
+    with pytest.raises(ContractViolation, match="not a Gaussian target field"):
+        run_experiment(cfg)
 
 
 def test_continuity_sweep_zero_delta_probe():
@@ -192,6 +230,8 @@ def test_continuity_sweep_zero_delta_probe():
         kind="continuity_sweep", sample_count=64, deltas=(1e-3, 0.0), grid_points=2,
     )
     report = continuity_sweep(cfg)
+    assert report.passed, report.criteria
+    assert all(np.isfinite(c.value) for c in report.criteria)
     for record in report.records:
         assert record["extra"]["displacements"]["0"] == 0.0
 
@@ -208,10 +248,8 @@ def test_continuity_sweep_identical_fields_zero_displacement():
         cfg.space, default_variance=0.6, explicit_bindings=bindings
     )
     report = continuity_sweep(cfg)
-    ratio_criterion = next(
-        c for c in report.criteria if c.name == "displacement_ratio_window"
-    )
-    assert ratio_criterion.passed is None  # no nonzero displacements to compare
+    window = next(c for c in report.criteria if c.name == "displacement_ratio_window")
+    assert window.passed and np.isfinite(window.value)
     for record in report.records:
         assert all(v == 0.0 for v in record["extra"]["displacements"].values())
 
@@ -408,10 +446,22 @@ def test_make_record_envelope():
 
 
 def test_criterion_json_shape():
-    crit = Criterion("c", 0.5, 1.0, True)
+    crit = Criterion("c", 0.5, 1.0)
     assert crit.to_json_dict() == {
         "name": "c",
         "value": 0.5,
         "threshold": 1.0,
         "pass": True,
     }
+
+
+@pytest.mark.parametrize("value,passed", [(0.5, True), (1.0, True), (1.5, False)])
+def test_criterion_passes_iff_value_at_most_threshold(value, passed):
+    assert Criterion("c", value, 1.0).passed is passed
+    assert MetricsReport("x", "", [], [Criterion("c", value, 1.0)]).passed is passed
+
+
+def test_experiment_config_rejects_a_non_positive_thread_count():
+    for threads in (0, -3, 1.0, True):
+        with pytest.raises(ContractViolation, match="threads must be an integer >= 1"):
+            make_config(threads=threads)
