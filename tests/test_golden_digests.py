@@ -17,11 +17,13 @@ depend on the platform's libm.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from cogflow.blend import AnchorFields, BlendedField, BlendSpec
+from cogflow.cli import main
 from cogflow.cogspace import ScoreVector, enumerate_anchors
 from cogflow.flow import IntegrationConfig, integrate
 from cogflow.semantics import GaussianTargetField
@@ -36,17 +38,26 @@ SCORES = (0.25, 0.75, 0.625, 0.375)
 BOUNDARY_SCORES = {"face": (0.0, 0.75, 1.0, 0.375), "vertex": (1.0, 0.0, 1.0, 1.0)}
 
 
-def dyadic_field(j, wrap):
+def dyadic_field(j, wrap, v=None):
+    """Field j, whose variance is field v's (by default its own)."""
     mean = [((3 * j + 5 * d) % 17 - 8) / 8 for d in range(DIM)]
-    return wrap(GaussianTargetField(mean, (1 + j % 7) / 4))
+    return wrap(GaussianTargetField(mean, (1 + (j if v is None else v) % 7) / 4))
 
 
-def dyadic_spec(n, mode, draw_scope, wrap, scores=SCORES):
+def dyadic_spec(n, mode, draw_scope, wrap, scores=SCORES, equal_variances=False):
+    """Every chain field has its own variance, or with equal_variances
+    the chains of anchor k all have field k's variance."""
     anchors = enumerate_anchors(make_space(n))
     return BlendSpec(
         base_field=dyadic_field(0, wrap),
         anchor_sets=tuple(
-            AnchorFields(a, tuple(dyadic_field(1 + k * n + j, wrap) for j in range(n)))
+            AnchorFields(
+                a,
+                tuple(
+                    dyadic_field(1 + k * n + j, wrap, k if equal_variances else None)
+                    for j in range(n)
+                ),
+            )
             for k, a in enumerate(anchors)
         ),
         score=ScoreVector(scores[:n]),
@@ -63,10 +74,13 @@ def digest(array):
     return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
 
 
-def run(n, mode, draw_scope, solver, path="bank", record_trajectory=False, scores=SCORES):
+def run(
+    n, mode, draw_scope, solver, path="bank", record_trajectory=False, scores=SCORES,
+    equal_variances=False,
+):
     x0 = np.array([[((7 * r + 3 * d) % 13 - 6) / 4 for d in range(DIM)] for r in range(ROWS)])
     field = BlendedField(
-        dyadic_spec(n, mode, draw_scope, WRAPS[path], scores),
+        dyadic_spec(n, mode, draw_scope, WRAPS[path], scores, equal_variances),
         np.arange(100, 100 + ROWS, dtype=np.uint64),
     )
     assert (field._bank is not None) == (path == "bank")
@@ -326,3 +340,73 @@ BOUNDARY_GOLDEN = {
 def test_boundary_endpoint_matches_golden_digest(where, n, mode, draw_scope, solver, path):
     got = endpoint_digest(n, mode, draw_scope, solver, path, BOUNDARY_SCORES[where])
     assert got == BOUNDARY_GOLDEN[where, n, mode, draw_scope, solver]
+
+
+# The chains of each anchor share one variance, as template bindings give
+# them, so every active anchor's kappa(t) is one number for all its rows.
+# Recorded before the Gaussian bank multiplied such an anchor by that
+# number instead of gathering a kappa per row.
+EQUAL_VARIANCE_SCORES = {"interior": SCORES, **BOUNDARY_SCORES}
+EQUAL_VARIANCE_GOLDEN = {
+    ("interior", 2, "per_eval"): "b1af916afc027600fe0dd59f93c5cb4b2c74b8e0371a66de0dac951db0cc8cfb",
+    ("interior", 2, "per_step"): "e121aefd22a80a8a35babd081469414e374c63a56d8057aa17a07e00d7c3f0c9",
+    ("interior", 3, "per_eval"): "b77cd846a4c2646a6817e93ce8ad424a8d45ed1141ffa113a60f4f364b41ab46",
+    ("interior", 3, "per_step"): "92bd7733cccf11ff898a372c3049d39ced4a7795047d4aaf50baef867177ce99",
+    ("interior", 4, "per_eval"): "2d0777edcd248e9da866b749adab07ee997fda64478e0a011388dbc497800967",
+    ("interior", 4, "per_step"): "cfb772b96b046f1d6f949e3f1b553a4f46bd025eb8ad898f2b17e53c3c19f0dd",
+    ("face", 2, "per_eval"): "9aff93b84e70b58bfc05ae20064723d85a840ebb863377aa4f78e697a6e197f6",
+    ("face", 2, "per_step"): "6af4f08a9f0f09cbc04a9cb3d77e1388cbb9438985676b47450bd0172bcbf1ba",
+    ("face", 3, "per_eval"): "a67262f5662b9bc553544b2cf9810e3592f75e44bcd548139376808444f0e0b7",
+    ("face", 3, "per_step"): "5b3b39498a484f069fa4ae13994929c7b2f1bf1bd1904ddc521e1062103c585a",
+    ("face", 4, "per_eval"): "bf1b6dcc39bbd6ea94b99b0889375dbd67e931d71d8c9add96b57f01f5481184",
+    ("face", 4, "per_step"): "a99847c4172f7940c45f39f8166c008d76f5f1d61a1a7796264fec612c3eb24a",
+    ("vertex", 2, "per_eval"): "bde262945e465f9f80a82064862f18e6096915d3c7720ed617feae74271215fb",
+    ("vertex", 2, "per_step"): "1a837e114c463b0b7106ff9693f8cfb1f56b6f52e2a3863095763d21400384e5",
+    ("vertex", 3, "per_eval"): "f95f80c80203e0f2e5ecc26cc6b24a2e87d536efc0e84eab283a0ad5cb262bda",
+    ("vertex", 3, "per_step"): "7fd076bc2080e76dc6ad6430b58bc6140379f837c6628b892a8ce236017f9136",
+    ("vertex", 4, "per_eval"): "4f0144ee1fce4c4b90da1996ba71be35dd561f469a88051f4e554a71e8dae403",
+    ("vertex", 4, "per_step"): "de37b8fe389a1bb5bbe0bdce1cadaee4effb06a2fa87de478124184e7d578f92",
+}
+
+
+@pytest.mark.parametrize("path", ["bank", "generic"])
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("where", ["interior", "face", "vertex"])
+def test_equal_variance_endpoint_matches_golden_digest(where, n, draw_scope, path):
+    result = run(
+        n, "stochastic", draw_scope, "rk4", path, scores=EQUAL_VARIANCE_SCORES[where],
+        equal_variances=True,
+    )
+    assert digest(result.endpoint) == EQUAL_VARIANCE_GOLDEN[where, n, draw_scope]
+
+
+# One small `cogflow generate` on the template backend, whose bindings give
+# every chain the default variance, through an affine decoder. Its x0 come
+# from numpy's log and cos (Box-Muller), so unlike the dyadic digests
+# above these bytes pin numpy's elementary functions too.
+CLI_CONFIG = {
+    "space": {"dimensions": [{"name": f"d{i}"} for i in range(3)]},
+    "semantics": {"effect_magnitudes": 1.5, "position_bias": 0.5, "default_variance": 0.6},
+    "blend": {"mode": "stochastic", "lambda": 0.5, "draw_scope": "per_eval"},
+    "flow": {
+        "solver": "rk4", "steps": 8, "sample_count": 16, "seed": 5,
+        "decoder": {"kind": "affine", "matrix": [[1.0, 0.5, -2.0], [0.25, 0.0, 3.0]],
+                    "offset": [0.125, -1.0]},
+    },
+    "experiment": {"base_prompt": "a quiet harbor", "score": [0.3, 0.7, 0.55]},
+}
+CLI_GOLDEN = {
+    "endpoints.csv": "5fb40583dda79e840a7f0d87b6408281a6b39992ecf8e2e25690996ba89fe8da",
+    "decoded.csv": "e76e9c4e50339bf49d2ecd321abb16fc72bb1b1814473cbaf957b1b698e14b39",
+}
+
+
+def test_cli_generate_csv_bytes_match_golden_digest(tmp_path):
+    config = dict(CLI_CONFIG, polarize={"cache_path": str(tmp_path / "cache.ndjson")})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+    for name, want in CLI_GOLDEN.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
