@@ -35,18 +35,20 @@ lanes b = log2(n) bits wide for a power-of-two n and 32 bits otherwise,
 and L = 64 // b. A row then hashes one word per ordinal at n = 2 and 4,
 4 at n = 3 and 32 at n = 6. The hash is split into a key and a counter:
 when the field is built, (seed_r, STREAM_CHAIN_DRAW) is folded once
-into a key, (1, B) for per-row seeds or a scalar for a scalar seed. One
-randbelow call per ordinal then folds only the ordinal and the distinct
-words of the active anchor ids, (A, 1) or (A,), and gathers every draw
-at once, (A, B) or (A,), for the A active of the K = 2**n anchors: the
-i-th active anchor's draws are the contiguous row draws[i]. An anchor's
-draws depend on its own id alone, so they are those of a draw over all
-K ids, and at a vertex only the word holding the one active anchor is
-hashed. The words are hashed in a (words, B) hash buffer and the draws
-reduced in an (A, B) draw buffer, both owned by the field, so an
-evaluation allocates no (A, B) temporaries. The draws are a view of the
-draw buffer until the next hash. At n = 1 each anchor has a single
-chain and no hash is made.
+into a key, (1, B) for per-row seeds or a scalar for a scalar seed, and
+the draw plan of the active anchor ids, (A, 1) or (A,), is built (see
+streams.draw_buffers): the distinct words to hash, each anchor's word
+and lane shift, and the buffers. One randbelow call per ordinal then
+folds only the ordinal into the key, hashes the words and gathers every
+draw at once, (A, B) or (A,), for the A active of the K = 2**n anchors:
+the i-th active anchor's draws are the contiguous row draws[i]. An
+anchor's draws depend on its own id alone, so they are those of a draw
+over all K ids, and at a vertex only the word holding the one active
+anchor is hashed. The words are hashed in a (words, B) hash buffer and
+the draws reduced in an (A, B) draw buffer, both in the plan the field
+owns, so an evaluation allocates no (A, B) temporaries and plans
+nothing. The draws are a view of the draw buffer until the next hash.
+At n = 1 each anchor has a single chain and no hash is made.
 
 There are two evaluation paths with the same bits. When the base field
 and the active anchors' chain fields are plain GaussianTargetFields (the
@@ -57,7 +59,12 @@ base mean (D, 1) and variance, chain means stored feature-major as
 C-contiguous (D, B) block: it computes
 kappa(t) for all chains at once and every Gaussian closed form in that
 block (in stochastic mode on each row's drawn mean and kappa); no inner
-field's eval is called. Feature-major, a per-field (D, 1) mean
+field's eval is called. The bank records which anchors' chains all have
+one variance, as template bindings give them: such an anchor's chains
+share one kappa(t), so each row's drawn kappa is that number, and the
+closed form multiplies by it instead of gathering a kappa per row, with
+the same bits. An anchor whose chain variances differ (explicit
+bindings may give them) gathers. Feature-major, a per-field (D, 1) mean
 broadcasts along the long axis, which numpy does several times faster
 than a (D,) mean over (B, D) rows at small D. The layout is this
 class's decision alone: eval takes a (B, D) or (D,) state of any
@@ -229,6 +236,7 @@ class GaussianBank(NamedTuple):
     base_variance: float
     means: np.ndarray  # (A, D, n)
     variances: np.ndarray  # (A, n)
+    equal_variances: tuple  # per anchor, whether its n chain variances are equal
 
     @classmethod
     def of(cls, spec: BlendSpec, active) -> "GaussianBank | None":
@@ -240,11 +248,13 @@ class GaussianBank(NamedTuple):
         if any(type(f) is not GaussianTargetField for f in fields):
             return None
         means = np.array([[f.mean for f in chain] for chain in chains])
+        variances = np.array([[f.variance for f in chain] for chain in chains])
         return cls(
             base_mean=np.array(spec.base_field.mean)[:, None],
             base_variance=spec.base_field.variance,
             means=np.ascontiguousarray(means.transpose(0, 2, 1)),
-            variances=np.array([[f.variance for f in chain] for chain in chains]),
+            variances=variances,
+            equal_variances=tuple((variances == variances[:, :1]).all(axis=1).tolist()),
         )
 
     def values(self, x, t, draws):
@@ -269,10 +279,13 @@ class GaussianBank(NamedTuple):
                 )
 
         def drawn():
-            for k, (means, kappa) in enumerate(zip(self.means, kappas)):
+            for k, (means, kappa, equal) in enumerate(
+                zip(self.means, kappas, self.equal_variances)
+            ):
                 chosen = draws[k]
                 mean = means.take(chosen, axis=1).reshape(len(means), -1)
-                yield gaussian_velocity(mean, kappa.take(chosen), x, t)
+                # equal variances give equal kappas, so the drawn kappa is kappa[0]
+                yield gaussian_velocity(mean, kappa[0] if equal else kappa.take(chosen), x, t)
 
         return base, averaged() if draws is None else drawn()
 
@@ -292,22 +305,31 @@ class BlendedField(VelocityField):
         self._eval_ordinal = 0
         self._step_ordinal = 0
         self._drawn = (None, None)  # (ordinal, draws) of the last hash
+        # fixed for the field's life, so worked out once rather than per eval
+        self._evals_per_call = spec.evals_per_call()
+        self._stochastic = spec.mode == "stochastic"
+        self._per_step = spec.draw_scope == "per_step"
+        self._anchor_share = 1.0 - spec.base_mix
+        self._per_row = np.ndim(seed) > 0
         # only the active anchors are evaluated; see the module notes
         weights = spec.weights()
         active = np.flatnonzero(weights)
         self._weights = weights[active]
         self._chains = tuple(spec.anchor_sets[k].chain_fields for k in active)
         self._bank = GaussianBank.of(spec, active)
-        if spec.mode == "stochastic" and spec.n > 1:
-            # the key/counter split and the buffers; see the module notes
-            per_row = np.ndim(seed) > 0
+        self._draw_plan = None
+        if self._stochastic and spec.n > 1:
+            # the key/counter split and the draw plan; see the module notes
             self._key = streams.fold_key(
-                np.asarray(seed)[None, :] if per_row else seed, streams.STREAM_CHAIN_DRAW
+                np.asarray(seed)[None, :] if self._per_row else seed,
+                streams.STREAM_CHAIN_DRAW,
             )
-            self._anchor_ids = active.astype(np.uint64)
-            if per_row:
-                self._anchor_ids = self._anchor_ids[:, None]
-            self._draw_out = streams.draw_buffers(spec.n, self._key, 0, self._anchor_ids)
+            ids = active.astype(np.uint64)
+            self._draw_plan = streams.draw_buffers(
+                spec.n, self._key, 0, ids[:, None] if self._per_row else ids
+            )
+            # the plan's read-only copy of the ids passes its check by identity
+            self._anchor_ids = self._draw_plan.last
 
     @property
     def dim(self):
@@ -328,7 +350,7 @@ class BlendedField(VelocityField):
         and the buffer is not written again until the step ordinal
         changes.
         """
-        if np.ndim(self.seed) > 0:
+        if self._per_row:
             if x.ndim == 1:
                 raise ContractViolation(
                     "per-row seeds require batched states of shape (rows, dim)"
@@ -340,14 +362,14 @@ class BlendedField(VelocityField):
         last, draws = self._drawn
         if ordinal == last:
             return draws
-        if self.spec.n == 1:
-            # randbelow(1, ...) is always 0: skip the hash
+        if self._draw_plan is None:
+            # n = 1: randbelow(1, ...) is always 0, so skip the hash
             draws = np.zeros(len(self._weights), dtype=np.int64)
         else:
             draws = streams.randbelow(
-                self.spec.n, self._key, ordinal, self._anchor_ids, out=self._draw_out
+                self.spec.n, self._key, ordinal, self._anchor_ids, out=self._draw_plan
             )
-        if self.spec.draw_scope == "per_step":
+        if self._per_step:
             self._drawn = (ordinal, draws)
         return draws
 
@@ -372,17 +394,15 @@ class BlendedField(VelocityField):
         Fortran-ordered; see the module notes.
         """
         x = np.asarray(x, dtype=float)
-        spec = self.spec
         draws = None
-        if spec.mode == "stochastic":
-            per_step = spec.draw_scope == "per_step"
-            draws = self._draws(x, self._step_ordinal if per_step else self._eval_ordinal)
+        if self._stochastic:
+            draws = self._draws(x, self._step_ordinal if self._per_step else self._eval_ordinal)
         if self._bank is not None:
             # no copy when x is a view of a C-contiguous (D, B) block
             block = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
             base, vhats = self._bank.values(block, t, draws)
         else:
-            base = spec.base_field.eval(x, t)
+            base = self.spec.base_field.eval(x, t)
             vhats = (
                 self._chain_value(fields, x, t, None if draws is None else draws[i])
                 for i, fields in enumerate(self._chains)
@@ -396,11 +416,11 @@ class BlendedField(VelocityField):
             np.subtract(vhat, base, out=dev)
             dev *= w
             acc += dev
-        acc *= 1.0 - spec.base_mix
+        acc *= self._anchor_share
         acc += base
-        if spec.draw_scope != "per_step":
+        if not self._per_step:
             self._eval_ordinal += 1
-        self.eval_counter += (1 if x.ndim == 1 else len(x)) * spec.evals_per_call()
+        self.eval_counter += (1 if x.ndim == 1 else len(x)) * self._evals_per_call
         if self._bank is None:
             return acc
         return acc.T.reshape(x.shape)

@@ -25,7 +25,7 @@ from .errors import (
     ConfigError,
     ContractViolation,
 )
-from .flow import generate, write_sample_batch
+from .flow import _check_count, generate, write_sample_batch
 from .harness import emit_report, run_experiment
 from .polarize import build_all_sets, build_chain_orders, prompt_sets_to_json
 
@@ -185,6 +185,9 @@ def run(args) -> int:
     )
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
+        # every subcommand takes --threads, so it is checked once, before any
+        # command runs or creates an output directory
+        _check_count("threads", args.threads)
         return _COMMANDS[args.command](args)
     except (ConfigError, ContractViolation, BindingError) as exc:
         log.error("config error: %s", exc)

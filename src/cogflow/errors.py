@@ -27,7 +27,9 @@ class DivergenceError(CogflowError, ArithmeticError):
 
     last_max_abs is the largest |x| of the failing sample (the whole state
     when it is a single sample) at the last finite state, the start of the
-    failing step, and last_time is that state's time.
+    failing step, and last_time is that state's time. last_max_velocity
+    is the largest |v| of that sample there: the velocity every solver
+    evaluates first in a step.
     """
 
     def __init__(
@@ -36,17 +38,21 @@ class DivergenceError(CogflowError, ArithmeticError):
         sample_index: int | None = None,
         last_max_abs: float | None = None,
         last_time: float | None = None,
+        last_max_velocity: float | None = None,
     ):
         where = f"non-finite state at integration step {step_index}"
         if sample_index is not None:
             where += f" (sample {sample_index})"
         if last_max_abs is not None:
             where += f"; last finite state at t={last_time!r} had max |x| = {last_max_abs!r}"
+        if last_max_velocity is not None:
+            where += f" and max |v| = {last_max_velocity!r}"
         super().__init__(where)
         self.step_index = step_index
         self.sample_index = sample_index
         self.last_max_abs = last_max_abs
         self.last_time = last_time
+        self.last_max_velocity = last_max_velocity
 
 
 class BackendError(CogflowError, RuntimeError):

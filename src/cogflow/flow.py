@@ -70,19 +70,21 @@ class IntegrationResult(NamedTuple):
     trajectory: np.ndarray | None  # (N+1, ...) with row 0 = x0
 
 
-def _check_finite(x: np.ndarray, step: int, last: np.ndarray, last_time: float):
+def _check_finite(
+    x: np.ndarray, step: int, last: np.ndarray, last_time: float, velocity: np.ndarray
+):
     """Raise DivergenceError if x is not finite; last is the state at the
-    start of the step, at time last_time."""
+    start of the step, at time last_time, and velocity the field there."""
     finite = np.isfinite(x)
     if finite.all():
         return
     bad = None
     if x.ndim > 1:
         bad = int(np.argmin(finite.all(axis=-1)))
-        last = last[bad]
+        last, velocity = last[bad], velocity[bad]
     raise DivergenceError(
         step, sample_index=bad, last_max_abs=float(np.max(np.abs(last))),
-        last_time=last_time,
+        last_time=last_time, last_max_velocity=float(np.max(np.abs(velocity))),
     )
 
 
@@ -130,14 +132,13 @@ def integrate(
             begin_step(i)
         start = x
         t = i / n_steps
+        k1 = evaluate(x, t)  # every solver's first stage
         if config.solver == "euler":
-            x = _axpy(h, evaluate(x, t), x)
+            x = _axpy(h, k1, x)
         elif config.solver == "midpoint":
-            k1 = evaluate(x, t)
             x = _axpy(h, evaluate(_axpy(0.5 * h, k1, x), t + 0.5 * h), x)
         else:  # rk4; its two mid-stages share one time
             t_mid = t + 0.5 * h
-            k1 = evaluate(x, t)
             k2 = evaluate(_axpy(0.5 * h, k1, x), t_mid)
             k3 = evaluate(_axpy(0.5 * h, k2, x), t_mid)
             k4 = evaluate(_axpy(h, k3, x), (i + 1) / n_steps)
@@ -148,7 +149,7 @@ def integrate(
             s *= h / 6.0
             s += x
             x = s
-        _check_finite(x, i, start, t)
+        _check_finite(x, i, start, t, k1)
         if trajectory is not None:
             trajectory[i + 1] = x
     return IntegrationResult(endpoint=np.ascontiguousarray(x), trajectory=trajectory)
@@ -478,9 +479,14 @@ def moment_reference(spec: BlendSpec, config: IntegrationConfig) -> MomentPaths:
 
 
 def _csv_lines(header: list[str], rows: np.ndarray) -> str:
-    lines = [",".join(header)]
-    for row in np.atleast_2d(rows):
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    """The header and one line per row, each value as f"{v:.17g}" would
+    print it. %-formatting a row's Python floats at once gives the same
+    bytes without formatting each numpy scalar on its own. Rows are
+    converted one at a time: the whole batch as nested lists of floats
+    raised a generate's peak RSS by about 0.45 MB."""
+    rows = np.atleast_2d(rows)
+    line = ",".join(["%.17g"] * rows.shape[1])
+    lines = [",".join(header), *(line % tuple(row.tolist()) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

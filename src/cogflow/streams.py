@@ -31,13 +31,25 @@ whichever other last counters are drawn with them. When the last
 counter varies along one axis and the other counters do not, each
 distinct word is hashed once and the words are gathered along that
 axis; otherwise each draw hashes its own word.
+
+Which words to hash, each draw's word along that axis, the lane shifts
+and the draws' shape depend on the last counter alone: they are a
+DrawPlan. draw_buffers builds one, with every buffer a call needs, for
+a caller that draws the same last counter again and again under other
+leading counters (the chain draws of a blended field, once per
+evaluation ordinal), and the caller passes it as out= on every call.
+Such a call folds only its leading counters, then hashes, gathers,
+shifts and masks in the plan's buffers, and allocates nothing. The plan
+checks every call's last counter: its own read-only copy passes by
+identity, an array of the same shape and values by comparison, and
+anything else raises ValueError, so a plan never serves the draws of
+another last counter. Without out=, a call builds a plan of its own.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +98,10 @@ def _avalanche(h: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _round(h: np.ndarray, counter: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """One fold round, avalanche((h * golden) ^ counter), written to out."""
-    np.bitwise_xor(h * _GOLDEN, counter, out=out)
+    """One fold round, avalanche((h * golden) ^ counter), written to out,
+    which has the broadcast shape of h and counter and may be h itself."""
+    np.multiply(h, _GOLDEN, out=out)
+    out ^= counter
     return _avalanche(out, scratch)
 
 
@@ -182,45 +196,114 @@ def _lane_bits(bound) -> int:
     return 32
 
 
-class _Plan(NamedTuple):
-    """How randbelow hashes and gathers the draws of one counter tuple."""
-
-    key: Key
-    words: np.ndarray  # the hashed words, along the draw axis if there is one
-    inverse: np.ndarray | None  # each draw's word, along that axis
-    axis: int | None
-    shifts: np.ndarray  # each draw's lane offset in bits, shaped as the last counter
-    shape: tuple
+def _shape(counter) -> tuple:
+    if isinstance(counter, (int, np.integer)):
+        return ()
+    return counter.shape if isinstance(counter, Key) else np.shape(counter)
 
 
-def _plan(bits: int, counters) -> _Plan:
-    """Split counters into the key, the words to hash and each draw's
-    lane; find the draw axis, if any (see the module notes)."""
+class DrawPlan:
+    """How randbelow hashes and gathers the draws of one last counter,
+    with the buffers it does so in; see draw_buffers.
+
+    Only the leading counters are read on each call: they are folded in
+    the fold buffer, the words hashed in the hash buffer and the draws
+    gathered, shifted and masked in the draws array, all owned here.
+    """
+
+    def __init__(self, bits: int, leading: tuple, last):
+        last = _as_u64(last)
+        self.bits = bits
+        self.leading_shapes = [_shape(c) for c in leading]
+        # what the plan is for, checked on every call: a read-only copy,
+        # which a caller may pass as the last counter to pass the check by
+        # identity
+        self.last = last.copy()
+        self.last.flags.writeable = False
+        key_shape = np.broadcast_shapes(*self.leading_shapes)
+        lanes = np.uint64(64 // max(bits, 1))
+        words = last // lanes
+        self.mask = np.uint64((1 << bits) - 1)
+        shape = np.broadcast_shapes(key_shape, last.shape)
+        self.shifts = (last % lanes) * np.uint64(bits)  # each draw's lane offset in bits
+        pad = len(shape) - last.ndim
+        varying = [i for i, size in enumerate(last.shape, pad) if size > 1]
+        key_sizes = (1,) * (len(shape) - len(key_shape)) + key_shape
+        self.axis = self.inverse = None
+        if len(varying) == 1 and key_sizes[varying[0]] == 1:
+            # each distinct word is hashed once and gathered along the axis
+            self.axis, flat = varying[0], words.reshape(-1)
+            # a set, not np.unique, which raised a generate's peak RSS by 6 MB
+            distinct = np.array(sorted(set(flat.tolist())), dtype=np.uint64)
+            self.inverse = np.searchsorted(distinct, flat)
+            along = [1] * len(shape)
+            along[self.axis] = len(distinct)
+            words = distinct.reshape(along)
+        self.words = words  # the hashed words, along the draw axis if there is one
+        self.hashes = hash_buffer(np.broadcast_shapes(key_shape, words.shape))
+        self.draws = np.empty(shape, dtype=np.uint64)
+        self._fold_rows = _rows(hash_buffer(key_shape))
+        self._hash_rows = _rows(self.hashes)
+
+    def check(self, bits: int, leading: tuple, last) -> "DrawPlan":
+        """Raise ValueError unless this plan was built for these counters:
+        the same lane width, the same last counter (self.last itself, or
+        one of its shape and values), and leading counters of the same
+        shapes."""
+        if (
+            bits != self.bits
+            or not self._is_last(last)
+            or [_shape(c) for c in leading] != self.leading_shapes
+        ):
+            raise ValueError(
+                "this draw plan was built for other counters; get one from draw_buffers"
+            )
+        return self
+
+    def _is_last(self, last) -> bool:
+        if last is self.last:
+            return True
+        last = _as_u64(last)
+        return last.shape == self.last.shape and last.tobytes() == self.last.tobytes()
+
+    def draw(self, bound: int, leading: tuple) -> np.ndarray:
+        """The draws below bound for the leading counters, in self.draws."""
+        if leading and isinstance(leading[0], Key):
+            state, leading = leading[0].state, leading[1:]
+        else:
+            state = np.asarray(_FOLD_SEED)
+        draws = self.draws
+        # every operation is an array ufunc, which wraps around silently
+        out, scratch = self._fold_rows
+        for counter in leading:
+            state = _round(state, _as_u64(counter), out, scratch)
+        h, scratch = self._hash_rows
+        _round(state, self.words, h, scratch)
+        h *= _GOLDEN
+        _avalanche(h, scratch)
+        if self.axis is None:
+            np.right_shift(h, self.shifts, out=draws)
+        else:
+            np.take(h, self.inverse, axis=self.axis, out=draws, mode="clip")
+            np.right_shift(draws, self.shifts, out=draws)
+        np.bitwise_and(draws, self.mask, out=draws)
+        if bound != 1 << self.bits:
+            draws *= np.uint64(bound)
+            draws >>= np.uint64(self.bits)
+        return draws.view(np.int64)[()]
+
+
+def _split(counters) -> tuple[tuple, object]:
     if not counters or isinstance(counters[-1], Key):
         raise TypeError("randbelow needs a last counter after any key")
-    key, last = fold_key(*counters[:-1]), _as_u64(counters[-1])
-    lanes = np.uint64(64 // max(bits, 1))
-    words, shifts = last // lanes, (last % lanes) * np.uint64(bits)
-    shape = np.broadcast_shapes(key.shape, last.shape)
-    pad = len(shape) - last.ndim
-    varying = [i for i, size in enumerate(last.shape, pad) if size > 1]
-    key_sizes = (1,) * (len(shape) - len(key.shape)) + key.shape
-    if len(varying) != 1 or key_sizes[varying[0]] > 1:
-        return _Plan(key, words, None, None, shifts, shape)
-    axis, flat = varying[0], words.reshape(-1)
-    # a set, not np.unique, which raised a generate's peak RSS by 6 MB
-    words = np.array(sorted(set(flat.tolist())), dtype=np.uint64)
-    along = [1] * len(shape)
-    along[axis] = len(words)
-    return _Plan(key, words.reshape(along), np.searchsorted(words, flat), axis, shifts, shape)
+    return counters[:-1], counters[-1]
 
 
-def draw_buffers(bound: int, *counters) -> tuple[np.ndarray, np.ndarray]:
-    """The (hash buffer, draws) pair for randbelow(bound, *counters, out=)
-    and any counters of these shapes with this last counter."""
-    plan = _plan(_lane_bits(bound), counters)
-    hash_shape = np.broadcast_shapes(plan.key.shape, plan.words.shape)
-    return hash_buffer(hash_shape), np.empty(plan.shape, dtype=np.uint64)
+def draw_buffers(bound: int, *counters) -> DrawPlan:
+    """The plan and buffers for randbelow(bound, *counters, out=), built
+    once: it serves every call with this last counter and leading
+    counters of these shapes, whatever their values."""
+    return DrawPlan(_lane_bits(bound), *_split(counters))
 
 
 def randbelow(bound: int, *counters, out=None) -> np.ndarray:
@@ -230,22 +313,14 @@ def randbelow(bound: int, *counters, out=None) -> np.ndarray:
     int64; for another bound, at most 2**32, |P(j) - 1/bound| < 2**-32.
     Any other bound raises ValueError. Counters are as for counter_hash,
     with at least one after any Key; the last picks the word and the
-    lane. out, if given, is a pair from draw_buffers: the words are
-    hashed in its hash buffer and the draws reduced in place in its
-    draws array. The draws are returned as int64, with out as a view of
-    that array.
+    lane. out, if given, is a DrawPlan from draw_buffers for these
+    counters, or ValueError is raised: the call then only folds the
+    leading counters and hashes, gathers and reduces in the plan's
+    buffers, and the draws are a view of its draws array, valid until
+    the plan's next call. Without out, each call builds its own plan.
+    The draws are returned as int64.
     """
     bits = _lane_bits(bound)
-    plan = _plan(bits, counters)
-    hash_out, draws = out if out is not None else (None, np.empty(plan.shape, np.uint64))
-    h = _hash((plan.key, plan.words), hash_out)
-    if plan.axis is None:
-        np.right_shift(h, plan.shifts, out=draws)
-    else:
-        np.take(h, plan.inverse, axis=plan.axis, out=draws, mode="clip")
-        np.right_shift(draws, plan.shifts, out=draws)
-    np.bitwise_and(draws, np.uint64((1 << bits) - 1), out=draws)
-    if bound != 1 << bits:
-        draws *= np.uint64(bound)
-        draws >>= np.uint64(bits)
-    return draws.view(np.int64)[()]
+    leading, last = _split(counters)
+    plan = DrawPlan(bits, leading, last) if out is None else out.check(bits, leading, last)
+    return plan.draw(bound, leading)

@@ -616,6 +616,24 @@ def test_per_step_scope_hashes_once_per_step(n, wrap, hash_calls):
         field.eval(np.zeros(3), 0.5)
 
 
+@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
+@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+def test_a_field_plans_its_draws_once_when_built(monkeypatch, wrap, draw_scope):
+    plans = []
+
+    class Counted(streams.DrawPlan):
+        def __init__(self, *args):
+            plans.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(streams, "DrawPlan", Counted)
+    spec = gaussian_spec(4, wrap=wrap, mode="stochastic", draw_scope=draw_scope)
+    field = BlendedField(spec, np.arange(6, dtype=np.uint64))
+    assert len(plans) == 1
+    integrate(field, np.zeros((6, 3)), IntegrationConfig("rk4", 5))
+    assert len(plans) == 1
+
+
 # --- the folded draw key and the field's hash buffer ---------------------------
 
 EDGE_SEEDS = np.array([(1 << 63) | 5, (1 << 64) - 1, 0, 12345, 1 << 63], dtype=np.uint64)
@@ -851,7 +869,7 @@ def test_an_anchors_draws_are_the_same_at_interior_face_and_vertex_scores(n, dra
         for rows in seen.values():
             assert all(np.array_equal(row, rows[0]) for row in rows)
         # at the vertex only the word holding the active anchor is hashed
-        hashes, _ = field._draw_out
+        hashes = field._draw_plan.hashes
         assert hashes.shape[1:] == ((1, len(EDGE_SEEDS)) if np.ndim(seed) else (1,))
 
 

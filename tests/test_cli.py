@@ -383,6 +383,21 @@ def test_experiment_rejects_a_non_positive_thread_count(tmp_path, caplog, thread
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["orders", "validate", "polarize", "generate"])
+def test_every_subcommand_rejects_a_non_positive_thread_count(tmp_path, caplog, command, threads):
+    out = tmp_path / "run"
+    argv = {
+        "orders": ["orders", "2"],
+        "validate": ["validate"],
+        "polarize": ["polarize", "--config", str(write_config(tmp_path)), "--out", str(out)],
+        "generate": ["generate", "--config", str(write_config(tmp_path)), "--out", str(out)],
+    }[command]
+    assert run_cli(*argv, "--threads", threads) == 2
+    assert f"threads must be an integer >= 1, got {threads}" in caplog.text
+    assert not out.exists()
+
+
 def test_experiment_unknown_kind(tmp_path):
     cfg = write_config(tmp_path, experiment={"kind": "nope"})
     assert run_cli("experiment", "--config", str(cfg)) == 2

@@ -122,6 +122,22 @@ def test_divergence_error_reports_the_failing_samples_last_state():
     assert (err.value.last_max_abs, err.value.last_time) == (1.5, 0.5)
 
 
+@pytest.mark.parametrize("solver", ["euler", "midpoint", "rk4"])
+def test_divergence_error_reports_the_failing_samples_last_velocity(solver):
+    def surge_row_one(x, t):
+        out = np.zeros_like(x)
+        out[1, 1] = -1.0 if t < 0.5 else -1e308
+        return out
+
+    x0 = np.array([[3.0, 3.0], [0.5, -1.7e308], [-3.0, 2.0]])
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
+        integrate(FuncField(surge_row_one), x0, IntegrationConfig(solver, 4))
+    # every solver's first stage in the step from t = 0.5 reads -1e308 in row 1
+    assert (err.value.sample_index, err.value.step_index, err.value.last_time) == (1, 2, 0.5)
+    assert err.value.last_max_velocity == 1e308
+    assert f"and max |v| = {1e308!r}" in str(err.value)
+
+
 class ReturnsInput(VelocityField):
     def eval(self, x, t):
         return x
@@ -837,3 +853,34 @@ def test_write_sample_batch_byte_identical_across_runs(tmp_path, space2, biased_
     write_sample_batch(generate(request, space2, biased_model), out_b)
     assert (out_a / "endpoints.csv").read_bytes() == (out_b / "endpoints.csv").read_bytes()
     assert (out_a / "decoded.csv").read_bytes() == (out_b / "decoded.csv").read_bytes()
+
+
+def reference_csv(header, rows):
+    """Each value formatted on its own, as f"{v:.17g}"."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in np.atleast_2d(rows)]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+                  1e300, -1e300, 1e-300, 3.0, -7.0, 2.0**53, 1e16, 0.1]
+
+
+@pytest.mark.parametrize("columns", [1, 2, 4, 7, 64])
+def test_csv_lines_match_per_value_formatting(columns):
+    rng = np.random.default_rng(columns)
+    special = np.resize(SPECIAL_VALUES, (len(SPECIAL_VALUES), columns))
+    scales = 10.0 ** rng.integers(-30, 30, size=(9, columns))
+    for rows in (special, rng.normal(size=(9, columns)) * scales, special[:1]):
+        header = [f"z{i}" for i in range(columns)]
+        assert flow._csv_lines(header, rows) == reference_csv(header, rows)
+    vector = np.array(SPECIAL_VALUES[:columns])  # 1-D input is one row
+    header = [f"y{i}" for i in range(len(vector))]
+    assert flow._csv_lines(header, vector) == reference_csv(header, vector)
+
+
+def test_csv_lines_match_per_value_formatting_of_decoded_rows():
+    decoder = AffineDecoder(matrix=[[1.0, -0.5, 2.0], [0.1, 0.0, 3.0]], offset=[1e-3, -7.0])
+    latents = np.random.default_rng(4).normal(size=(32, 3))
+    decoded = decoder.apply(latents)
+    assert flow._csv_lines(["y0", "y1"], decoded) == reference_csv(["y0", "y1"], decoded)

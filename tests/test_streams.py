@@ -161,8 +161,46 @@ def test_randbelow_draws_lanes_of_the_python_reference_hash(bound):
         out = streams.draw_buffers(bound, key, 0, ks[:, None])
         in_place = streams.randbelow(bound, key, ordinal, ks[:, None], out=out)
         assert np.array_equal(in_place, draws.T)
-        assert np.shares_memory(in_place, out[1])
+        assert np.shares_memory(in_place, out.draws)
     assert isinstance(streams.randbelow(bound, 4, 2), np.int64)
+
+
+def test_a_draw_plan_never_serves_other_counters():
+    """A plan from draw_buffers serves calls with its own last counter;
+    any other call returns the reference draws or raises, and never the
+    draws of the old plan."""
+    seeds = np.array([5, (1 << 63) | 9, _M64, 0], dtype=np.uint64)[None, :]
+    key = streams.fold_key(seeds, 3)
+    ids = np.arange(4, dtype=np.uint64)[:, None]
+    plan = streams.draw_buffers(4, key, 0, ids)
+    mutated = ids.copy()
+    planned_on_mutated = streams.draw_buffers(4, key, 0, mutated)
+    mutated[0] = 40  # the caller's own array, changed after planning
+    calls = [
+        (4, key, ids + np.uint64(32)),  # same shape, other words
+        (4, key, ids[::-1].copy()),  # same shape and words, other lanes
+        (4, key, np.arange(8, dtype=np.uint64)[:, None]),  # another shape
+        (4, key, np.arange(4)),  # the ids along the other axis
+        (4, key, ids.astype(np.int64)),  # equal values as another array
+        (2, key, ids),  # other lanes
+        (4, streams.fold_key(5, 3), ids),  # a scalar key
+    ]
+    for bound, k, last in calls:
+        want = streams.randbelow(bound, k, 7, last)
+        for out in (plan, planned_on_mutated):
+            try:
+                got = streams.randbelow(bound, k, 7, last, out=out)
+            except ValueError:
+                continue
+            assert np.array_equal(got, want) and got.shape == want.shape
+    with pytest.raises(ValueError):
+        streams.randbelow(4, key, 7, mutated, out=planned_on_mutated)
+    # the plan's own copy of its last counter passes by identity, and is
+    # read-only, so it cannot change under the plan
+    assert np.array_equal(streams.randbelow(4, key, 7, plan.last, out=plan),
+                          streams.randbelow(4, key, 7, ids))
+    with pytest.raises(ValueError):
+        plan.last[0] = 9
 
 
 LARGE_BOUNDS = [(1 << 31) + 1, (1 << 32) - 1, 1 << 32, 1 << 40, 1 << 63]
