@@ -27,28 +27,30 @@ boundary score it counts more than the work done.
 
 Stochastic draws come from a counter-based stream: the chain drawn for
 row r and anchor k is randbelow(n, seed_r, STREAM_CHAIN_DRAW, ordinal,
-k), where ordinal counts evaluations (per_eval) or solver steps
-(per_step). Trajectories are therefore reproducible and independent of
-batching or scheduling. randbelow packs the draws into lanes (see
-streams): anchor k takes lane k mod L of the hash of word k div L, with
-lanes b = log2(n) bits wide for a power-of-two n and 32 bits otherwise,
-and L = 64 // b. A row then hashes one word per ordinal at n = 2 and 4,
-4 at n = 3 and 32 at n = 6. The hash is split into a key and a counter:
-when the field is built, (seed_r, STREAM_CHAIN_DRAW) is folded once
-into a key, (1, B) for per-row seeds or a scalar for a scalar seed, and
-the draw plan of the active anchor ids, (A, 1) or (A,), is built (see
-streams.draw_buffers): the distinct words to hash, each anchor's word
-and lane shift, and the buffers. One randbelow call per ordinal then
-folds only the ordinal into the key, hashes the words and gathers every
-draw at once, (A, B) or (A,), for the A active of the K = 2**n anchors:
-the i-th active anchor's draws are the contiguous row draws[i]. An
-anchor's draws depend on its own id alone, so they are those of a draw
-over all K ids, and at a vertex only the word holding the one active
-anchor is hashed. The words are hashed in a (words, B) hash buffer and
-the draws reduced in an (A, B) draw buffer, both in the plan the field
-owns, so an evaluation allocates no (A, B) temporaries and plans
-nothing. The draws are a view of the draw buffer until the next hash.
-At n = 1 each anchor has a single chain and no hash is made.
+k), where ordinal counts the field's evaluations: every evaluation,
+each stage of a solver step included, draws afresh, so each one is an
+unbiased estimate of the full average. Trajectories are therefore
+reproducible and independent of batching or scheduling. randbelow packs
+the draws into lanes (see streams): anchor k takes lane k mod L of the
+hash of word k div L, with lanes b = log2(n) bits wide for a
+power-of-two n and 32 bits otherwise, and L = 64 // b. A row then
+hashes one word per ordinal at n = 2 and 4, 4 at n = 3 and 32 at n = 6.
+The hash is split into a key and a counter: when the field is built,
+(seed_r, STREAM_CHAIN_DRAW) is folded once into a key, (1, B) for
+per-row seeds or a scalar for a scalar seed, and the draw plan of the
+active anchor ids, (A, 1) or (A,), is built (see streams.draw_buffers):
+the distinct words to hash, each anchor's word and lane shift, and the
+buffers. One randbelow call per ordinal then folds only the ordinal
+into the key, hashes the words and gathers every draw at once, (A, B)
+or (A,), for the A active of the K = 2**n anchors: the i-th active
+anchor's draws are the contiguous row draws[i]. An anchor's draws
+depend on its own id alone, so they are those of a draw over all K ids,
+and at a vertex only the word holding the one active anchor is hashed.
+The words are hashed in a (words, B) hash buffer and the draws reduced
+in an (A, B) draw buffer, both in the plan the field owns, so an
+evaluation allocates no (A, B) temporaries and plans nothing. The draws
+are a view of the draw buffer until the next hash. At n = 1 each anchor
+has a single chain and no hash is made.
 
 There are two evaluation paths with the same bits. When the base field
 and the active anchors' chain fields are plain GaussianTargetFields (the
@@ -113,7 +115,6 @@ from .semantics import (
 )
 
 MODES = ("stochastic", "full_average")
-DRAW_SCOPES = ("per_eval", "per_step")
 
 
 def _check_base_mix(value) -> None:
@@ -148,7 +149,6 @@ class BlendSpec:
     score: ScoreVector
     mode: str = "stochastic"
     base_mix: float = 0.5
-    draw_scope: str = "per_eval"
 
     def __post_init__(self):
         n = len(self.score)
@@ -169,10 +169,6 @@ class BlendSpec:
                 )
         if self.mode not in MODES:
             raise ContractViolation(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.draw_scope not in DRAW_SCOPES:
-            raise ContractViolation(
-                f"draw_scope must be one of {DRAW_SCOPES}, got {self.draw_scope!r}"
-            )
         _check_base_mix(self.base_mix)
         dims = self.latent_dims()
         if len(dims) > 1:
@@ -303,12 +299,9 @@ class BlendedField(VelocityField):
         self.seed = seed
         self.eval_counter = 0
         self._eval_ordinal = 0
-        self._step_ordinal = 0
-        self._drawn = (None, None)  # (ordinal, draws) of the last hash
         # fixed for the field's life, so worked out once rather than per eval
         self._evals_per_call = spec.evals_per_call()
         self._stochastic = spec.mode == "stochastic"
-        self._per_step = spec.draw_scope == "per_step"
         self._anchor_share = 1.0 - spec.base_mix
         self._per_row = np.ndim(seed) > 0
         # only the active anchors are evaluated; see the module notes
@@ -335,20 +328,13 @@ class BlendedField(VelocityField):
     def dim(self):
         return getattr(self.spec.base_field, "dim", None)
 
-    def begin_step(self, step_index: int):
-        """Integrator hook; freezes draws within a step in per_step scope."""
-        self._step_ordinal = step_index
-
     def _draws(self, x, ordinal: int) -> np.ndarray:
         """Chain index per active anchor: (A,) for a scalar seed, (A, B)
         per row.
 
         x is the state, (D,) or (B, D); per-row seeds need one seed per
-        row. The draws are a view of the field's draw buffer, valid until
-        the next hash. They depend on the ordinal alone, so in per_step
-        scope they are kept and reused by the stages of one solver step,
-        and the buffer is not written again until the step ordinal
-        changes.
+        row. The draws depend on the seed and the ordinal alone, and are
+        a view of the field's draw buffer, valid until the next hash.
         """
         if self._per_row:
             if x.ndim == 1:
@@ -359,19 +345,12 @@ class BlendedField(VelocityField):
                 raise ContractViolation(
                     f"{len(self.seed)} per-row seeds for a batch of {x.shape[0]} rows"
                 )
-        last, draws = self._drawn
-        if ordinal == last:
-            return draws
         if self._draw_plan is None:
             # n = 1: randbelow(1, ...) is always 0, so skip the hash
-            draws = np.zeros(len(self._weights), dtype=np.int64)
-        else:
-            draws = streams.randbelow(
-                self.spec.n, self._key, ordinal, self._anchor_ids, out=self._draw_plan
-            )
-        if self._per_step:
-            self._drawn = (ordinal, draws)
-        return draws
+            return np.zeros(len(self._weights), dtype=np.int64)
+        return streams.randbelow(
+            self.spec.n, self._key, ordinal, self._anchor_ids, out=self._draw_plan
+        )
 
     @staticmethod
     def _chain_value(fields, x, t, draw):
@@ -394,9 +373,7 @@ class BlendedField(VelocityField):
         Fortran-ordered; see the module notes.
         """
         x = np.asarray(x, dtype=float)
-        draws = None
-        if self._stochastic:
-            draws = self._draws(x, self._step_ordinal if self._per_step else self._eval_ordinal)
+        draws = self._draws(x, self._eval_ordinal) if self._stochastic else None
         if self._bank is not None:
             # no copy when x is a view of a C-contiguous (D, B) block
             block = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
@@ -418,8 +395,7 @@ class BlendedField(VelocityField):
             acc += dev
         acc *= self._anchor_share
         acc += base
-        if not self._per_step:
-            self._eval_ordinal += 1
+        self._eval_ordinal += 1
         self.eval_counter += (1 if x.ndim == 1 else len(x)) * self._evals_per_call
         if self._bank is None:
             return acc

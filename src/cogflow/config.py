@@ -66,7 +66,9 @@ DEFAULT_CONFIG = {
     "blend": {
         "mode": "stochastic",  # stochastic | full_average
         "lambda": 0.5,  # base-velocity share; 0 drops the base, 1 is pure base
-        "draw_scope": "per_eval",  # per_eval | per_step
+        # chains are drawn afresh at every evaluation; per_eval is the only
+        # value, and the key stays so that configs which set it still load
+        "draw_scope": "per_eval",
     },
     "flow": {
         "solver": "rk4",  # euler | midpoint | rk4
@@ -137,7 +139,11 @@ _LOWER_BOUNDS = {
     "experiment.grid_points": (2, True),
     "experiment.equivalence_seeds": (2, True),
     "experiment.deltas": (0, False),
+    "polarize.llm.timeout_s": (0, False),
+    "polarize.llm.retries": (0, True),
 }
+# leaves that accept one value only
+_ONLY_VALUES = {"blend.draw_scope": "per_eval"}
 
 
 def load_config(path) -> dict:
@@ -238,8 +244,9 @@ def _is_a(value, kind: type) -> bool:
 def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "") -> dict:
     """Check every leaf against its default's type (an int passes for a
     float), then the elements of _NUMBER_LISTS and _NUMBER_MATRICES and
-    the _LOWER_BOUNDS; a null default accepts anything unless _LEAF_TYPES
-    says otherwise. Record keys are checked against their _RECORDS schema."""
+    the _LOWER_BOUNDS and _ONLY_VALUES; a null default accepts anything
+    unless _LEAF_TYPES says otherwise. Record keys are checked against
+    their _RECORDS schema."""
     for key, dval in default.items():
         here = f"{path}.{key}" if path else key
         value = resolved[key]
@@ -275,6 +282,8 @@ def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "")
             if not all(v >= bound if inclusive else v > bound for v in numbers):
                 relation = ">=" if inclusive else ">"
                 raise ConfigError(f"{here} must be {relation} {bound}, got {value!r}")
+        if here in _ONLY_VALUES and value != _ONLY_VALUES[here]:
+            raise ConfigError(f"{here} must be {_ONLY_VALUES[here]!r}, got {value!r}")
     return resolved
 
 
@@ -368,7 +377,6 @@ def build_request(resolved: dict, space: CognitiveSpace) -> GenerationRequest:
         sample_count=flow_cfg["sample_count"],
         blend_mode=blend_cfg["mode"],
         base_mix=blend_cfg["lambda"],
-        draw_scope=blend_cfg["draw_scope"],
         integration=build_integration(resolved),
         decoder=build_decoder(resolved),
     )

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import streams
-from .blend import AnchorFields, BlendedField, BlendSpec, DRAW_SCOPES, MODES, _check_base_mix
+from .blend import AnchorFields, BlendedField, BlendSpec, MODES, _check_base_mix
 from .cogspace import CognitiveSpace, ScoreVector
 from .errors import ContractViolation, DivergenceError
 from .polarize import PolarizationCache, PolarizerBackend, TemplateBackend, build_all_sets
@@ -104,7 +104,9 @@ def integrate(
     lockstep, which matches per-sample integration exactly because the
     draw streams are keyed per row. Step i, from t = i / N, evaluates
     the field at t, at t + h / 2 (midpoint, and rk4's two mid-stages) and
-    at (i + 1) / N (rk4's last stage).
+    at (i + 1) / N (rk4's last stage). The solver only calls field.eval,
+    in that order: a stochastic field keys its draws by its own count of
+    evaluations, and the solver knows nothing of them.
 
     The memory layout of the state is the field's choice: the solver
     keeps whatever layout eval returns, so a field may hand back a view
@@ -126,10 +128,7 @@ def integrate(
     if config.record_trajectory:
         trajectory = np.empty((n_steps + 1,) + x.shape)
         trajectory[0] = x
-    begin_step = getattr(field, "begin_step", None)
     for i in range(n_steps):
-        if begin_step is not None:
-            begin_step(i)
         start = x
         t = i / n_steps
         k1 = evaluate(x, t)  # every solver's first stage
@@ -191,7 +190,6 @@ class GenerationRequest:
     sample_count: int = 2048
     blend_mode: str = "stochastic"
     base_mix: float = 0.5
-    draw_scope: str = "per_eval"
     integration: IntegrationConfig = dc_field(default_factory=IntegrationConfig)
     decoder: IdentityDecoder | AffineDecoder = dc_field(default_factory=IdentityDecoder)
 
@@ -199,8 +197,6 @@ class GenerationRequest:
         _check_count("sample_count", self.sample_count)
         if self.blend_mode not in MODES:
             raise ContractViolation(f"blend_mode must be one of {MODES}")
-        if self.draw_scope not in DRAW_SCOPES:
-            raise ContractViolation(f"draw_scope must be one of {DRAW_SCOPES}")
         _check_base_mix(self.base_mix)
         if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
             # the streams take seeds as uint64, so any other seed would
@@ -221,7 +217,6 @@ class GenerationRequest:
             "sample_count": self.sample_count,
             "blend_mode": self.blend_mode,
             "base_mix": self.base_mix,
-            "draw_scope": self.draw_scope,
             "solver": self.integration.solver,
             "steps": self.integration.steps,
             "record_trajectory": self.integration.record_trajectory,
@@ -285,7 +280,6 @@ def build_blend_spec(
         score=request.score,
         mode=request.blend_mode,
         base_mix=request.base_mix,
-        draw_scope=request.draw_scope,
     )
 
 

@@ -22,6 +22,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
@@ -128,6 +129,10 @@ class LlmBackend:
     ):
         if not endpoint:
             raise ContractViolation("LLM backend needs an endpoint URL")
+        if type(retries) is not int or retries < 0:
+            raise ContractViolation(f"retries must be an integer >= 0, got {retries!r}")
+        if isinstance(timeout, bool) or not isinstance(timeout, Real) or not timeout > 0:
+            raise ContractViolation(f"timeout must be a number > 0, got {timeout!r}")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key if api_key is not None else os.environ.get("COGFLOW_LLM_KEY")

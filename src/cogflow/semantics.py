@@ -284,6 +284,8 @@ class SemanticModel:
         """Axis-aligned default model: direction i is coordinate axis i."""
         n = space.n
         dim = max(2, n) if latent_dim is None else int(latent_dim)
+        if dim < 2:  # before np.eye(dim), which refuses a negative dim
+            raise ContractViolation(f"latent_dim must be >= 2, got {dim}")
         if dimension_directions is None:
             dimension_directions = np.eye(dim)[:n]
         if base_mean is None:

@@ -242,20 +242,6 @@ def test_per_eval_draws_vary_within_a_run():
     assert len(np.unique(outs.round(12), axis=0)) > 1
 
 
-def test_per_step_scope_freezes_draws_until_next_step():
-    spec = distinct_chain_spec(draw_scope="per_step")
-    field = BlendedField(spec, 3)
-    x = np.array([0.1, 0.2])
-    field.begin_step(0)
-    first = [field.eval(x, 0.4) for _ in range(4)]
-    assert all(np.array_equal(first[0], o) for o in first[1:])
-    outs = []
-    for step in range(1, 30):
-        field.begin_step(step)
-        outs.append(field.eval(x, 0.4))
-    assert any(not np.array_equal(first[0], o) for o in outs)
-
-
 def test_row_seeds_require_batched_states():
     spec = distinct_chain_spec()
     field = BlendedField(spec, np.array([1, 2], dtype=np.uint64))
@@ -351,8 +337,6 @@ def test_spec_validation_errors():
     for mix in (1.5, float("nan"), True, "0.5", None):
         with pytest.raises(ContractViolation):
             BlendSpec(base, good_sets, ScoreVector((0.5, 0.5)), base_mix=mix)
-    with pytest.raises(ContractViolation):
-        BlendSpec(base, good_sets, ScoreVector((0.5, 0.5)), draw_scope="sometimes")
     shuffled = (good_sets[1], good_sets[0]) + good_sets[2:]
     with pytest.raises(ContractViolation):
         BlendSpec(base, shuffled, ScoreVector((0.5, 0.5)))
@@ -398,7 +382,6 @@ def run_steps(field, x, steps=3):
     """rk4-like schedule: four evaluations per step at three times."""
     outs = []
     for step in range(steps):
-        field.begin_step(step)
         for t in (0.1 * step, 0.1 * step + 0.05, 0.1 * step + 0.05, 0.1 * step + 0.1):
             outs.append(field.eval(x, t))
     return outs
@@ -424,12 +407,11 @@ def assert_bank_matches_generic_path(n, spec_seed, xs, monkeypatch, **kwargs):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
 @pytest.mark.parametrize("base_mix", [0.0, 0.5, 1.0])
-def test_bank_path_matches_generic_path_bit_for_bit(n, draw_scope, base_mix, monkeypatch):
+def test_bank_path_matches_generic_path_bit_for_bit(n, base_mix, monkeypatch):
     xs = np.random.default_rng(7).normal(size=(40, 3))
     assert_bank_matches_generic_path(
-        n, n, xs, monkeypatch, mode="stochastic", draw_scope=draw_scope, base_mix=base_mix
+        n, n, xs, monkeypatch, mode="stochastic", base_mix=base_mix
     )
 
 
@@ -606,19 +588,17 @@ def test_one_draw_hash_per_evaluation(n, wrap, hash_calls):
 
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_per_step_scope_hashes_once_per_step(n, wrap, hash_calls):
-    spec = gaussian_spec(n, wrap=wrap, mode="stochastic", draw_scope="per_step")
+def test_every_solver_stage_draws_at_its_own_ordinal(n, wrap, hash_calls):
+    spec = gaussian_spec(n, wrap=wrap, mode="stochastic")
     field = BlendedField(spec, np.arange(6, dtype=np.uint64))
     integrate(field, np.zeros((6, 3)), IntegrationConfig("rk4", 7))
     assert field.eval_counter == 6 * 7 * 4 * spec.evals_per_call()
-    assert [args[2] for args in hash_calls] == list(range(7))  # one hash per step ordinal
-    with pytest.raises(ContractViolation):  # the shape check still runs on a reused draw
-        field.eval(np.zeros(3), 0.5)
+    # the ordinal is the evaluation count: no stage reuses another's draws
+    assert [args[2] for args in hash_calls] == list(range(7 * 4))
 
 
-@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
-def test_a_field_plans_its_draws_once_when_built(monkeypatch, wrap, draw_scope):
+def test_a_field_plans_its_draws_once_when_built(monkeypatch, wrap):
     plans = []
 
     class Counted(streams.DrawPlan):
@@ -627,7 +607,7 @@ def test_a_field_plans_its_draws_once_when_built(monkeypatch, wrap, draw_scope):
             super().__init__(*args)
 
     monkeypatch.setattr(streams, "DrawPlan", Counted)
-    spec = gaussian_spec(4, wrap=wrap, mode="stochastic", draw_scope=draw_scope)
+    spec = gaussian_spec(4, wrap=wrap, mode="stochastic")
     field = BlendedField(spec, np.arange(6, dtype=np.uint64))
     assert len(plans) == 1
     integrate(field, np.zeros((6, 3)), IntegrationConfig("rk4", 5))
@@ -659,14 +639,13 @@ def assert_draws_equal(got, want, n):
 
 
 @functools.lru_cache(maxsize=None)
-def stochastic_spec(n, draw_scope):
-    return gaussian_spec(n, mode="stochastic", draw_scope=draw_scope)
+def stochastic_spec(n):
+    return gaussian_spec(n, mode="stochastic")
 
 
-@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_field_draws_equal_randbelow(n, draw_scope):
-    spec = stochastic_spec(n, draw_scope)
+def test_field_draws_equal_randbelow(n):
+    spec = stochastic_spec(n)
     for seed in (int(EDGE_SEEDS[0]), 7, EDGE_SEEDS):
         field = BlendedField(spec, seed)
         x = np.zeros((len(EDGE_SEEDS), 3))
@@ -683,55 +662,30 @@ def test_field_draws_equal_randbelow(n, draw_scope):
         st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=9),
     ),
     ordinals=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4),
-    draw_scope=st.sampled_from(["per_eval", "per_step"]),
 )
-def test_field_draws_equal_randbelow_property(n, seeds, ordinals, draw_scope):
+def test_field_draws_equal_randbelow_property(n, seeds, ordinals):
     seed = np.array(seeds, dtype=np.uint64) if isinstance(seeds, list) else seeds
-    field = BlendedField(stochastic_spec(n, draw_scope), seed)
+    field = BlendedField(stochastic_spec(n), seed)
     x = np.zeros((np.size(seed), 3))
     for ordinal in ordinals:
         assert_draws_equal(field._draws(x, ordinal), reference_draws(n, seed, ordinal), n)
 
 
-@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
-def test_interleaved_fields_equal_fields_run_alone(wrap, draw_scope):
+def test_interleaved_fields_equal_fields_run_alone(wrap):
     xs = np.random.default_rng(9).normal(size=(8, 3))
-    specs = [
-        gaussian_spec(n, wrap=wrap, seed=n, mode="stochastic", draw_scope=draw_scope)
-        for n in (4, 4, 4, 3)
-    ]
+    specs = [gaussian_spec(n, wrap=wrap, seed=n, mode="stochastic") for n in (4, 4, 4, 3)]
     rows = np.arange(8, dtype=np.uint64)
     seeds = [rows, rows + np.uint64(100), EDGE_SEEDS[0], rows]
     alone = [run_steps(BlendedField(spec, seed), xs) for spec, seed in zip(specs, seeds)]
     fields = [BlendedField(spec, seed) for spec, seed in zip(specs, seeds)]
     interleaved = [[] for _ in fields]
     for step in range(3):
-        for field in fields:
-            field.begin_step(step)
         for t in (0.1 * step, 0.1 * step + 0.05, 0.1 * step + 0.05, 0.1 * step + 0.1):
             for outs, field in zip(interleaved, fields):
                 outs.append(field.eval(xs, t))
     for want, got in zip(alone, interleaved):
         assert all(np.array_equal(w, g) for w, g in zip(want, got))
-
-
-@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
-def test_per_step_draws_survive_every_stage_of_a_step(wrap):
-    spec = gaussian_spec(4, wrap=wrap, mode="stochastic", draw_scope="per_step")
-    seeds = np.arange(8, dtype=np.uint64)
-    xs = np.random.default_rng(4).normal(size=(8, 3))
-    field = BlendedField(spec, seeds)
-    for step in range(4):
-        field.begin_step(step)
-        want = reference_draws(4, seeds, step)
-        for t in (0.1 * step, 0.1 * step + 0.05, 0.1 * step + 0.05, 0.1 * step + 0.1):
-            out = field.eval(xs, t)
-            # a fresh field at the same step draws the same chains
-            fresh = BlendedField(spec, seeds)
-            fresh.begin_step(step)
-            assert np.array_equal(out, fresh.eval(xs, t))
-            assert np.array_equal(field._drawn[1], want)
 
 
 def test_one_dimension_stochastic_equals_full_average():
@@ -805,10 +759,9 @@ def active_anchor_ids(spec):
     ]
 
 
-@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
 @pytest.mark.parametrize("mode", ["stochastic", "full_average"])
-def test_vertex_score_evaluates_only_the_weighted_anchor(mode, draw_scope):
-    spec = gaussian_spec(3, wrap=SpyField, mode=mode, draw_scope=draw_scope)
+def test_vertex_score_evaluates_only_the_weighted_anchor(mode):
+    spec = gaussian_spec(3, wrap=SpyField, mode=mode)
     spec = replace(spec, score=ScoreVector((1.0, 0.0, 1.0)))
     (active,) = active_anchor_ids(spec)
     assert spec.anchor_sets[active].anchor.bits == (1, 0, 1)
@@ -829,12 +782,9 @@ def test_vertex_score_evaluates_only_the_weighted_anchor(mode, draw_scope):
     assert field.eval_counter == evaluated * spec.evals_per_call()
 
 
-@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_face_score_draws_are_the_active_anchors_reference_draws(n, draw_scope):
-    spec = replace(
-        stochastic_spec(n, draw_scope), score=ScoreVector((0.0, 0.75, 1.0, 0.375)[:n])
-    )
+def test_face_score_draws_are_the_active_anchors_reference_draws(n):
+    spec = replace(stochastic_spec(n), score=ScoreVector((0.0, 0.75, 1.0, 0.375)[:n]))
     active = active_anchor_ids(spec)
     assert 0 < len(active) < spec.anchor_count
     for seed in (int(EDGE_SEEDS[0]), 7, EDGE_SEEDS):
@@ -845,10 +795,9 @@ def test_face_score_draws_are_the_active_anchors_reference_draws(n, draw_scope):
             assert np.array_equal(field._draws(x, ordinal), want)
 
 
-@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_an_anchors_draws_are_the_same_at_interior_face_and_vertex_scores(n, draw_scope):
-    interior = stochastic_spec(n, draw_scope)
+def test_an_anchors_draws_are_the_same_at_interior_face_and_vertex_scores(n):
+    interior = stochastic_spec(n)
     scores = [
         interior.score,
         ScoreVector((1.0, 0.75, 1.0, 0.375, 0.5, 0.25)[:n]),

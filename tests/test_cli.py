@@ -4,6 +4,7 @@ import pytest
 
 from cogflow import invariants
 from cogflow.cli import build_parser, main
+from cogflow.config import config_digest, resolve_config
 
 
 def run_cli(*argv):
@@ -305,6 +306,57 @@ def test_llm_backend_without_endpoint_is_config_error(tmp_path):
     assert run_cli("polarize", "--config", str(cfg), "--backend", "llm") == 2
 
 
+@pytest.mark.parametrize("override", [
+    "polarize.llm.retries=-1", "polarize.llm.timeout_s=-1", "polarize.llm.timeout_s=0",
+])
+def test_bad_llm_retries_or_timeout_is_config_error(tmp_path, caplog, monkeypatch, override):
+    # retries=-1 made no attempt and ended in an AssertionError traceback;
+    # timeout_s=-1 ran every retry and its backoff, then exited 3
+    class NoRequests:
+        def post(self, *args, **kwargs):
+            raise AssertionError("no request may be sent")
+
+    monkeypatch.setattr("requests.Session", NoRequests)
+    cfg = write_config(tmp_path, polarize={"llm": {"endpoint": "http://127.0.0.1:9"}})
+    code = run_cli("generate", "--config", str(cfg), "--backend", "llm", "--set", override)
+    assert code == 2
+    assert override.split("=")[0] in caplog.text
+    assert not (tmp_path / "cache.ndjson").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("latent_dim", [-1, 1])
+def test_latent_dim_below_two_is_config_error(tmp_path, caplog, latent_dim):
+    # a negative dim used to reach np.eye and end in a numpy traceback
+    cfg = write_config(tmp_path)
+    code = run_cli("generate", "--config", str(cfg), "--set", f"semantics.latent_dim={latent_dim}")
+    assert code == 2
+    assert "latent_dim must be >= 2" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_draw_scope_accepts_per_eval_only(tmp_path, caplog):
+    cfg = write_config(tmp_path, blend={"mode": "stochastic", "draw_scope": "per_eval"})
+    for scope in ("per_step", "sometimes"):
+        code = run_cli("generate", "--config", str(cfg), "--set", f"blend.draw_scope={scope}")
+        assert code == 2
+        assert f"blend.draw_scope must be 'per_eval', got {scope!r}" in caplog.text
+        assert not (tmp_path / "out").exists()
+    assert run_cli("generate", "--config", str(cfg)) == 0
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    resolved = resolve_config(json.loads(cfg.read_text()))
+    assert meta["config_digest"] == config_digest(resolved)
+    assert "draw_scope" not in meta["config"]
+
+
+def test_default_config_digest_is_unchanged():
+    # the digest of the defaults, recorded while blend.draw_scope still
+    # chose between two scopes; the key and its value stay in the digest
+    want = "a3f43d811646f12077d54e95fd6260868323f302e98f8274ce05735937687acf"
+    assert config_digest(resolve_config({})) == want
+    assert config_digest(resolve_config({"blend": {"draw_scope": "per_eval"}})) == want
+
+
 # --- experiment --------------------------------------------------------------------
 
 def test_experiment_cost_accounting(tmp_path, capsys):
@@ -336,15 +388,14 @@ def test_generate_and_experiment_stamp_the_same_digest(tmp_path):
     assert report["config_digest"] == meta["config_digest"]
 
 
-@pytest.mark.parametrize("draw_scope", ["per_eval", "per_step"])
-def test_threaded_experiment_writes_the_sequential_records(tmp_path, draw_scope):
+def test_threaded_experiment_writes_the_sequential_records(tmp_path):
     # stochastic_equivalence runs a stochastic and a full_average generate,
     # on two worker threads at --threads 2; each field owns its hash buffer
     cfg = write_config(
         tmp_path,
         semantics={"latent_dim": 4},
         space={"dimensions": [{"name": f"d{i}"} for i in range(4)]},
-        blend={"mode": "stochastic", "draw_scope": draw_scope},
+        blend={"mode": "stochastic"},
         experiment={"kind": "stochastic_equivalence", "equivalence_seeds": 64},
     )
     reports = []

@@ -321,7 +321,7 @@ def test_feature_major_generate_matches_generic_path(solver, mode, monkeypatch):
     model = SemanticModel.for_space(space, effect_magnitudes=1.5, position_bias=0.5)
     request = GenerationRequest(
         base_prompt="a valley", score=ScoreVector((0.3, 0.8, 0.6)), seed=2,
-        sample_count=11, blend_mode=mode, draw_scope="per_step",
+        sample_count=11, blend_mode=mode,
         integration=IntegrationConfig(solver, 6, record_trajectory=True),
     )
     calls = []  # (bank-backed, state F-contiguous) per evaluation
@@ -769,33 +769,52 @@ def test_moment_reference_matches_shared_variance_closed_form(n):
     assert np.max(np.abs(paths.endpoint_cov - variance * np.eye(model.latent_dim))) <= 1e-9
 
 
+# --- the stochastic estimator is unbiased ---------------------------------------
+
+# Two chains per anchor whose variances differ 60-fold, so each chain's
+# slope differs along the whole path; the seeds and the bound were fixed
+# before the test was first run.
+UNEQUAL_VARIANCES = (0.05, 3.0)
+PAIRED_ROWS, PAIRED_X0_SEED, PAIRED_Z = 20_000, 11, 4.5
+
+
+def unequal_variance_spec(mode):
+    anchor_sets = tuple(
+        AnchorFields(
+            a,
+            tuple(
+                GaussianTargetField(mean, variance)
+                for mean, variance in zip(
+                    ([1.0 + k, -0.5 * k], [-1.0, 0.5 + k]), UNEQUAL_VARIANCES
+                )
+            ),
+        )
+        for k, a in enumerate(enumerate_anchors(make_space(2)))
+    )
+    return BlendSpec(
+        GaussianTargetField([0.0, 0.0], 1.0), anchor_sets, ScoreVector((0.7, 0.2)), mode=mode
+    )
+
+
+@pytest.mark.parametrize("steps", [5, 10])
+def test_stochastic_endpoints_are_an_unbiased_estimate_of_the_full_average(steps):
+    # Paired per row: r = stochastic - full_average from the same x0, so
+    # the draw noise is all r holds, and its mean must be 0 within PAIRED_Z
+    # standard errors on every coordinate.
+    x0 = np.random.default_rng(PAIRED_X0_SEED).standard_normal((PAIRED_ROWS, 2))
+    seeds = np.arange(PAIRED_ROWS, dtype=np.uint64)
+    config = IntegrationConfig("rk4", steps)
+    full, stochastic = (
+        integrate(BlendedField(unequal_variance_spec(mode), seeds), x0, config).endpoint
+        for mode in ("full_average", "stochastic")
+    )
+    r = stochastic - full
+    assert np.all(r.std(axis=0) > 0)  # the draws do move the endpoints
+    z = r.mean(axis=0) / (r.std(axis=0, ddof=1) / np.sqrt(PAIRED_ROWS))
+    assert np.all(np.abs(z) <= PAIRED_Z), z
+
+
 # --- batched equals sequential -------------------------------------------------
-
-def test_draw_scope_is_measurable_yet_both_unbiased(space2, biased_model):
-    import dataclasses
-
-    request = GenerationRequest(
-        base_prompt="a valley", score=ScoreVector((0.3, 0.8)),
-        seed=31, sample_count=400, blend_mode="stochastic",
-        integration=IntegrationConfig("rk4", 40),
-    )
-    per_eval = generate(request, space2, biased_model)
-    per_step = generate(
-        dataclasses.replace(request, draw_scope="per_step"), space2, biased_model
-    )
-    # different draw schedules give different trajectories
-    assert not np.array_equal(per_eval.endpoints, per_step.endpoints)
-    # but both estimate the same full-average mean
-    full = generate(
-        dataclasses.replace(request, blend_mode="full_average"), space2, biased_model
-    )
-    for batch in (per_eval, per_step):
-        diff = batch.endpoints.mean(axis=0) - full.endpoints.mean(axis=0)
-        se = np.hypot(
-            batch.endpoints.std(axis=0, ddof=1), full.endpoints.std(axis=0, ddof=1)
-        ) / np.sqrt(400)
-        assert np.all(np.abs(diff) <= 3 * se + 1e-9)
-
 
 def test_batched_generation_equals_per_sample(space2, biased_model):
     import dataclasses

@@ -437,6 +437,27 @@ def test_llm_backend_requires_endpoint():
         LlmBackend("", "m", session=FakeSession([]))
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [{"retries": -1}, {"retries": 1.0}, {"retries": True},
+     {"timeout": -1}, {"timeout": 0}, {"timeout": float("nan")}, {"timeout": "30"}],
+)
+def test_llm_backend_rejects_bad_retries_and_timeout(setting):
+    # retries=-1 would make no attempt at all, and a timeout <= 0 fail
+    # every attempt; both are refused before any request
+    session = FakeSession([ok_response("unused")])
+    with pytest.raises(ContractViolation):
+        LlmBackend("http://llm.local", "m", session=session, **setting)
+    assert session.requests == []
+
+
+def test_llm_backend_accepts_zero_retries(space2):
+    session = FakeSession([ok_response("once")])
+    backend = LlmBackend("http://llm.local", "m", session=session, retries=0, timeout=0.5)
+    assert backend.polarize("p", space2.dimensions[0], 1) == "once"
+    assert backend.calls == 1
+
+
 def test_backend_error_carries_chain_context(space2):
     session = FakeSession([FakeResponse(status_code=500)] * 4)
     backend = LlmBackend("http://llm.local", "m", session=session, sleep=lambda _: None)

@@ -161,9 +161,17 @@ VALID = {
     "bool": st.booleans(),
     "null": st.none(),
 }
+# leaves that accept fewer values than VALID draws for their kinds: a
+# number with a lower bound, or a single accepted value
+VALID_LEAF = {
+    "polarize.llm.timeout_s": st.floats(1e-3, 1e3),
+    "blend.draw_scope": st.just("per_eval"),
+}
 valid_leaves = st.sampled_from(sorted(LEAF_KINDS)).flatmap(
     lambda path: st.tuples(
-        st.just(path), st.sampled_from(sorted(LEAF_KINDS[path])).flatmap(VALID.get)
+        st.just(path),
+        VALID_LEAF[path] if path in VALID_LEAF
+        else st.sampled_from(sorted(LEAF_KINDS[path])).flatmap(VALID.get),
     )
 )
 json_values = st.recursive(
