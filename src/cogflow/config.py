@@ -84,7 +84,6 @@ DEFAULT_CONFIG = {
         "path_start": None,  # null -> axis sweep of dimension 1
         "path_stop": None,
         "grid_points": 5,
-        "deltas": [1e-2, 1e-3, 1e-4],
         "equivalence_seeds": 200,
         "oracle_steps": 2000,
         "output_dir": "cogflow_out",
@@ -125,7 +124,6 @@ _NUMBER_LISTS = {
     "experiment.score",
     "experiment.path_start",
     "experiment.path_stop",
-    "experiment.deltas",
     "flow.decoder.offset",
 }
 # list leaves whose elements must be lists of numbers
@@ -138,12 +136,18 @@ _LOWER_BOUNDS = {
     "experiment.oracle_steps": (1, True),
     "experiment.grid_points": (2, True),
     "experiment.equivalence_seeds": (2, True),
-    "experiment.deltas": (0, False),
     "polarize.llm.timeout_s": (0, False),
     "polarize.llm.retries": (0, True),
 }
 # leaves that accept one value only
 _ONLY_VALUES = {"blend.draw_scope": "per_eval"}
+
+
+def _reject_constant(name: str):
+    """json's hook for NaN, Infinity and -Infinity, which strict JSON
+    lacks: a NaN would pass every bound, since every comparison with it
+    is false."""
+    raise ValueError(f"{name} is not a finite number")
 
 
 def load_config(path) -> dict:
@@ -152,7 +156,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -207,7 +211,8 @@ def _check_records(path: str, records, schema: str) -> None:
 
 
 def apply_overrides(resolved: dict, overrides: list[str]) -> dict:
-    """Apply dotted key=value overrides; values parse as JSON, else string."""
+    """Apply dotted key=value overrides; values parse as JSON, else string
+    (NaN and Infinity stay strings, so a numeric leaf refuses them)."""
     out = copy.deepcopy(resolved)
     for item in overrides:
         if "=" not in item:
@@ -215,7 +220,7 @@ def apply_overrides(resolved: dict, overrides: list[str]) -> dict:
         dotted, raw = item.split("=", 1)
         keys = dotted.split(".")
         try:
-            value = json.loads(raw)
+            value = json.loads(raw, parse_constant=_reject_constant)
         except ValueError:
             value = raw
         node = out
@@ -401,7 +406,6 @@ def build_experiment(
         path_start=maybe_score(exp["path_start"]),
         path_stop=maybe_score(exp["path_stop"]),
         grid_points=exp["grid_points"],
-        deltas=tuple(exp["deltas"]),
         equivalence_seeds=exp["equivalence_seeds"],
         oracle_steps=exp["oracle_steps"],
         threads=threads,

@@ -6,9 +6,11 @@ emits a MetricsReport; a criterion passes when its value is at most its
 threshold. vertex_recovery and continuity_sweep divide each endpoint's
 distance from the exact affine map of its flow by the solver's error
 bound, _MAP_TOLERANCE[p] * (h / T)**p per unit of map size, with p the
-solver's order and T flow.time_scale (see map_discrepancy). The one
-sampled comparison, stochastic_equivalence, reports max |diff| /
-(3 * SE + 1e-9) per scalar.
+solver's order and T flow.time_scale (see map_discrepancy).
+continuity_sweep also checks that its endpoints respond to the score as
+a multilinear function does: along a path that moves m scores, their
+(m + 1)-th finite difference over the points, by a rounding bound. The one sampled comparison,
+stochastic_equivalence, reports max |diff| / (3 * SE + 1e-9) per scalar.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .polarize import (
     TemplateBackend,
     build_all_sets,
 )
-from .semantics import SemanticModel, bind
+from .semantics import GaussianTargetField, SemanticModel, bind
 
 TOLERANCE_FLOOR = 1e-9
 
@@ -129,7 +131,6 @@ class ExperimentConfig:
     path_start: ScoreVector | None = None
     path_stop: ScoreVector | None = None
     grid_points: int = 5
-    deltas: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
     equivalence_seeds: int = 200
     oracle_steps: int = 2000
     threads: int = 1
@@ -209,6 +210,10 @@ def _require_two_samples(kind: str, name: str, count: int) -> None:
 # keyed by the solver's order p, with T flow.time_scale; each is at least
 # 10 times the worst residual measured (README, "Library example").
 _MAP_TOLERANCE = {1: 6.0, 2: 0.15, 4: 0.03}
+# Tolerance of multilinear_response per unit of 2**(m + 1) * steps * eps
+# * size (see continuity_sweep); at least 10 times the worst value
+# measured (README, "Library example").
+_MULTILINEAR_TOLERANCE = 20.0
 
 
 def map_discrepancy(endpoints, mean, variance, spec, request) -> tuple[float, float, float]:
@@ -326,62 +331,65 @@ def _axis_direction(cfg: ExperimentConfig, start: ScoreVector, stop: ScoreVector
 
 
 def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
-    """Endpoints along a score path, and near each point, against the
-    exact map of their flow.
+    """Endpoints along a score path against the exact map of their flow,
+    and against the polynomial shape of the response between points.
 
-    At each grid point, and at each probe a distance delta from it along
-    the path, the endpoints of the full_average blend are checked by
-    map_discrepancy against the moment oracle's map at that same score.
-    Checking each score's own map, not the displacement between two
-    scores, keeps solver errors at nearby scores from cancelling.
-    displacement_ratio_window is the worst discrepancy over all points and
-    probes. An axis-aligned path also gets monotone_response: the worst
-    fall of the sampled mean's projection between successive points, less
-    the two points' map tolerances. The points share x0, so those bound
-    how far each sampled mean sits from its exact map.
+    At each of the grid_points equispaced points, the endpoints of the
+    full_average blend are checked by map_discrepancy against the moment
+    oracle's map at that score; displacement_ratio_window is the worst
+    discrepancy over the points. An axis-aligned path also gets
+    monotone_response: the worst fall of the sampled mean's projection
+    between successive points, less the two points' map tolerances. The
+    points share x0, so those bound how far each sampled mean sits from
+    its exact map.
+
+    When every field of the blend is a GaussianTargetField with one
+    shared variance, every field has the same slope kappa(t), so each
+    solver step is affine in x with a slope that does not depend on the
+    score, and an endpoint is multilinear in the score. The points share
+    x0 and full_average draws nothing, so this holds row by row. Along a
+    path that moves m score coordinates an endpoint is then a polynomial
+    of degree <= m in the path parameter, whose (m + 1)-th difference
+    over the equispaced points is zero but for rounding.
+    multilinear_response is the largest such difference of any row and
+    coordinate, over _MULTILINEAR_TOLERANCE * 2**(m + 1) * steps * eps *
+    size, with size the largest |x0| or |endpoint| of any row and point.
+    It uses no weights, so it also checks the weights that the sampler
+    and the oracle share. It is omitted when the fields do not share one
+    variance, where the response need not be a polynomial, and when there
+    are fewer than m + 2 points.
     """
     _require_two_samples("continuity_sweep", "sample_count", cfg.request.sample_count)
     if cfg.request.blend_mode != "full_average":
         raise ContractViolation(
-            "continuity_sweep needs full_average mode (stochastic draws break pairing)"
+            "continuity_sweep needs full_average mode (its map checks need the "
+            "exact affine map of a full_average flow)"
         )
     default_start, default_stop = _default_path(cfg)
     start = cfg.path_start if cfg.path_start is not None else default_start
     stop = cfg.path_stop if cfg.path_stop is not None else default_stop
     start_arr = np.asarray(start.values)
     step = np.asarray(stop.values) - start_arr
-    if not np.any(step != 0.0):
+    moving = int(np.count_nonzero(step))
+    if moving == 0:
         raise ContractViolation("path_start and path_stop coincide")
-    unit = step / np.linalg.norm(step)
     points = cfg.grid_points
     if points < 2:
         raise ContractViolation(f"grid_points must be >= 2, got {points}")
     proj_direction = _axis_direction(cfg, start, stop)
 
     def run_point(j):
-        frac = j / (points - 1)
-        score_values = start_arr + frac * step
-        score = ScoreVector(tuple(score_values))
+        score = ScoreVector(tuple(start_arr + j / (points - 1) * step))
         batch, oracle, check = _oracle_leg(cfg, replace(cfg.request, score=score))
         worst, tol = max(check[:2]), check[2]
-        displacements = {}
-        for delta in cfg.deltas:
-            probe_values = score_values + delta * unit
-            if np.any((probe_values < 0.0) | (probe_values > 1.0)):
-                probe_values = score_values - delta * unit
-            probe = ScoreVector(tuple(probe_values))
-            probe_batch, _, probe_check = _oracle_leg(cfg, replace(cfg.request, score=probe))
-            worst = max(worst, *probe_check[:2])
-            diff = probe_batch.endpoints - batch.endpoints
-            displacements[f"{delta:g}"] = float(np.linalg.norm(diff, axis=1).mean())
         projection = None
         if proj_direction is not None:
             projection = float(batch.endpoints.mean(axis=0) @ proj_direction)
         record = _map_record(
             f"path_point_{j}", score, batch, oracle.endpoint_mean, oracle.endpoint_cov, worst,
-            {"displacements": displacements, "projection": projection},
+            {"projection": projection},
         )
-        return record, worst, projection, tol
+        return record, worst, projection, tol, batch.endpoints
 
     results = _map_ordered(run_point, range(points), cfg.threads)
     records = [r[0] for r in results]
@@ -389,9 +397,22 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
     if proj_direction is not None:
         worst = max(
             -(p1 - p0) - (tol0 + tol1)
-            for (_, _, p0, tol0), (_, _, p1, tol1) in zip(results, results[1:])
+            for (_, _, p0, tol0, _), (_, _, p1, tol1, _) in zip(results, results[1:])
         )
         criteria.append(Criterion("monotone_response", worst, 0.0))
+    spec = build_blend_spec(cfg.request, cfg.space, cfg.model, cfg.backend, cfg.cache)
+    fields = [spec.base_field, *(f for entry in spec.anchor_sets for f in entry.chain_fields)]
+    if points >= moving + 2 and all(isinstance(f, GaussianTargetField) for f in fields) and (
+        len({f.variance for f in fields}) == 1
+    ):
+        endpoints = np.stack([r[4] for r in results])
+        residual = np.max(np.abs(np.diff(endpoints, n=moving + 1, axis=0)))
+        request = cfg.request
+        x0 = initial_states(sample_seeds(request.seed, request.sample_count), endpoints.shape[2])
+        size = max(np.max(np.abs(x0)), np.max(np.abs(endpoints)))
+        steps = request.integration.steps
+        tol = _MULTILINEAR_TOLERANCE * 2.0 ** (moving + 1) * steps * np.finfo(float).eps * size
+        criteria.append(Criterion("multilinear_response", float(residual / tol), 1.0))
     return MetricsReport("continuity_sweep", "", records, criteria)
 
 

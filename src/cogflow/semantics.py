@@ -40,11 +40,16 @@ def _check_time(t: float) -> float:
 
 def _check_variance(variance: float) -> float:
     variance = float(variance)
-    if variance < MIN_VARIANCE:
+    if not MIN_VARIANCE <= variance < np.inf:  # false for a NaN too
         raise ContractViolation(
-            f"variance must be >= {MIN_VARIANCE}, got {variance}"
+            f"variance must be finite and >= {MIN_VARIANCE}, got {variance}"
         )
     return variance
+
+
+def _check_finite(name: str, value) -> None:
+    if not np.all(np.isfinite(value)):
+        raise ContractViolation(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,9 +69,10 @@ class TargetDistribution:
         dim = None
         for w, mean, var in self.components:
             w = float(w)
-            if w <= 0.0:
-                raise ContractViolation(f"component weight must be > 0, got {w}")
+            if not 0.0 < w < np.inf:
+                raise ContractViolation(f"component weight must be finite and > 0, got {w}")
             mean = np.asarray(mean, dtype=float)
+            _check_finite("component mean", mean)
             if mean.ndim != 1:
                 raise ContractViolation("component mean must be a vector")
             if dim is None:
@@ -255,6 +261,11 @@ class SemanticModel:
         mags = np.asarray(self.effect_magnitudes, dtype=float)
         if mags.shape != (n,) or np.any(mags <= 0.0):
             raise ContractViolation("effect magnitudes must be n positive reals")
+        for name, value in (
+            ("base_mean", base_mean), ("dimension_directions", dirs),
+            ("effect_magnitudes", mags), ("position_bias", self.position_bias),
+        ):
+            _check_finite(name, value)
         if self.position_bias < 0.0:
             raise ContractViolation("position_bias must be >= 0")
         _check_variance(self.default_variance)

@@ -10,12 +10,10 @@ The fold runs left to right, so a caller that hashes many counter
 tuples sharing a prefix can fold that prefix once: fold_key(*prefix)
 returns a Key, and counter_hash(key, *rest) equals
 counter_hash(*prefix, *rest). This is the key/counter split of Salmon
-et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11). A plain
-call folds all but its last counter into a key and goes down the same
-code. The last round and the finalizer run in place, in a buffer from
-hash_buffer that the caller may own and pass as out= on every call;
-without one, each call allocates its own. The module keeps no state, so
-calls on separate buffers may run on separate threads.
+et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11).
+counter_hash is a finalizer over fold_key of all its counters, so a
+call with a key and a plain call go down the same code. The module
+keeps no state, so calls may run on separate threads.
 
 randbelow packs several small draws into one hash. Draws below a bound
 take b-bit lanes of a 64-bit word, b = log2(bound) for a power of two
@@ -106,8 +104,8 @@ def _round(h: np.ndarray, counter: np.ndarray, out: np.ndarray, scratch: np.ndar
 
 
 def hash_buffer(shape) -> np.ndarray:
-    """A (2, *shape) uint64 buffer for counter_hash(..., out=): row 0
-    receives the hash and row 1 is scratch."""
+    """A (2, *shape) uint64 buffer for a fold round: row 0 receives the
+    hash and row 1 is scratch."""
     return np.empty((2, *shape), dtype=np.uint64)
 
 
@@ -131,37 +129,17 @@ def fold_key(*counters) -> Key:
     return Key(h)
 
 
-def _hash(counters, out) -> np.ndarray:
-    """The hash of counters as an ndarray (0-d for scalar counters)."""
-    if len(counters) == 1 and isinstance(counters[0], Key):
-        key, last = counters[0], None
-    else:
-        key = fold_key(*counters[:-1])
-        last = _as_u64(counters[-1]) if counters else None
-    shape = key.shape if last is None else np.broadcast_shapes(key.shape, last.shape)
-    h, scratch = _rows(hash_buffer(shape) if out is None else out)
-    with np.errstate(over="ignore"):
-        if last is None:
-            h[...] = key.state
-        else:
-            _round(key.state, last, h, scratch)
-        h *= _GOLDEN
-        return _avalanche(h, scratch)
+def counter_hash(*counters) -> np.ndarray:
+    """Hash one or more integer counters (scalars or arrays) to uint64:
+    the finalizer, avalanche(state * golden), over fold_key(*counters).
 
-
-def counter_hash(*counters, out=None) -> np.ndarray:
-    """Hash one or more integer counters (scalars or arrays) to uint64.
-
-    The first counter may be a Key from fold_key. out, if given, is a
-    buffer from hash_buffer(result shape); the hash is written to out[0]
-    and returned as that array.
+    The first counter may be a Key from fold_key; its state is read, not
+    written.
     """
-    return _hash(counters, out)[()]
-
-
-def derive_seed(*counters) -> int:
-    """Scalar convenience: a derived 64-bit sub-seed."""
-    return int(counter_hash(*counters))
+    key = fold_key(*counters)
+    h, scratch = _rows(hash_buffer(key.shape))
+    np.multiply(key.state, _GOLDEN, out=h)
+    return _avalanche(h, scratch)[()]
 
 
 def uniform(*counters) -> np.ndarray:

@@ -226,7 +226,6 @@ def test_out_of_range_seed_fails_before_any_backend_call(tmp_path, caplog, comma
 @pytest.mark.parametrize("override", [
     "flow.steps=0", "flow.sample_count=0", "experiment.oracle_steps=0",
     "experiment.grid_points=-1", "experiment.equivalence_seeds=1",
-    "experiment.deltas=[0.01, 0]",
 ])
 def test_out_of_range_value_fails_before_any_backend_call(tmp_path, caplog, override):
     cfg = write_config(tmp_path, experiment={"kind": "continuity_sweep"})
@@ -237,7 +236,7 @@ def test_out_of_range_value_fails_before_any_backend_call(tmp_path, caplog, over
 
 
 @pytest.mark.parametrize("override", [
-    'experiment.deltas=["a"]', 'semantics.base_mean=["x"]',
+    'semantics.base_mean=["x"]',
     'semantics.effect_magnitudes=[1.0, "x"]', 'experiment.score=["a", 0.5]',
     "experiment.path_start=[0.1, true]", 'experiment.path_stop="0.9"',
 ])
@@ -325,6 +324,45 @@ def test_bad_llm_retries_or_timeout_is_config_error(tmp_path, caplog, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+NON_FINITE = [
+    "semantics.default_variance=NaN", "semantics.position_bias=Infinity",
+    "semantics.effect_magnitudes=[1.5, NaN]", "semantics.base_mean=-Infinity",
+    "semantics.dimension_directions=[[NaN, 0], [0, 1]]",
+]
+
+
+@pytest.mark.parametrize("source", ["set", "file"])
+@pytest.mark.parametrize("override", NON_FINITE)
+def test_non_finite_number_is_config_error(tmp_path, caplog, override, source):
+    # json reads NaN and Infinity, and a NaN passes every bound, since every
+    # comparison with it is false: these ran and exited 1 with a
+    # DivergenceError at step 0
+    key, raw = override.split("=", 1)
+    if source == "set":
+        cfg = write_config(tmp_path)
+        argv = ["--set", override]
+    else:  # json.dumps writes NaN and Infinity as such
+        cfg = write_config(tmp_path, semantics={key.split(".")[1]: json.loads(raw)})
+        argv = []
+    out = tmp_path / "generated"
+    assert run_cli("generate", "--config", str(cfg), "--out", str(out), *argv) == 2
+    assert (key if source == "set" else "is not a finite number") in caplog.text
+    assert not out.exists()
+
+
+def test_experiment_deltas_is_an_unknown_key(tmp_path, caplog):
+    # continuity_sweep probes no scores near its points any more
+    out = tmp_path / "report"
+    cfg = write_config(tmp_path, experiment={"kind": "continuity_sweep"})
+    argv = ["experiment", "--config", str(cfg), "--out", str(out)]
+    assert run_cli(*argv, "--set", "experiment.deltas=[0.01]") == 2
+    assert "unknown override path: experiment.deltas" in caplog.text
+    write_config(tmp_path, experiment={"kind": "continuity_sweep", "deltas": [0.01]})
+    assert run_cli(*argv) == 2
+    assert "unknown config key(s): experiment.deltas" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("latent_dim", [-1, 1])
 def test_latent_dim_below_two_is_config_error(tmp_path, caplog, latent_dim):
     # a negative dim used to reach np.eye and end in a numpy traceback
@@ -350,9 +388,9 @@ def test_draw_scope_accepts_per_eval_only(tmp_path, caplog):
 
 
 def test_default_config_digest_is_unchanged():
-    # the digest of the defaults, recorded while blend.draw_scope still
-    # chose between two scopes; the key and its value stay in the digest
-    want = "a3f43d811646f12077d54e95fd6260868323f302e98f8274ce05735937687acf"
+    # the digest of the defaults, re-recorded when experiment.deltas left
+    # them; blend.draw_scope and its one value stay in the digest
+    want = "a4a7661f3272d55b6501fa75a9d507bc1eda1fc9f974fc16afa7d7bf6b6460a0"
     assert config_digest(resolve_config({})) == want
     assert config_digest(resolve_config({"blend": {"draw_scope": "per_eval"}})) == want
 

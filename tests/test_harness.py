@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from cogflow import flow
-from cogflow.blend import BlendedField
-from cogflow.cogspace import ScoreVector
+from cogflow import flow, harness
+from cogflow.blend import BlendedField, BlendSpec
+from cogflow.cogspace import ScoreVector, weight_vector
 from cogflow.errors import ContractViolation
 from cogflow.flow import GenerationRequest, IntegrationConfig
 from cogflow.harness import (
@@ -29,7 +29,7 @@ from cogflow.harness import (
     vertex_recovery,
 )
 from cogflow.polarize import build_all_sets
-from cogflow.semantics import SemanticModel, TargetDistribution
+from cogflow.semantics import SemanticModel, TargetDistribution, bind
 
 from conftest import make_space
 
@@ -177,34 +177,127 @@ def test_concurrent_stochastic_generates_equal_sequential_ones():
 
 # --- continuity -------------------------------------------------------------
 
-# fewer points and probes than the default sweep, to keep the suite fast
-SHORT_SWEEP = dict(kind="continuity_sweep", grid_points=3, deltas=(1e-2, 1e-4))
+# fewer points than the default sweep, to keep the suite fast; three is
+# the fewest at which an axis path gets multilinear_response
+SHORT_SWEEP = dict(kind="continuity_sweep", grid_points=3)
+# an interior path that moves both score coordinates, with the fewest
+# points at which it gets multilinear_response
+DIAGONAL_SWEEP = dict(
+    kind="continuity_sweep", grid_points=4,
+    path_start=ScoreVector((0.2, 0.3)), path_stop=ScoreVector((0.9, 0.6)),
+)
+CRITERIA = {"displacement_ratio_window", "monotone_response", "multilinear_response"}
 
 
 @MAP_SETTINGS
 def test_continuity_sweep_passes(overrides):
     report = continuity_sweep(make_config(**SHORT_SWEEP, **overrides))
-    assert {c.name for c in report.criteria} == {
-        "displacement_ratio_window", "monotone_response",
-    }
+    assert {c.name for c in report.criteria} == CRITERIA
     assert report.passed, report.criteria
     assert len(report.records) == 3
     for record in report.records:
         assert record["discrepancy"] <= 1.0
         assert len(record["oracle_mean"]) == 2
-        assert set(record["extra"]) == {"displacements", "projection"}
+        assert set(record["extra"]) == {"projection"}
+
+
+@MAP_SETTINGS
+def test_continuity_sweep_passes_on_a_diagonal_path(overrides):
+    report = continuity_sweep(make_config(**DIAGONAL_SWEEP, **overrides))
+    assert {c.name for c in report.criteria} == CRITERIA - {"monotone_response"}
+    assert report.passed, report.criteria
 
 
 @pytest.mark.parametrize("seed", [0, 23, 32])
 @PERTURBATIONS
 def test_continuity_sweep_fails_a_perturbed_sampler(monkeypatch, mutate, seed):
     mutate(monkeypatch)
-    cfg = make_config(**PERFBENCH, seed=seed, kind="continuity_sweep", grid_points=2,
-                      deltas=(1e-3,))
+    cfg = make_config(**PERFBENCH, seed=seed, kind="continuity_sweep", grid_points=2)
     report = continuity_sweep(cfg)
     window = next(c for c in report.criteria if c.name == "displacement_ratio_window")
     assert not window.passed and not report.passed
     assert all(record["discrepancy"] > 1.0 for record in report.records)
+
+
+def _smoothstep_weights(monkeypatch):
+    # weights that keep the partition of unity and the vertex delta, but
+    # are cubic in each score: the sampler and the oracle both use them
+    def weights(spec):
+        s = np.asarray(spec.score.values)
+        return weight_vector(ScoreVector(tuple(s * s * (3.0 - 2.0 * s))))
+
+    monkeypatch.setattr(BlendSpec, "weights", weights)
+
+
+def _score_dependent_base_mix(monkeypatch):
+    # a base share that grows with the first score, in the sampler only;
+    # the template chains' weighted mean is affine in the score, so a base
+    # share affine in it would give a quadratic response, which a path
+    # that moves two scores allows
+    init = BlendedField.__init__
+
+    def score_mix(self, spec, seed):
+        mix = 0.25 + 0.5 * spec.score.values[0] ** 2
+        init(self, dataclasses.replace(spec, base_mix=mix), seed)
+
+    monkeypatch.setattr(BlendedField, "__init__", score_mix)
+
+
+# smoothstep fixes 0, 1/2 and 1, the points of a 3-point axis sweep, so
+# it runs on the diagonal path; the base share runs on the default path
+@pytest.mark.parametrize("mutate,path", [
+    (_smoothstep_weights, DIAGONAL_SWEEP), (_score_dependent_base_mix, SHORT_SWEEP),
+], ids=["smoothstep-weights", "score-dependent-base-mix"])
+def test_multilinear_response_fails_a_response_that_is_not_multilinear(monkeypatch, mutate, path):
+    mutate(monkeypatch)
+    for seed in range(50):
+        cfg = make_config(**path, seed=seed, sample_count=8, oracle_steps=1,
+                          integration=IntegrationConfig("rk4", 4))
+        criteria = {c.name: c for c in continuity_sweep(cfg).criteria}
+        assert not criteria["multilinear_response"].passed, seed
+        if mutate is _smoothstep_weights:
+            # the oracle shares the weights, so the map check cannot see them
+            assert criteria["displacement_ratio_window"].passed, seed
+
+
+def _unequal_variances(cfg):
+    # the chains of the first anchor bound to a variance of their own: the
+    # blend's slope then depends on the score, and so does the response
+    first = build_all_sets(cfg.backend, cfg.request.base_prompt, cfg.space, None)[0]
+    cfg.model = dataclasses.replace(cfg.model, explicit_bindings={
+        result: TargetDistribution.single(bind(cfg.model, result).mean(), 0.3)
+        for result in first.results
+    })
+    return cfg
+
+
+@pytest.mark.parametrize("cfg", [
+    lambda: _unequal_variances(make_config(**SHORT_SWEEP, sample_count=64)),
+    lambda: make_config(**dict(SHORT_SWEEP, grid_points=2), sample_count=64),
+    lambda: make_config(**dict(DIAGONAL_SWEEP, grid_points=3), sample_count=64),
+], ids=["unequal-variances", "axis-with-2-points", "diagonal-with-3-points"])
+def test_multilinear_response_is_omitted_where_it_does_not_apply(cfg):
+    report = continuity_sweep(cfg())
+    assert "multilinear_response" not in {c.name for c in report.criteria}
+    assert report.passed, report.criteria
+
+
+def test_continuity_sweep_generates_and_consults_the_oracle_once_per_point(monkeypatch):
+    calls = {"generate": 0, "moment_reference": 0}
+
+    def counted(name):
+        wrapped = getattr(harness, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    continuity_sweep(make_config(kind="continuity_sweep", grid_points=4, sample_count=64))
+    assert calls == {"generate": 4, "moment_reference": 4}
 
 
 @pytest.mark.parametrize("kind", ["vertex_recovery", "continuity_sweep"])
@@ -221,19 +314,8 @@ def test_exact_map_experiments_reject_a_mixture_binding(kind):
         run_experiment(cfg)
 
 
-def test_continuity_sweep_zero_delta_probe():
-    cfg = make_config(
-        kind="continuity_sweep", sample_count=64, deltas=(1e-3, 0.0), grid_points=2,
-    )
-    report = continuity_sweep(cfg)
-    assert report.passed, report.criteria
-    assert all(np.isfinite(c.value) for c in report.criteria)
-    for record in report.records:
-        assert record["extra"]["displacements"]["0"] == 0.0
-
-
 def test_continuity_sweep_identical_fields_zero_displacement():
-    cfg = make_config(kind="continuity_sweep", sample_count=64, grid_points=2)
+    cfg = make_config(kind="continuity_sweep", sample_count=64, grid_points=3)
     sets = build_all_sets(cfg.backend, cfg.request.base_prompt, cfg.space, None)
     shared = TargetDistribution.single(np.array([0.5, 0.5]), 0.6)
     bindings = {cfg.request.base_prompt: shared}
@@ -244,10 +326,13 @@ def test_continuity_sweep_identical_fields_zero_displacement():
         cfg.space, default_variance=0.6, explicit_bindings=bindings
     )
     report = continuity_sweep(cfg)
-    window = next(c for c in report.criteria if c.name == "displacement_ratio_window")
-    assert window.passed and np.isfinite(window.value)
-    for record in report.records:
-        assert all(v == 0.0 for v in record["extra"]["displacements"].values())
+    criteria = {c.name: c for c in report.criteria}
+    assert criteria["displacement_ratio_window"].passed
+    assert np.isfinite(criteria["displacement_ratio_window"].value)
+    # identity collapse: every point's endpoints have the same bits
+    assert criteria["multilinear_response"].value == 0.0
+    means = [record["empirical_mean"] for record in report.records]
+    assert all(mean == means[0] for mean in means)
 
 
 def test_continuity_sweep_rejects_fewer_than_two_points():
@@ -257,7 +342,7 @@ def test_continuity_sweep_rejects_fewer_than_two_points():
 
 def test_continuity_sweep_rejects_stochastic_mode():
     cfg = make_config(kind="continuity_sweep", blend_mode="stochastic")
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="its map checks need the exact affine map"):
         continuity_sweep(cfg)
 
 

@@ -101,7 +101,6 @@ LEAF_KINDS = {
     "experiment.path_start": {"number_list", "null"},
     "experiment.path_stop": {"number_list", "null"},
     "experiment.grid_points": {"int"},
-    "experiment.deltas": {"number_list"},
     "experiment.equivalence_seeds": {"int"},
     "experiment.oracle_steps": {"int"},
     "experiment.output_dir": {"str"},
@@ -150,7 +149,7 @@ def kinds_of(value) -> set[str]:
 
 floats = st.floats(-1e6, 1e6, allow_nan=False)
 VALID = {
-    # 2..50 meets every lower bound on an int leaf, positive floats the deltas'
+    # 2..50 meets every lower bound on an int leaf
     "int": st.integers(2, 50),
     "number": st.one_of(floats, st.integers(-50, 50)),
     "number_list": st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=3),

@@ -34,6 +34,19 @@ def test_distribution_validation():
         TargetDistribution(components=((-0.5, np.zeros(2), 1.0), (1.5, np.zeros(2), 1.0)))
 
 
+@pytest.mark.parametrize("component", [
+    (np.nan, np.zeros(2), 1.0), (1.0, np.array([np.inf, 0.0]), 1.0),
+    (1.0, np.zeros(2), np.nan), (1.0, np.zeros(2), np.inf),
+], ids=["nan-weight", "infinite-mean", "nan-variance", "infinite-variance"])
+def test_distribution_rejects_a_non_finite_number(component):
+    # a NaN passed every check, since every comparison with it is false
+    with pytest.raises(ContractViolation, match="finite"):
+        TargetDistribution(components=(component,))
+    if not np.isfinite(component[2]):
+        with pytest.raises(ContractViolation, match="finite"):
+            GaussianTargetField(np.zeros(2), component[2])
+
+
 def test_distribution_round_trip():
     dist = TargetDistribution(
         components=((0.25, np.array([1.0, 2.0]), 0.5), (0.75, np.array([-1.0, 0.0]), 2.0))
@@ -222,6 +235,18 @@ def test_model_validation(space2):
         SemanticModel.for_space(space2, effect_magnitudes=[1.0, -1.0])
     with pytest.raises(ContractViolation):
         SemanticModel.for_space(space2, position_bias=-0.1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"default_variance": np.nan}, {"position_bias": np.inf},
+    {"effect_magnitudes": [1.5, np.nan]}, {"base_mean": -np.inf},
+    {"dimension_directions": [[np.nan, 0.0], [0.0, 1.0]]},
+], ids=["default_variance", "position_bias", "effect_magnitudes", "base_mean",
+        "dimension_directions"])
+def test_model_rejects_a_non_finite_number(space2, kwargs):
+    # a NaN passed every check, since every comparison with it is false
+    with pytest.raises(ContractViolation, match="finite"):
+        SemanticModel.for_space(space2, **kwargs)
 
 
 def test_bind_without_bias_ignores_tag_order(space2):

@@ -55,13 +55,7 @@ def test_streams_independent_of_evaluation_order():
     assert np.array_equal(singles, batch[[5, 2, 9]])
 
 
-def test_derive_seed_is_plain_int():
-    seed = streams.derive_seed(1, 2)
-    assert isinstance(seed, int)
-    assert 0 <= seed < (1 << 64)
-
-
-# --- the key/counter split and the in-place buffer ---------------------------
+# --- the key/counter split ------------------------------------------------------
 
 _M64 = (1 << 64) - 1
 
@@ -106,15 +100,14 @@ def test_folded_key_continues_the_plain_fold(split):
         streams.counter_hash(3, key)
 
 
-def test_out_buffer_receives_the_hash_in_place():
+def test_counter_hash_leaves_its_key_unchanged():
     key = streams.fold_key(np.arange(6, dtype=np.uint64)[:, None], 3)
-    buffer = streams.hash_buffer((6, 4))
-    got = streams.counter_hash(key, 1 << 32, np.arange(4), out=buffer)
-    assert np.shares_memory(got, buffer[0])
-    assert np.array_equal(got, streams.counter_hash(key, 1 << 32, np.arange(4)))
-    scalar = streams.hash_buffer(())
-    assert int(streams.counter_hash(7, 9, out=scalar)) == python_hash(7, 9)
-    assert int(scalar[0]) == python_hash(7, 9)
+    state = key.state.copy()
+    got = streams.counter_hash(key)
+    assert np.array_equal(key.state, state)
+    assert not np.shares_memory(got, key.state)
+    assert int(got[4, 0]) == python_hash(4, 3)
+    assert np.array_equal(streams.counter_hash(key), got)
 
 
 # --- lane-packed draws ---------------------------------------------------------
