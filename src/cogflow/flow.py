@@ -24,7 +24,7 @@ import numpy as np
 from . import streams
 from .blend import AnchorFields, BlendedField, BlendSpec, MODES, _check_base_mix
 from .cogspace import CognitiveSpace, ScoreVector
-from .errors import ContractViolation, DivergenceError
+from .errors import ContractViolation, DivergenceError, SpaceMismatchError
 from .polarize import PolarizationCache, PolarizerBackend, TemplateBackend, build_all_sets
 from .semantics import (
     GaussianTargetField,
@@ -173,6 +173,9 @@ class AffineDecoder:
         offset = np.asarray(self.offset, dtype=float)
         if matrix.ndim != 2 or offset.shape != (matrix.shape[0],):
             raise ContractViolation("affine decoder needs matrix (M, D) and offset (M,)")
+        for name, values in (("matrix", matrix), ("offset", offset)):
+            if not np.isfinite(values).all():
+                raise ContractViolation(f"affine decoder {name} has a non-finite entry")
         matrix.flags.writeable = False
         offset.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
@@ -239,6 +242,7 @@ class SampleBatch:
     decoded: np.ndarray  # (B, out_dim)
     trajectories: np.ndarray | None  # (B, N+1, D)
     metadata: dict
+    spec: BlendSpec  # the blend the batch was sampled from
 
 
 def initial_states(row_seeds: np.ndarray, dim: int) -> np.ndarray:
@@ -264,6 +268,10 @@ def build_blend_spec(
     cache: PolarizationCache | None = None,
 ) -> BlendSpec:
     """Polarize, bind, and assemble the blended-field description."""
+    if len(request.score) != space.n:
+        raise SpaceMismatchError(
+            f"score has {len(request.score)} entries, but the space has {space.n} dimensions"
+        )
     backend = backend if backend is not None else TemplateBackend()
     sets = build_all_sets(backend, request.base_prompt, space, cache)
     base_field = field_for_prompt(model, request.base_prompt)
@@ -315,6 +323,7 @@ def generate(
         decoded=decoded,
         trajectories=trajectories,
         metadata=metadata,
+        spec=spec,
     )
 
 

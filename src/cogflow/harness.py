@@ -7,10 +7,13 @@ threshold. vertex_recovery and continuity_sweep divide each endpoint's
 distance from the exact affine map of its flow by the solver's error
 bound, _MAP_TOLERANCE[p] * (h / T)**p per unit of map size, with p the
 solver's order and T flow.time_scale (see map_discrepancy).
-continuity_sweep also checks that its endpoints respond to the score as
-a multilinear function does: along a path that moves m scores, their
-(m + 1)-th finite difference over the points, by a rounding bound. The one sampled comparison,
-stochastic_equivalence, reports max |diff| / (3 * SE + 1e-9) per scalar.
+Each of them checks a batch against the BlendSpec the batch was sampled
+from, so a blend the oracle refuses raises ContractViolation after that
+leg's generate. continuity_sweep also checks that its endpoints respond
+to the score as a multilinear function does: along a path that moves m
+scores, their (m + 1)-th finite difference over the points, by a
+rounding bound. The one sampled comparison, stochastic_equivalence,
+reports max |diff| / (3 * SE + 1e-9) per scalar.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .flow import (
     SampleBatch,
     _check_count,
     _check_decoder,
-    build_blend_spec,
+    build_blend_spec,  # noqa: F401  (perfbench/layertrace.py patches it here)
     generate,
     initial_states,
     moment_reference,
@@ -101,18 +104,6 @@ class MetricsReport:
             "records": self.records,
             "summary": {"criteria": [c.to_json_dict() for c in self.criteria]},
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "MetricsReport":
-        return cls(
-            experiment=payload["experiment"],
-            config_digest=payload["config_digest"],
-            records=payload["records"],
-            criteria=[
-                Criterion(name=c["name"], value=c["value"], threshold=c["threshold"])
-                for c in payload["summary"]["criteria"]
-            ],
-        )
 
 
 @dataclass
@@ -216,8 +207,9 @@ _MAP_TOLERANCE = {1: 6.0, 2: 0.15, 4: 0.03}
 _MULTILINEAR_TOLERANCE = 20.0
 
 
-def map_discrepancy(endpoints, mean, variance, spec, request) -> tuple[float, float, float]:
-    """Endpoints of request's blend, spec, against the exact map of its flow.
+def map_discrepancy(batch, mean, variance, request) -> tuple[float, float, float]:
+    """Endpoints of batch, sampled for request, against the exact map of
+    the flow of batch.spec.
 
     A full_average blend of isotropic Gaussian fields has an affine flow:
     it takes x0 to mean + sqrt(variance) * x0, with (mean, variance) the
@@ -230,11 +222,12 @@ def map_discrepancy(endpoints, mean, variance, spec, request) -> tuple[float, fl
     rk4 near 900 steps, and size bounds every |map(x0)|. The check is
     deterministic: it has no sampling error.
     """
+    endpoints = batch.endpoints
     x0 = initial_states(sample_seeds(request.seed, request.sample_count), endpoints.shape[1])
     scale = np.sqrt(variance)
     residual = endpoints - (mean + scale * x0)
     order, steps = SOLVERS[request.integration.solver], request.integration.steps
-    unit_tol = _MAP_TOLERANCE[order] / (steps * time_scale(spec)) ** order
+    unit_tol = _MAP_TOLERANCE[order] / (steps * time_scale(batch.spec)) ** order
     unit_tol += steps * np.finfo(float).eps
     tol = unit_tol * (np.max(np.abs(mean)) + scale * np.max(np.abs(x0)))
     location = residual.mean(axis=0)
@@ -245,15 +238,12 @@ def map_discrepancy(endpoints, mean, variance, spec, request) -> tuple[float, fl
 
 def _oracle_leg(cfg: ExperimentConfig, request: GenerationRequest):
     """(batch, oracle, map_discrepancy) of request's endpoints against the
-    map that the moment oracle gives at cfg.oracle_steps. A field with a
-    share that is not a GaussianTargetField raises ContractViolation before
-    anything is generated."""
-    spec = build_blend_spec(request, cfg.space, cfg.model, cfg.backend, cfg.cache)
-    oracle = moment_reference(spec, IntegrationConfig(solver="rk4", steps=cfg.oracle_steps))
+    map that the moment oracle gives for batch.spec at cfg.oracle_steps. A
+    field with a share that is not a GaussianTargetField raises
+    ContractViolation once the batch is generated."""
     batch = _generate(cfg, request)
-    check = map_discrepancy(
-        batch.endpoints, oracle.endpoint_mean, oracle.variances[-1], spec, request
-    )
+    oracle = moment_reference(batch.spec, IntegrationConfig(solver="rk4", steps=cfg.oracle_steps))
+    check = map_discrepancy(batch, oracle.endpoint_mean, oracle.variances[-1], request)
     return batch, oracle, check
 
 
@@ -293,11 +283,10 @@ def vertex_recovery(cfg: ExperimentConfig) -> MetricsReport:
         label = "vertex_" + "".join(str(b) for b in bits)
         # leg A: pure-anchor blend vs the bound target
         request = replace(cfg.request, score=score, blend_mode="full_average", base_mix=0.0)
-        spec = build_blend_spec(request, cfg.space, flat_model, cfg.backend, cfg.cache)
         target = bind(flat_model, prompt_set.chains[0].result)
         batch = _generate(cfg, request, model=flat_model)
         mean, variance = target.mean(), target.components[0][2]
-        a_mean, a_spread, _ = map_discrepancy(batch.endpoints, mean, variance, spec, request)
+        a_mean, a_spread, _ = map_discrepancy(batch, mean, variance, request)
         record_a = _map_record(
             f"{label}_anchor_target", score, batch, mean, variance * np.eye(len(mean)),
             max(a_mean, a_spread), {"mean_discrepancy": a_mean, "variance_discrepancy": a_spread},
@@ -343,10 +332,12 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
     points share x0, so those bound how far each sampled mean sits from
     its exact map.
 
-    When every field of the blend is a GaussianTargetField with one
-    shared variance, every field has the same slope kappa(t), so each
-    solver step is affine in x with a slope that does not depend on the
-    score, and an endpoint is multilinear in the score. The points share
+    When every field of the blend is a GaussianTargetField and the chain
+    fields share one variance, the blend's slope lambda kappa_b(t) + (1 -
+    lambda) kappa_c(t) does not depend on the score, whatever the base
+    field's variance: the weights sum to 1. So each solver step is affine
+    in x with a slope that does not depend on the score, and an endpoint
+    is multilinear in the score. The points share
     x0 and full_average draws nothing, so this holds row by row. Along a
     path that moves m score coordinates an endpoint is then a polynomial
     of degree <= m in the path parameter, whose (m + 1)-th difference
@@ -355,9 +346,10 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
     coordinate, over _MULTILINEAR_TOLERANCE * 2**(m + 1) * steps * eps *
     size, with size the largest |x0| or |endpoint| of any row and point.
     It uses no weights, so it also checks the weights that the sampler
-    and the oracle share. It is omitted when the fields do not share one
-    variance, where the response need not be a polynomial, and when there
-    are fewer than m + 2 points.
+    and the oracle share. It is omitted when the chain fields do not share
+    one variance, where the response need not be a polynomial, and when
+    there are fewer than m + 2 points. The fields are those of the first
+    point's batch.spec: the points differ in the score only.
     """
     _require_two_samples("continuity_sweep", "sample_count", cfg.request.sample_count)
     if cfg.request.blend_mode != "full_average":
@@ -389,7 +381,7 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
             f"path_point_{j}", score, batch, oracle.endpoint_mean, oracle.endpoint_cov, worst,
             {"projection": projection},
         )
-        return record, worst, projection, tol, batch.endpoints
+        return record, worst, projection, tol, batch
 
     results = _map_ordered(run_point, range(points), cfg.threads)
     records = [r[0] for r in results]
@@ -400,12 +392,13 @@ def continuity_sweep(cfg: ExperimentConfig) -> MetricsReport:
             for (_, _, p0, tol0, _), (_, _, p1, tol1, _) in zip(results, results[1:])
         )
         criteria.append(Criterion("monotone_response", worst, 0.0))
-    spec = build_blend_spec(cfg.request, cfg.space, cfg.model, cfg.backend, cfg.cache)
-    fields = [spec.base_field, *(f for entry in spec.anchor_sets for f in entry.chain_fields)]
+    spec = results[0][4].spec
+    chains = [f for entry in spec.anchor_sets for f in entry.chain_fields]
+    fields = [spec.base_field, *chains]
     if points >= moving + 2 and all(isinstance(f, GaussianTargetField) for f in fields) and (
-        len({f.variance for f in fields}) == 1
+        len({f.variance for f in chains}) == 1
     ):
-        endpoints = np.stack([r[4] for r in results])
+        endpoints = np.stack([r[4].endpoints for r in results])
         residual = np.max(np.abs(np.diff(endpoints, n=moving + 1, axis=0)))
         request = cfg.request
         x0 = initial_states(sample_seeds(request.seed, request.sample_count), endpoints.shape[2])

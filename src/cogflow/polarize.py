@@ -284,10 +284,6 @@ class PolarizationCache:
         with self._lock:
             return self._entries.get(digest)
 
-    def store(self, digest: str, output: str):
-        with self._lock:
-            self._store_locked(digest, output)
-
     def _store_locked(self, digest: str, output: str):
         if digest in self._entries:
             return

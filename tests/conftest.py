@@ -1,12 +1,41 @@
 import numpy as np
 import pytest
 
-from cogflow.cogspace import CognitiveSpace
+from cogflow.cogspace import CognitiveSpace, DimensionSpec
+from cogflow.polarize import cache_digest
 from cogflow.semantics import SemanticModel, VelocityField
 
 
 def make_space(n):
     return CognitiveSpace.from_names(*[f"d{i + 1}" for i in range(n)])
+
+
+STUB_DIMENSION = DimensionSpec("d1", 1, "low", "high")
+
+
+class StubBackend:
+    """Test double: a polarizer backend that rewrites prompt p to outputs[p]."""
+
+    backend_id = "stub"
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+
+    def polarize(self, prompt, dimension, pole):
+        return self.outputs[prompt]
+
+
+def stub_digest(prompt):
+    """The cache digest under which seed_cache stores prompt's output."""
+    return cache_digest(StubBackend.backend_id, prompt, STUB_DIMENSION, 1)
+
+
+def seed_cache(cache, outputs):
+    """Append outputs, a {prompt: output} map, to cache in order, each
+    through a fetch that misses."""
+    backend = StubBackend(outputs)
+    for prompt in outputs:
+        cache.fetch(backend, prompt, STUB_DIMENSION, 1)
 
 
 class ConstantField(VelocityField):

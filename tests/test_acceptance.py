@@ -22,7 +22,6 @@ from cogflow.cogspace import ScoreVector
 from cogflow.flow import (
     GenerationRequest,
     IntegrationConfig,
-    build_blend_spec,
     generate,
     initial_states,
     integrate,
@@ -124,10 +123,9 @@ def test_criterion_06_blend_oracle_agreement():
                 integration=IntegrationConfig("rk4", 100),
             )
             batch = generate(request, space, model)
-            spec = build_blend_spec(request, space, model)
-            oracle = moment_reference(spec, IntegrationConfig("rk4", 2000))
+            oracle = moment_reference(batch.spec, IntegrationConfig("rk4", 2000))
             d_mean, d_spread, tol = map_discrepancy(
-                batch.endpoints, oracle.endpoint_mean, oracle.variances[-1], spec, request
+                batch, oracle.endpoint_mean, oracle.variances[-1], request
             )
             worst = max(worst, d_mean, d_spread)
             largest_tol = max(largest_tol, tol)

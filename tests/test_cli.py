@@ -286,6 +286,49 @@ def test_malformed_records_and_shapes_fail_before_any_backend_call(
     assert not (tmp_path / "out").exists()
 
 
+def test_score_of_another_length_fails_before_any_backend_call(tmp_path, caplog):
+    # generate used to polarize the 12 prompts of the 2-D space, append
+    # them to the cache, and only then fail on the blend's anchor count
+    out = tmp_path / "generated"
+    cfg = write_config(tmp_path)
+    argv = ["generate", "--config", str(cfg), "--out", str(out)]
+    assert run_cli(*argv, "--set", "experiment.score=[0.5]") == 2
+    assert "score has 1 entries, but the space has 2 dimensions" in caplog.text
+    assert not (tmp_path / "cache.ndjson").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override", [
+    "flow.decoder.matrix=[[1e999, 0], [0, 1]]", "flow.decoder.offset=[1e999, 0]",
+], ids=["matrix", "offset"])
+def test_non_finite_affine_decoder_is_config_error(tmp_path, caplog, override):
+    # json reads 1e999 as inf, which decoded.csv carried into every row
+    decoder = {"kind": "affine", "matrix": [[1, 0], [0, 1]], "offset": [0, 0]}
+    cfg = write_config(tmp_path, flow={"decoder": decoder})
+    out = tmp_path / "generated"
+    assert run_cli("generate", "--config", str(cfg), "--out", str(out), "--set", override) == 2
+    name = override.split("=")[0].rsplit(".", 1)[1]
+    assert f"affine decoder {name} has a non-finite entry" in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["vertex_recovery", "continuity_sweep"])
+def test_mixture_binding_in_an_exact_map_experiment_is_config_error(tmp_path, caplog, kind):
+    # the moment oracle refuses the sampled blend after the leg's generate,
+    # before any report is written
+    mixture = [
+        {"weight": 0.3, "mean": [1.0, -1.0], "variance": 0.5},
+        {"weight": 0.7, "mean": [-0.5, 2.0], "variance": 0.8},
+    ]
+    cfg = write_config(
+        tmp_path, experiment={"kind": kind},
+        semantics={"explicit_bindings": {"a valley": mixture}},
+    )
+    assert run_cli("experiment", "--config", str(cfg)) == 2
+    assert "not a Gaussian target field" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", ["vertex_recovery", "continuity_sweep"])
 def test_sampled_experiment_on_one_sample_fails_before_any_backend_call(
     tmp_path, caplog, kind

@@ -1,10 +1,12 @@
-"""Every module-level function and class of the package is used.
+"""Every module-level function and class of the package is used, and
+every method of a module-level class.
 
 A stdlib stand-in for a dead-code linter, beside test_unused_imports.py.
 A definition counts as used when its name appears anywhere else in the
 package's code: as a bare name, as an attribute, or as a name imported
 by `from ... import` (so the re-exports of __init__.py count). A name
 that only the tests use is dead code kept alive by its own tests.
+Dunder methods are exempt: Python calls them.
 """
 
 import ast
@@ -29,16 +31,32 @@ def named(tree) -> list[str]:
     return names
 
 
+def definitions(tree):
+    """(qualified name, name) of each module-level function or class of
+    the tree, and of each method of such a class that is not a dunder."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, DEFINITIONS) and not (
+                    method.name.startswith("__") and method.name.endswith("__")
+                ):
+                    yield f"{node.name}.{method.name}", method.name
+
+
 def dead_definitions(sources: dict[str, str]) -> list[str]:
     """module:name of each module-level function or class in sources, a
-    {module: source} map, whose name no module names."""
+    {module: source} map, and module:Class.name of each such method, whose
+    name no module names."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     used = {name for tree in trees.values() for name in named(tree)}
     return sorted(
-        f"{module}:{node.name}"
+        f"{module}:{qualified}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, DEFINITIONS) and node.name not in used
+        for qualified, name in definitions(tree)
+        if name not in used
     )
 
 
@@ -52,5 +70,12 @@ def test_scan_finds_a_definition_that_nothing_names():
         "a": "def used():\n    pass\n\ndef unused():\n    pass\n\nclass Dead:\n    pass\n",
         "b": "from a import used\n\ndef caller():\n    return used()\n\ncaller()\n",
         "c": "import b\n\nhandle = b.caller\n",
+        "d": (
+            "class Kept:\n"
+            "    def __init__(self):\n        self.run()\n\n"
+            "    def run(self):\n        pass\n\n"
+            "    @classmethod\n    def never_called(cls):\n        pass\n\n"
+            "Kept()\n"
+        ),
     }
-    assert dead_definitions(sources) == ["a:Dead", "a:unused"]
+    assert dead_definitions(sources) == ["a:Dead", "a:unused", "d:Kept.never_called"]

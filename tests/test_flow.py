@@ -9,7 +9,7 @@ import pytest
 from cogflow import flow
 from cogflow.blend import AnchorFields, BlendedField, BlendSpec
 from cogflow.cogspace import CognitiveSpace, ScoreVector, enumerate_anchors, weight_vector
-from cogflow.errors import ContractViolation, DivergenceError
+from cogflow.errors import ContractViolation, DivergenceError, SpaceMismatchError
 from cogflow.flow import (
     AffineDecoder,
     GenerationRequest,
@@ -32,7 +32,7 @@ from cogflow.semantics import (
     bind,
 )
 
-from conftest import ConstantField, DelegatingField, StoredField, make_space
+from conftest import ConstantField, DelegatingField, StoredField, StubBackend, make_space
 
 
 class FuncField:
@@ -409,6 +409,22 @@ def test_affine_decoder(space2, biased_model):
     assert np.allclose(batch.decoded[:, 2], batch.endpoints.sum(axis=1) + 10.0)
     with pytest.raises(ContractViolation):
         AffineDecoder(matrix=[[1.0, 0.0]], offset=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_affine_decoder_rejects_a_non_finite_entry(bad):
+    # it would write its inf or NaN into every decoded row
+    with pytest.raises(ContractViolation, match="matrix has a non-finite entry"):
+        AffineDecoder(matrix=[[1.0, bad], [0.0, 1.0]], offset=[0.0, 0.0])
+    with pytest.raises(ContractViolation, match="offset has a non-finite entry"):
+        AffineDecoder(matrix=[[1.0, 0.0], [0.0, 1.0]], offset=[bad, 0.0])
+
+
+def test_build_blend_spec_rejects_a_score_of_another_length(space2, biased_model):
+    # checked before anything is polarized: the stub knows no prompt
+    request = GenerationRequest(base_prompt="a valley", score=ScoreVector((0.5,)))
+    with pytest.raises(SpaceMismatchError, match="score has 1 entries, but the space has 2"):
+        build_blend_spec(request, space2, biased_model, StubBackend({}))
 
 
 def test_request_validation():

@@ -271,6 +271,20 @@ def _unequal_variances(cfg):
     return cfg
 
 
+@pytest.mark.parametrize("path", [SHORT_SWEEP, DIAGONAL_SWEEP], ids=["axis", "diagonal"])
+def test_multilinear_response_holds_with_a_base_of_its_own_variance(path):
+    # the base bound to a variance of its own: the blend's slope is still
+    # the same at every score, so the response is still multilinear
+    for seed in range(50):
+        cfg = make_config(**path, seed=seed, sample_count=64, oracle_steps=200)
+        prompt = cfg.request.base_prompt
+        cfg.model = dataclasses.replace(cfg.model, explicit_bindings={
+            prompt: TargetDistribution.single(bind(cfg.model, prompt).mean(), 0.3)
+        })
+        criteria = {c.name: c for c in continuity_sweep(cfg).criteria}
+        assert criteria["multilinear_response"].passed, (seed, criteria)
+
+
 @pytest.mark.parametrize("cfg", [
     lambda: _unequal_variances(make_config(**SHORT_SWEEP, sample_count=64)),
     lambda: make_config(**dict(SHORT_SWEEP, grid_points=2), sample_count=64),
@@ -300,16 +314,39 @@ def test_continuity_sweep_generates_and_consults_the_oracle_once_per_point(monke
     assert calls == {"generate": 4, "moment_reference": 4}
 
 
-@pytest.mark.parametrize("kind", ["vertex_recovery", "continuity_sweep"])
-def test_exact_map_experiments_reject_a_mixture_binding(kind):
+def test_experiments_build_one_blend_per_generate(monkeypatch):
+    # the harness checks each batch against the spec that generate built,
+    # and builds none of its own
+    calls = []
+    build = flow.build_blend_spec
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    for module in (flow, harness):
+        monkeypatch.setattr(module, "build_blend_spec", counted)
+    vertex_recovery(make_config(sample_count=64))
+    assert len(calls) == 8  # two legs at each of 4 vertices
+    calls.clear()
+    continuity_sweep(make_config(kind="continuity_sweep", grid_points=4, sample_count=64))
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("kind,bound", [
+    ("vertex_recovery", "base"), ("continuity_sweep", "base"),
+    ("vertex_recovery", "chain"), ("continuity_sweep", "chain"),
+], ids=["vertex_recovery", "continuity_sweep", "vertex_recovery-chain", "continuity_sweep-chain"])
+def test_exact_map_experiments_reject_a_mixture_binding(kind, bound):
     # the moment oracle has no map for a mixture with a share in the blend
     cfg = make_config(kind=kind, sample_count=64)
     mixture = TargetDistribution(
         components=((0.3, np.array([1.0, -1.0]), 0.5), (0.7, np.array([-0.5, 2.0]), 0.8))
     )
-    cfg.model = dataclasses.replace(
-        cfg.model, explicit_bindings={cfg.request.base_prompt: mixture}
-    )
+    prompt = cfg.request.base_prompt
+    if bound == "chain":  # a chain of the first anchor, which every path reaches
+        prompt = build_all_sets(cfg.backend, prompt, cfg.space, None)[0].results[0]
+    cfg.model = dataclasses.replace(cfg.model, explicit_bindings={prompt: mixture})
     with pytest.raises(ContractViolation, match="not a Gaussian target field"):
         run_experiment(cfg)
 
@@ -471,8 +508,7 @@ def test_emit_report_files_and_round_trip(tmp_path):
         set(c) == {"name", "value", "threshold", "pass"}
         for c in payload["summary"]["criteria"]
     )
-    rebuilt = MetricsReport.from_json_dict(payload)
-    assert rebuilt.to_json_dict() == report.to_json_dict()
+    assert payload == report.to_json_dict()
     for name in ("metrics.csv", "series.csv"):
         first = (tmp_path / "out" / name).read_text().splitlines()[0]
         assert first == "# config_digest=feed"

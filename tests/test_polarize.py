@@ -24,7 +24,7 @@ from cogflow.polarize import (
     prompt_sets_to_json,
 )
 
-from conftest import make_space
+from conftest import make_space, seed_cache, stub_digest
 
 
 # --- chain orders ---------------------------------------------------------
@@ -198,9 +198,7 @@ def test_cache_rejects_corrupt_records(tmp_path):
 
 
 def filled_cache(path, count=3):
-    cache = PolarizationCache(path)
-    for i in range(count):
-        cache.store(f"d{i}", f"out{i}")
+    seed_cache(PolarizationCache(path), {f"p{i}": f"out{i}" for i in range(count)})
     return path.read_bytes()
 
 
@@ -211,16 +209,15 @@ def test_cache_drops_torn_tail_with_warning(tmp_path, caplog):
     path.write_bytes(data[: len(data) - 1 - len(last) // 2])
     with caplog.at_level("WARNING", logger="cogflow.polarize"):
         cache = PolarizationCache(path)
-    assert len(cache) == 2 and cache.get("d2") is None
+    assert len(cache) == 2 and cache.get(stub_digest("p2")) is None
     assert [r.name for r in caplog.records] == ["cogflow.polarize"]
     assert "torn record" in caplog.records[0].getMessage()
     # the file is cut back to its last complete record
     assert path.read_bytes() == data[: len(data) - len(last) - 1]
-    cache.store("d2", "again")
-    cache.store("d3", "new")
+    seed_cache(cache, {"p2": "again", "p3": "new"})
     reloaded = PolarizationCache(path)
-    assert {d: reloaded.get(d) for d in ("d0", "d1", "d2", "d3")} == {
-        "d0": "out0", "d1": "out1", "d2": "again", "d3": "new"
+    assert {p: reloaded.get(stub_digest(p)) for p in ("p0", "p1", "p2", "p3")} == {
+        "p0": "out0", "p1": "out1", "p2": "again", "p3": "new"
     }
 
 
@@ -232,7 +229,7 @@ def test_cache_restores_newline_of_whole_last_record(tmp_path, caplog):
         cache = PolarizationCache(path)
     assert len(cache) == 3 and not caplog.records
     assert path.read_bytes() == data
-    cache.store("d3", "new")
+    seed_cache(cache, {"p3": "new"})
     assert len(PolarizationCache(path)) == 4
 
 
@@ -248,10 +245,10 @@ def test_cache_appends_each_record_in_one_write(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "write", counting_write)
     output = "x" * (2 * io.DEFAULT_BUFFER_SIZE)
-    cache.store("big", output)
+    seed_cache(cache, {"big": output})
     record = path.read_bytes()
     assert calls == [len(record)] and len(record) > io.DEFAULT_BUFFER_SIZE
-    assert PolarizationCache(path).get("big") == output
+    assert PolarizationCache(path).get(stub_digest("big")) == output
 
 
 def test_cache_short_append_is_backend_error(tmp_path, monkeypatch):
@@ -260,7 +257,7 @@ def test_cache_short_append_is_backend_error(tmp_path, monkeypatch):
     real_write = os.write
     monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:5]))
     with pytest.raises(BackendError, match="short append"):
-        cache.store("d0", "out0")
+        seed_cache(cache, {"p0": "out0"})
 
 
 @pytest.mark.parametrize("corrupt", [b"not json", b'{"digest": "x"}', b"[1, 2]"])

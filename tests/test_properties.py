@@ -14,6 +14,8 @@ from cogflow.config import DEFAULT_CONFIG, apply_overrides, resolve_config
 from cogflow.errors import ConfigError
 from cogflow.polarize import PolarizationCache, format_template_prompt, parse_template_tags
 
+from conftest import seed_cache, stub_digest
+
 # no example database: runs leave nothing in the checkout
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 
@@ -52,15 +54,13 @@ def test_weight_vector_is_a_partition_of_unity(score):
 def test_cache_cut_at_any_byte_reloads_the_records_before_the_cut(outputs, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.ndjson"
-        cache = PolarizationCache(path)
-        for i, output in enumerate(outputs):
-            cache.store(f"d{i}", output)
+        seed_cache(PolarizationCache(path), {f"p{i}": out for i, out in enumerate(outputs)})
         whole = path.read_bytes()
         cut = data.draw(st.integers(0, len(whole)), label="cut")
         path.write_bytes(whole[:cut])
         # a record survives when its text, up to its newline, is before the cut
         ends = np.cumsum([len(line) + 1 for line in whole.split(b"\n")[:-1]]) - 1
-        kept = {f"d{i}": out for i, out in enumerate(outputs) if ends[i] <= cut}
+        kept = {stub_digest(f"p{i}"): out for i, out in enumerate(outputs) if ends[i] <= cut}
         reloaded = PolarizationCache(path)
         assert {d: reloaded.get(d) for d in kept} == kept and len(reloaded) == len(kept)
         # the file now holds exactly the surviving records, newline-terminated
