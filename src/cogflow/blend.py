@@ -58,8 +58,8 @@ template backend without mixture bindings), both modes read a stacked
 Gaussian bank of the active anchors, built when the field is made: the
 base mean (D, 1) and variance, chain means stored feature-major as
 (A, D, n), and chain variances (A, n). An evaluation works in a
-C-contiguous (D, B) block: it computes
-kappa(t) for all chains at once and every Gaussian closed form in that
+C-contiguous (D, B) block: it takes kappa(t) of all chains, computed at
+once (rule 3 below), and computes every Gaussian closed form in that
 block (in stochastic mode on each row's drawn mean and kappa); no inner
 field's eval is called. The bank records which anchors' chains all have
 one variance, as template bindings give them: such an anchor's chains
@@ -84,8 +84,40 @@ mixture, a subclass, a test double) selects the generic path, which
 calls eval on each chain field, in stochastic mode for the rows that
 drew it. The path follows from the evaluated fields' types alone.
 
-A BlendedField instance owns its ordinal, evaluation counter, draw key
-and draw buffers, and must not be shared across concurrent callers;
+Passes whose result is known exactly are skipped, by three rules that
+follow from the spec alone, with no option:
+
+1. Each distinct field is evaluated once. When the field is built, the
+   bank marks each active anchor whose chain fields are one field:
+   equal variances and equal mean bytes (bytes, since means equal as
+   values may differ in the sign of a zero). In full_average such an
+   anchor's vhat is its one closed form, not n closed forms and their
+   deviation mean. Template bindings at position_bias 0 give this.
+2. No identity passes. At a vertex, where one active anchor has weight
+   exactly 1, the sum is vhat - base, with no product by the weight and
+   no start from zeros; an anchor share 1 - base_mix of exactly 1 is not
+   multiplied. The combine is shared, so this holds on both paths.
+3. The bank's per-time constants, kappa(t) of the base and the chains
+   and t * mean of each, are computed once per distinct t: rk4's two
+   mid-stages share one t, and a step's first t is the last t of the
+   step before.
+
+Why the bits stay. n equal closed forms v have deviations v - v = +0.0,
+so their deviation mean is +0.0 / n + v: that is v, except that a -0.0
+in v becomes +0.0. The sign of a zero in vhat never reaches the blend:
+d = vhat - base is -0.0 only when vhat is -0.0 and base is +0.0, and
++0.0 then absorbs the sign, in the zero-started sum (+0.0 + -0.0 is
++0.0) and, at a vertex, in the final d * share + base (-0.0 + +0.0 is
++0.0); otherwise d is the same either way. Products by exactly 1 are
+identities, and rule 3 computes the same products and quotients, only
+fewer times. The one difference is a non-finite velocity: two infinite
+chains deviate by NaN, so where the n-chain average read NaN a collapsed
+anchor reads inf. A row diverges at the same step either way, and
+DivergenceError's last_max_velocity may read inf where it read nan.
+
+A BlendedField instance owns its ordinal, evaluation counter, draw key,
+draw buffers and the bank's constants at the last time it evaluated,
+and must not be shared across concurrent callers;
 separate instances may run on separate threads. A BlendSpec is
 immutable and freely shareable.
 """
@@ -112,6 +144,7 @@ from .semantics import (
     _check_time,
     flow_kappa,
     gaussian_velocity,
+    shifted_velocity,
 )
 
 MODES = ("stochastic", "full_average")
@@ -224,6 +257,17 @@ def _deviation_mean(values):
     return acc
 
 
+def _one_field(chain) -> bool:
+    """Whether the Gaussian chain fields are one field: equal variances and
+    equal mean bytes. Bytes, not values: means equal as values may differ
+    in the sign of a zero."""
+    first = chain[0]
+    return all(
+        f.variance == first.variance and f.mean.tobytes() == first.mean.tobytes()
+        for f in chain[1:]
+    )
+
+
 class GaussianBank(NamedTuple):
     """Stacked parameters of a spec whose inner fields are all Gaussian,
     laid out for feature-major (D, B) states."""
@@ -233,6 +277,7 @@ class GaussianBank(NamedTuple):
     means: np.ndarray  # (A, D, n)
     variances: np.ndarray  # (A, n)
     equal_variances: tuple  # per anchor, whether its n chain variances are equal
+    distinct: tuple  # per anchor, its distinct chain fields: 1 if they are one field, else n
 
     @classmethod
     def of(cls, spec: BlendSpec, active) -> "GaussianBank | None":
@@ -251,27 +296,37 @@ class GaussianBank(NamedTuple):
             means=np.ascontiguousarray(means.transpose(0, 2, 1)),
             variances=variances,
             equal_variances=tuple((variances == variances[:, :1]).all(axis=1).tolist()),
+            distinct=tuple(1 if _one_field(chain) else spec.n for chain in chains),
         )
 
-    def values(self, x, t, draws):
+    def at(self, t: float) -> tuple:
+        """What every evaluation at time t shares: (t, the base's kappa(t)
+        and t * mean, the chains' kappa(t) (A, n) and t * means (A, D, n))."""
+        return (
+            t,
+            flow_kappa(t, self.base_variance),
+            t * self.base_mean,
+            flow_kappa(t, self.variances),
+            t * self.means,
+        )
+
+    def values(self, x, at, draws):
         """Base velocity and an iterator over the bank's vhats, in anchor
-        order, at a feature-major state x of shape (D, B).
+        order, at a feature-major state x of shape (D, B), with at the
+        bank's constants at the evaluation's time.
 
         draws holds chain indices of shape (A,) or (A, B), or is None for
         the full average; the expressions are the generic path's, so the
         bits equal its bits.
         """
-        t = _check_time(t)
-        base = gaussian_velocity(
-            self.base_mean, flow_kappa(t, self.base_variance), x, t
-        )
-        kappas = flow_kappa(t, self.variances)
+        t, base_kappa, base_shift, kappas, shifts = at
+        base = shifted_velocity(self.base_mean, base_shift, base_kappa, x)
 
         def averaged():
-            for means, kappa in zip(self.means, kappas):
+            for means, shift, kappa, count in zip(self.means, shifts, kappas, self.distinct):
                 yield _deviation_mean(
-                    gaussian_velocity(means[:, j : j + 1], kappa[j], x, t)
-                    for j in range(len(kappa))
+                    shifted_velocity(means[:, j : j + 1], shift[:, j : j + 1], kappa[j], x)
+                    for j in range(count)
                 )
 
         def drawn():
@@ -309,7 +364,10 @@ class BlendedField(VelocityField):
         active = np.flatnonzero(weights)
         self._weights = weights[active]
         self._chains = tuple(spec.anchor_sets[k].chain_fields for k in active)
+        # one anchor of weight exactly 1: a vertex
+        self._vertex = len(active) == 1 and self._weights[0] == 1.0
         self._bank = GaussianBank.of(spec, active)
+        self._time = self._at = None  # the bank's constants at the last time
         self._draw_plan = None
         if self._stochastic and spec.n > 1:
             # the key/counter split and the draw plan; see the module notes
@@ -377,7 +435,10 @@ class BlendedField(VelocityField):
         if self._bank is not None:
             # no copy when x is a view of a C-contiguous (D, B) block
             block = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
-            base, vhats = self._bank.values(block, t, draws)
+            if t != self._time:
+                self._at = self._bank.at(_check_time(t))
+                self._time = t
+            base, vhats = self._bank.values(block, self._at, draws)
         else:
             base = self.spec.base_field.eval(x, t)
             vhats = (
@@ -387,13 +448,19 @@ class BlendedField(VelocityField):
         # base + (1 - base_mix) * sum_k w_k * (vhat_k - base) over the
         # active anchors, summed in order from zeros, in place in arrays
         # allocated here: base and the vhats may be arrays an inner field
-        # owns
-        acc, dev = np.zeros_like(base), np.empty_like(base)
-        for w, vhat in zip(self._weights, vhats):
-            np.subtract(vhat, base, out=dev)
-            dev *= w
-            acc += dev
-        acc *= self._anchor_share
+        # owns. At a vertex the sum is vhat - base, and a share of exactly
+        # 1 is not multiplied; see the module notes.
+        if self._vertex:
+            (vhat,) = vhats
+            acc = vhat - base
+        else:
+            acc, dev = np.zeros_like(base), np.empty_like(base)
+            for w, vhat in zip(self._weights, vhats):
+                np.subtract(vhat, base, out=dev)
+                dev *= w
+                acc += dev
+        if self._anchor_share != 1.0:
+            acc *= self._anchor_share
         acc += base
         self._eval_ordinal += 1
         self.eval_counter += (1 if x.ndim == 1 else len(x)) * self._evals_per_call

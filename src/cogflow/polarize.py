@@ -285,23 +285,26 @@ class PolarizationCache:
             return self._entries.get(digest)
 
     def _store_locked(self, digest: str, output: str):
+        """Append the record, then keep it in memory: an append that fails
+        raises and leaves no entry, so no fetch returns an output the file
+        does not hold (a torn record is dropped by the next load)."""
         if digest in self._entries:
             return
+        if self.path is not None:
+            record = (json.dumps({"digest": digest, "output": output}) + "\n").encode("utf-8")
+            # one write on an O_APPEND descriptor lands whole at the current
+            # end of the file, so appends from several processes never
+            # interleave
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                written = os.write(fd, record)
+            finally:
+                os.close(fd)
+            if written != len(record):
+                raise BackendError(
+                    f"short append to {self.path}: {written} of {len(record)} bytes"
+                )
         self._entries[digest] = output
-        if self.path is None:
-            return
-        record = (json.dumps({"digest": digest, "output": output}) + "\n").encode("utf-8")
-        # one write on an O_APPEND descriptor lands whole at the current end
-        # of the file, so appends from several processes never interleave
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            written = os.write(fd, record)
-        finally:
-            os.close(fd)
-        if written != len(record):
-            raise BackendError(
-                f"short append to {self.path}: {written} of {len(record)} bytes"
-            )
 
     def fetch(
         self,
@@ -321,15 +324,15 @@ class PolarizationCache:
                     self._pending[digest] = threading.Event()
                     break
             event.wait()
+        # whether the fetch or the store fails, the waiters are released:
+        # each then finds the entry, or misses and fetches itself
         try:
             output = backend.polarize(prompt, dimension, pole)
-        except BaseException:
+            with self._lock:
+                self._store_locked(digest, output)
+        finally:
             with self._lock:
                 self._pending.pop(digest).set()
-            raise
-        with self._lock:
-            self._store_locked(digest, output)
-            self._pending.pop(digest).set()
         return output
 
 

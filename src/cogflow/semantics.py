@@ -137,10 +137,17 @@ def gaussian_velocity(mean, kappa, x, t: float) -> np.ndarray:
     scalar or per-row (B, 1), and kappa must not widen x - t * mean.
     Every Gaussian velocity in the package goes through this one
     expression, so batched and per-field evaluations agree bit for bit.
-    The product and the sum run in place in the new array x - t * mean;
-    IEEE + and * commute, so the bits are those of the formula.
     """
-    v = x - t * mean
+    return shifted_velocity(mean, t * mean, kappa, x)
+
+
+def shifted_velocity(mean, shift, kappa, x) -> np.ndarray:
+    """gaussian_velocity with t * mean given as shift, for a caller that
+    evaluates one field at one t many times. The product and the sum run
+    in place in the new array x - shift; IEEE + and * commute, so the
+    bits are those of the formula.
+    """
+    v = x - shift
     v *= kappa
     v += mean
     return v

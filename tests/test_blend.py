@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogflow import streams
+from cogflow import blend as blend_module, streams
 from cogflow.blend import (
     AnchorFields,
     BlendedField,
@@ -21,7 +21,7 @@ from cogflow.cogspace import (
     anchor_weight,
     enumerate_anchors,
 )
-from cogflow.errors import ContractViolation, SpaceMismatchError
+from cogflow.errors import ContractViolation, DivergenceError, SpaceMismatchError
 from cogflow.flow import (
     GenerationRequest,
     IntegrationConfig,
@@ -35,6 +35,7 @@ from cogflow.semantics import (
     MixtureTargetField,
     SemanticModel,
     TargetDistribution,
+    shifted_velocity,
 )
 
 from conftest import ConstantField, DelegatingField, StoredField, make_space
@@ -848,3 +849,132 @@ def test_non_finite_velocity_of_a_zero_weight_anchor_does_not_reach_the_blend(mo
     # under a nonzero weight the NaN still reaches every row
     interior = replace(poisoned, score=ScoreVector((0.25, 0.75)))
     assert np.isnan(BlendedField(interior, seeds).eval(xs, 0.5)).all()
+
+
+# --- chains that are one field, and per-time constants ------------------------
+
+def one_field_key_spec(wrap=lambda f: f, score=(0.25, 0.75), mode="full_average"):
+    """Anchor k's two chain fields are two objects that share: (0) the
+    mean bytes and the variance; (1) the variance and a mean equal in
+    value but not in bytes (+0.0 against -0.0); (2) the variance and a
+    mean 1 ulp apart; (3) the mean bytes, with another variance."""
+    mean = np.array([0.5, -1.25, 2.0])
+    signed = mean.copy()
+    signed[0] = 0.0
+    flipped = signed.copy()
+    flipped[0] = -0.0
+    pairs = [
+        ((mean, 0.5), (mean.copy(), 0.5)),
+        ((signed, 0.5), (flipped, 0.5)),
+        ((mean, 0.5), (np.nextafter(mean, 3.0), 0.5)),
+        ((mean, 0.5), (mean.copy(), 0.75)),
+    ]
+    return BlendSpec(
+        base_field=wrap(GaussianTargetField([0.25, 0.0, -0.5], 0.6)),
+        anchor_sets=tuple(
+            AnchorFields(a, tuple(wrap(GaussianTargetField(m, v)) for m, v in pairs[k]))
+            for k, a in enumerate(enumerate_anchors(make_space(2)))
+        ),
+        score=ScoreVector(score),
+        mode=mode,
+    )
+
+
+def test_chains_are_one_field_only_when_their_bytes_and_variance_are_equal(monkeypatch):
+    """Two field objects with the same mean bytes and variance collapse:
+    the full average evaluates their closed form once per evaluation. Means
+    that are equal as values but differ in the sign of a zero, means 1 ulp
+    apart and equal means with other variances stay two fields."""
+    spec = one_field_key_spec()
+    field = BlendedField(spec, np.arange(5, dtype=np.uint64))
+    assert field._bank.distinct == (1, 2, 2, 2)
+    calls = []
+
+    def counting(mean, shift, kappa, x):
+        calls.append(mean)
+        return shifted_velocity(mean, shift, kappa, x)
+
+    monkeypatch.setattr(blend_module, "shifted_velocity", counting)
+    xs = np.random.default_rng(4).normal(size=(5, 3))
+    got = run_steps(field, xs)
+    assert len(calls) == len(got) * (1 + 1 + 2 + 2 + 2)
+    want = run_steps(BlendedField(one_field_key_spec(DelegatingField), 0), xs)
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    # at the vertex of the collapsed anchor: the base and one closed form
+    calls.clear()
+    bits = spec.anchor_sets[0].anchor.bits
+    got = run_steps(BlendedField(one_field_key_spec(score=tuple(map(float, bits))), 0), xs)
+    assert len(calls) == 2 * len(got)
+
+
+@pytest.mark.parametrize(
+    "solver, times", [("euler", 1), ("midpoint", 2), ("rk4", 2)]
+)
+def test_bank_computes_its_constants_once_per_distinct_time(solver, times, monkeypatch):
+    """rk4's two mid-stages share one time, and a step's first time is the
+    last time of the step before, so rk4 computes 2 sets per step plus the
+    first; kappa(t) and t * mean are computed nowhere else."""
+    counts = {"at": 0, "kappa": 0}
+    at, kappa = blend_module.GaussianBank.at, blend_module.flow_kappa
+
+    def counting_at(self, t):
+        counts["at"] += 1
+        return at(self, t)
+
+    def counting_kappa(t, variance):
+        counts["kappa"] += 1
+        return kappa(t, variance)
+
+    monkeypatch.setattr(blend_module.GaussianBank, "at", counting_at)
+    monkeypatch.setattr(blend_module, "flow_kappa", counting_kappa)
+    steps = 8
+    field = BlendedField(gaussian_spec(2, mode="full_average"), 0)
+    integrate(field, np.zeros((4, 3)), IntegrationConfig(solver, steps))
+    want = times * steps + (solver == "rk4")
+    assert counts == {"at": want, "kappa": 2 * want}
+
+
+@pytest.mark.parametrize(
+    "solver, step, sample", [("euler", 4, 0), ("midpoint", 3, 2), ("rk4", 3, 0)]
+)
+def test_overflow_under_a_collapsed_anchor_diverges_where_the_generic_path_does(
+    solver, step, sample
+):
+    """An anchor's two chains are one field whose velocity overflows. The
+    step and row that diverge are those the generic path (which averages
+    both chains, as the bank did before it collapsed such an anchor)
+    reports. Declared change: where the generic path's average of two
+    infinities reads NaN, the collapsed anchor's single closed form reads
+    inf, so last_max_velocity may read inf where it read nan."""
+    means = [[1.0, -0.5, 0.25], [1e308, 0.5, 0.0], [-1.0, 0.75, 2.0], [0.5, 0.5, -1.0]]
+    variances = [0.5, 1e-4, 0.5, 0.5]
+
+    def spec(wrap):
+        return BlendSpec(
+            base_field=wrap(GaussianTargetField([0.0, 0.25, -0.5], 0.5)),
+            anchor_sets=tuple(
+                AnchorFields(a, tuple(wrap(GaussianTargetField(mean, variance)) for _ in a.bits))
+                for a, mean, variance in zip(enumerate_anchors(make_space(2)), means, variances)
+            ),
+            score=ScoreVector((0.25, 0.75)),
+            mode="full_average",
+        )
+
+    x0 = np.linspace(-1, 1, 24).reshape(8, 3)
+    x0[5, 0], x0[2, 0] = -1e307, -5e306
+    errors = []
+    for wrap, banked in ((lambda f: f, True), (DelegatingField, False)):
+        field = BlendedField(spec(wrap), 0)
+        assert (field._bank is not None) == banked
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            integrate(field, x0, IntegrationConfig(solver, 8))
+        errors.append(err.value)
+    bank, generic = errors
+    assert field._bank is None and BlendedField(spec(lambda f: f), 0)._bank.distinct[1] == 1
+    assert (bank.step_index, bank.sample_index) == (generic.step_index, generic.sample_index)
+    assert (bank.step_index, bank.sample_index) == (step, sample)
+    assert (bank.last_max_abs, bank.last_time) == (generic.last_max_abs, generic.last_time)
+    if solver == "euler":
+        assert bank.last_max_velocity == np.inf and np.isnan(generic.last_max_velocity)
+    else:
+        assert bank.last_max_velocity == generic.last_max_velocity

@@ -301,3 +301,178 @@ def test_cli_generate_csv_bytes_match_golden_digest(tmp_path):
     assert main(["generate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
     for name, want in CLI_GOLDEN.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want
+
+
+# Chains that coincide and identity passes. Recorded before the Gaussian
+# bank evaluated an anchor whose chain fields are one field once, and
+# before the blend dropped the passes whose result is known exactly: the
+# sum starting from zeros and the product by a weight of exactly 1 at a
+# vertex, and the product by an anchor share 1 - base_mix of exactly 1.
+# "dyadic": each chain is its own field, as in dyadic_spec. "one_field":
+# each anchor's n chain fields are n objects with the bytes
+# of one field. "signed_zero": an anchor's chain means differ only in the
+# sign of a zero, -0.0 in the even chains and +0.0 in the odd ones, and
+# the base mean and some x0 have a zero in that coordinate too.
+def chain_fields(kind, n, k, wrap):
+    if kind == "dyadic":
+        return tuple(dyadic_field(1 + k * n + j, wrap) for j in range(n))
+    if kind == "one_field":
+        return tuple(dyadic_field(1 + k, wrap) for _ in range(n))
+    fields = []
+    for j in range(n):
+        mean = [((3 * (1 + k) + 5 * d) % 17 - 8) / 8 for d in range(DIM)]
+        mean[0] = -0.0 if j % 2 == 0 else 0.0
+        fields.append(wrap(GaussianTargetField(mean, (1 + (1 + k) % 7) / 4)))
+    return tuple(fields)
+
+
+def coinciding_spec(kind, n, mode, wrap, scores, base_mix):
+    base = GaussianTargetField([0.0, *dyadic_field(0, lambda f: f).mean[1:]], 0.25)
+    anchors = enumerate_anchors(make_space(n))
+    return BlendSpec(
+        base_field=wrap(base),
+        anchor_sets=tuple(
+            AnchorFields(a, chain_fields(kind, n, k, wrap)) for k, a in enumerate(anchors)
+        ),
+        score=ScoreVector(scores[:n]),
+        mode=mode,
+        base_mix=base_mix,
+    )
+
+
+def coinciding_digest(kind, where, base_mix, n, mode, solver, path):
+    x0 = np.array([[((7 * r + 3 * d) % 13 - 6) / 4 for d in range(DIM)] for r in range(ROWS)])
+    x0[::3, 0] = 0.0
+    field = BlendedField(
+        coinciding_spec(kind, n, mode, WRAPS[path], EQUAL_VARIANCE_SCORES[where], base_mix),
+        np.arange(100, 100 + ROWS, dtype=np.uint64),
+    )
+    assert (field._bank is not None) == (path == "bank")
+    return digest(integrate(field, x0, IntegrationConfig(solver, STEPS)).endpoint)
+
+
+COINCIDING_CASES = [
+    *(("one_field", where, 0.375, n, mode, solver)
+      for where in ("interior", "vertex") for n in (1, 2, 3, 4)
+      for mode in ("stochastic", "full_average") for solver in ("euler", "midpoint", "rk4")),
+    *((kind, "vertex", base_mix, n, mode, "rk4")
+      for kind in ("dyadic", "one_field") for base_mix in (0.0, 1.0) for n in (1, 2, 3, 4)
+      for mode in ("stochastic", "full_average")),
+    *(("signed_zero", where, base_mix, n, mode, "rk4")
+      for where in ("interior", "vertex") for base_mix in (0.0, 0.375) for n in (2, 3, 4)
+      for mode in ("stochastic", "full_average")),
+]
+
+
+COINCIDING_GOLDEN = {
+    ('one_field', 'interior', 0.375, 1, 'stochastic', 'euler'): "93295e89f2398c0151629916685a083c762dc65d0190a06374d3d79335722426",
+    ('one_field', 'interior', 0.375, 1, 'stochastic', 'midpoint'): "4cd14edb685f909e4cfc26f0e70af17fa950e840c2b89b6ba48b69772bceb4e2",
+    ('one_field', 'interior', 0.375, 1, 'stochastic', 'rk4'): "70a6cb627f1799d0eeadeb4ceec4f3e7357bdeaf35375bccb18ba17c5f0568cc",
+    ('one_field', 'interior', 0.375, 1, 'full_average', 'euler'): "93295e89f2398c0151629916685a083c762dc65d0190a06374d3d79335722426",
+    ('one_field', 'interior', 0.375, 1, 'full_average', 'midpoint'): "4cd14edb685f909e4cfc26f0e70af17fa950e840c2b89b6ba48b69772bceb4e2",
+    ('one_field', 'interior', 0.375, 1, 'full_average', 'rk4'): "70a6cb627f1799d0eeadeb4ceec4f3e7357bdeaf35375bccb18ba17c5f0568cc",
+    ('one_field', 'interior', 0.375, 2, 'stochastic', 'euler'): "c67cbf664a93f7033606008ec958a37260a61f5500612ed2e049680b5cf9bf60",
+    ('one_field', 'interior', 0.375, 2, 'stochastic', 'midpoint'): "5672aa2b5b08bcc48ae465b50e770f82ffc208c934c307cc324a18ea749b230d",
+    ('one_field', 'interior', 0.375, 2, 'stochastic', 'rk4'): "744e67771225264c37aa22ffeab7f50a95e501aca27e5dbf282c070912e0b687",
+    ('one_field', 'interior', 0.375, 2, 'full_average', 'euler'): "c67cbf664a93f7033606008ec958a37260a61f5500612ed2e049680b5cf9bf60",
+    ('one_field', 'interior', 0.375, 2, 'full_average', 'midpoint'): "5672aa2b5b08bcc48ae465b50e770f82ffc208c934c307cc324a18ea749b230d",
+    ('one_field', 'interior', 0.375, 2, 'full_average', 'rk4'): "744e67771225264c37aa22ffeab7f50a95e501aca27e5dbf282c070912e0b687",
+    ('one_field', 'interior', 0.375, 3, 'stochastic', 'euler'): "973e7521d2fbdf48b1344f5d924f3acc7f60b40ef8a19372393eafc47d93f601",
+    ('one_field', 'interior', 0.375, 3, 'stochastic', 'midpoint'): "f6dd38c2c1d9ab109a97c6c88e12934652789afaa308f20c9c0189bc74ccb480",
+    ('one_field', 'interior', 0.375, 3, 'stochastic', 'rk4'): "e59387767c8364955e74d99bd3fa0968c6007ec413904132dbb430902bf34d2f",
+    ('one_field', 'interior', 0.375, 3, 'full_average', 'euler'): "973e7521d2fbdf48b1344f5d924f3acc7f60b40ef8a19372393eafc47d93f601",
+    ('one_field', 'interior', 0.375, 3, 'full_average', 'midpoint'): "f6dd38c2c1d9ab109a97c6c88e12934652789afaa308f20c9c0189bc74ccb480",
+    ('one_field', 'interior', 0.375, 3, 'full_average', 'rk4'): "e59387767c8364955e74d99bd3fa0968c6007ec413904132dbb430902bf34d2f",
+    ('one_field', 'interior', 0.375, 4, 'stochastic', 'euler'): "355ae08050867f3c4d187d84a42f5f6f59a1d506b6dc3c67383baab87a0befcb",
+    ('one_field', 'interior', 0.375, 4, 'stochastic', 'midpoint'): "f326a713eacfd0760a28fc86ff4b331fa9ba3c4f71cec601f813466491f54c38",
+    ('one_field', 'interior', 0.375, 4, 'stochastic', 'rk4'): "20af286db96e658797a4e71f5e8fdf3bf1eb0a7cfb794b83a99aaab1d6ad7537",
+    ('one_field', 'interior', 0.375, 4, 'full_average', 'euler'): "355ae08050867f3c4d187d84a42f5f6f59a1d506b6dc3c67383baab87a0befcb",
+    ('one_field', 'interior', 0.375, 4, 'full_average', 'midpoint'): "f326a713eacfd0760a28fc86ff4b331fa9ba3c4f71cec601f813466491f54c38",
+    ('one_field', 'interior', 0.375, 4, 'full_average', 'rk4'): "20af286db96e658797a4e71f5e8fdf3bf1eb0a7cfb794b83a99aaab1d6ad7537",
+    ('one_field', 'vertex', 0.375, 1, 'stochastic', 'euler'): "6b5de63bb37a6e84c93f850d8a9eee5326c9d2cf4139a7adcfbec5d60673db5a",
+    ('one_field', 'vertex', 0.375, 1, 'stochastic', 'midpoint'): "8ffa68d04e597639318746c45a980f6130a98eb5e260d2402003e2150727fdce",
+    ('one_field', 'vertex', 0.375, 1, 'stochastic', 'rk4'): "4c99ac9f5b13b2df5ec08278baafd0007ff16599af026e6dacd1cba6a81c3fe3",
+    ('one_field', 'vertex', 0.375, 1, 'full_average', 'euler'): "6b5de63bb37a6e84c93f850d8a9eee5326c9d2cf4139a7adcfbec5d60673db5a",
+    ('one_field', 'vertex', 0.375, 1, 'full_average', 'midpoint'): "8ffa68d04e597639318746c45a980f6130a98eb5e260d2402003e2150727fdce",
+    ('one_field', 'vertex', 0.375, 1, 'full_average', 'rk4'): "4c99ac9f5b13b2df5ec08278baafd0007ff16599af026e6dacd1cba6a81c3fe3",
+    ('one_field', 'vertex', 0.375, 2, 'stochastic', 'euler'): "6b5de63bb37a6e84c93f850d8a9eee5326c9d2cf4139a7adcfbec5d60673db5a",
+    ('one_field', 'vertex', 0.375, 2, 'stochastic', 'midpoint'): "8ffa68d04e597639318746c45a980f6130a98eb5e260d2402003e2150727fdce",
+    ('one_field', 'vertex', 0.375, 2, 'stochastic', 'rk4'): "4c99ac9f5b13b2df5ec08278baafd0007ff16599af026e6dacd1cba6a81c3fe3",
+    ('one_field', 'vertex', 0.375, 2, 'full_average', 'euler'): "6b5de63bb37a6e84c93f850d8a9eee5326c9d2cf4139a7adcfbec5d60673db5a",
+    ('one_field', 'vertex', 0.375, 2, 'full_average', 'midpoint'): "8ffa68d04e597639318746c45a980f6130a98eb5e260d2402003e2150727fdce",
+    ('one_field', 'vertex', 0.375, 2, 'full_average', 'rk4'): "4c99ac9f5b13b2df5ec08278baafd0007ff16599af026e6dacd1cba6a81c3fe3",
+    ('one_field', 'vertex', 0.375, 3, 'stochastic', 'euler'): "f2e825d32ee03f6e5612d0086736838e8b60703c5793ac18cc85be91de13a307",
+    ('one_field', 'vertex', 0.375, 3, 'stochastic', 'midpoint'): "045d0ca9551f7e4c57e44bb8ac6d84cba7bef2fd4f53d9d4aab6d2c6f6c9b155",
+    ('one_field', 'vertex', 0.375, 3, 'stochastic', 'rk4'): "db3a19fa195c1378ca5fc17cd5f19c28ccf813007c8e84a7100238cec2b69b9e",
+    ('one_field', 'vertex', 0.375, 3, 'full_average', 'euler'): "f2e825d32ee03f6e5612d0086736838e8b60703c5793ac18cc85be91de13a307",
+    ('one_field', 'vertex', 0.375, 3, 'full_average', 'midpoint'): "045d0ca9551f7e4c57e44bb8ac6d84cba7bef2fd4f53d9d4aab6d2c6f6c9b155",
+    ('one_field', 'vertex', 0.375, 3, 'full_average', 'rk4'): "db3a19fa195c1378ca5fc17cd5f19c28ccf813007c8e84a7100238cec2b69b9e",
+    ('one_field', 'vertex', 0.375, 4, 'stochastic', 'euler'): "5db7c99a73adc5add22f7fb71ff5b3de764ee071e45971ab7ba118dd057605ee",
+    ('one_field', 'vertex', 0.375, 4, 'stochastic', 'midpoint'): "ac4a434e4edd72231612e9393d3c8ba2da919ced19b5e7bbaba6b6e553924bc2",
+    ('one_field', 'vertex', 0.375, 4, 'stochastic', 'rk4'): "846c0c16ed5fd854c873bcc48abf204749f0dfa213ada0b293f19e48124e653c",
+    ('one_field', 'vertex', 0.375, 4, 'full_average', 'euler'): "5db7c99a73adc5add22f7fb71ff5b3de764ee071e45971ab7ba118dd057605ee",
+    ('one_field', 'vertex', 0.375, 4, 'full_average', 'midpoint'): "ac4a434e4edd72231612e9393d3c8ba2da919ced19b5e7bbaba6b6e553924bc2",
+    ('one_field', 'vertex', 0.375, 4, 'full_average', 'rk4'): "846c0c16ed5fd854c873bcc48abf204749f0dfa213ada0b293f19e48124e653c",
+    ('dyadic', 'vertex', 0.0, 1, 'stochastic', 'rk4'): "602bb42e11aa5089130ff0da3bba7b6925f4b02e9fbbb7e750b87fe2054245ff",
+    ('dyadic', 'vertex', 0.0, 1, 'full_average', 'rk4'): "602bb42e11aa5089130ff0da3bba7b6925f4b02e9fbbb7e750b87fe2054245ff",
+    ('dyadic', 'vertex', 0.0, 2, 'stochastic', 'rk4'): "3f78f6622c344db207b4de3eb9c9847f8fc79e074b73a765065c8133ce84db3a",
+    ('dyadic', 'vertex', 0.0, 2, 'full_average', 'rk4'): "d6885dc928ec175876cf3505e18eca22ee147d88192a6da75734fda1c71e3a41",
+    ('dyadic', 'vertex', 0.0, 3, 'stochastic', 'rk4'): "2457e7f401e567b3da4aa17d673a6aa578322f010f8b77a9ec9c8ccf34b441c4",
+    ('dyadic', 'vertex', 0.0, 3, 'full_average', 'rk4'): "f3a607ba6edbc386ba3852a0b51a1903f38c93e98a85a3b6941dd52415014346",
+    ('dyadic', 'vertex', 0.0, 4, 'stochastic', 'rk4'): "70ed5e6a329e7b1639ed0b5c95ae2c4d85f014d4f0c4ef04b4a9f2fb80d4b0ab",
+    ('dyadic', 'vertex', 0.0, 4, 'full_average', 'rk4'): "999f984f51271d5ab6f62590f872b700e68e99db32a6372615e7e1fdd3a1fcd1",
+    ('dyadic', 'vertex', 1.0, 1, 'stochastic', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('dyadic', 'vertex', 1.0, 1, 'full_average', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('dyadic', 'vertex', 1.0, 2, 'stochastic', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('dyadic', 'vertex', 1.0, 2, 'full_average', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('dyadic', 'vertex', 1.0, 3, 'stochastic', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('dyadic', 'vertex', 1.0, 3, 'full_average', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('dyadic', 'vertex', 1.0, 4, 'stochastic', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('dyadic', 'vertex', 1.0, 4, 'full_average', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('one_field', 'vertex', 0.0, 1, 'stochastic', 'rk4'): "602bb42e11aa5089130ff0da3bba7b6925f4b02e9fbbb7e750b87fe2054245ff",
+    ('one_field', 'vertex', 0.0, 1, 'full_average', 'rk4'): "602bb42e11aa5089130ff0da3bba7b6925f4b02e9fbbb7e750b87fe2054245ff",
+    ('one_field', 'vertex', 0.0, 2, 'stochastic', 'rk4'): "602bb42e11aa5089130ff0da3bba7b6925f4b02e9fbbb7e750b87fe2054245ff",
+    ('one_field', 'vertex', 0.0, 2, 'full_average', 'rk4'): "602bb42e11aa5089130ff0da3bba7b6925f4b02e9fbbb7e750b87fe2054245ff",
+    ('one_field', 'vertex', 0.0, 3, 'stochastic', 'rk4'): "eb8a1f4e6b6a946fced3adf743056f80c435d87ecb763dec5d5b6c32b19c704d",
+    ('one_field', 'vertex', 0.0, 3, 'full_average', 'rk4'): "eb8a1f4e6b6a946fced3adf743056f80c435d87ecb763dec5d5b6c32b19c704d",
+    ('one_field', 'vertex', 0.0, 4, 'stochastic', 'rk4'): "4021b8d1c86c463d184af71919eb3272ba309fb89a6e6254a2f85870e1cfd895",
+    ('one_field', 'vertex', 0.0, 4, 'full_average', 'rk4'): "4021b8d1c86c463d184af71919eb3272ba309fb89a6e6254a2f85870e1cfd895",
+    ('one_field', 'vertex', 1.0, 1, 'stochastic', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('one_field', 'vertex', 1.0, 1, 'full_average', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('one_field', 'vertex', 1.0, 2, 'stochastic', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('one_field', 'vertex', 1.0, 2, 'full_average', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('one_field', 'vertex', 1.0, 3, 'stochastic', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('one_field', 'vertex', 1.0, 3, 'full_average', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('one_field', 'vertex', 1.0, 4, 'stochastic', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('one_field', 'vertex', 1.0, 4, 'full_average', 'rk4'): "8e0a62a333ae0b599aee5df4547456ec3cd75607ecf42665f21d3c7b1ae2e172",
+    ('signed_zero', 'interior', 0.0, 2, 'stochastic', 'rk4'): "407daef85036e40f9540bdd1ef5d514499349840660bf6eb6956c84c98361027",
+    ('signed_zero', 'interior', 0.0, 2, 'full_average', 'rk4'): "407daef85036e40f9540bdd1ef5d514499349840660bf6eb6956c84c98361027",
+    ('signed_zero', 'interior', 0.0, 3, 'stochastic', 'rk4'): "dfd420dda2c73f9f26c01dfcb1a6c7f59c5850a31d6e72af05d6e6b90dbe99e7",
+    ('signed_zero', 'interior', 0.0, 3, 'full_average', 'rk4'): "dfd420dda2c73f9f26c01dfcb1a6c7f59c5850a31d6e72af05d6e6b90dbe99e7",
+    ('signed_zero', 'interior', 0.0, 4, 'stochastic', 'rk4'): "5f6c7b9c087db004c3ae415aed06fc6ef9237d7298ff715e2a172d5d986ba2df",
+    ('signed_zero', 'interior', 0.0, 4, 'full_average', 'rk4'): "5f6c7b9c087db004c3ae415aed06fc6ef9237d7298ff715e2a172d5d986ba2df",
+    ('signed_zero', 'interior', 0.375, 2, 'stochastic', 'rk4'): "4f3097d56bdf145d02d6a21f24cba2fa6ce4a83223ac855af50c9ff2b47540b7",
+    ('signed_zero', 'interior', 0.375, 2, 'full_average', 'rk4'): "4f3097d56bdf145d02d6a21f24cba2fa6ce4a83223ac855af50c9ff2b47540b7",
+    ('signed_zero', 'interior', 0.375, 3, 'stochastic', 'rk4'): "ae61b4fe0a79683c6bf2e272d07ffd86b10fe246717d224a3d565c9b0dba7553",
+    ('signed_zero', 'interior', 0.375, 3, 'full_average', 'rk4'): "ae61b4fe0a79683c6bf2e272d07ffd86b10fe246717d224a3d565c9b0dba7553",
+    ('signed_zero', 'interior', 0.375, 4, 'stochastic', 'rk4'): "861c561073a8c944dadb2e762d48b9acb79293ff13ec621744f3edd2a0d22553",
+    ('signed_zero', 'interior', 0.375, 4, 'full_average', 'rk4'): "861c561073a8c944dadb2e762d48b9acb79293ff13ec621744f3edd2a0d22553",
+    ('signed_zero', 'vertex', 0.0, 2, 'stochastic', 'rk4'): "662a0b8404cebba972632c5f32fba975daa8cc3f6df0b2ed77e836e9fb498a9b",
+    ('signed_zero', 'vertex', 0.0, 2, 'full_average', 'rk4'): "662a0b8404cebba972632c5f32fba975daa8cc3f6df0b2ed77e836e9fb498a9b",
+    ('signed_zero', 'vertex', 0.0, 3, 'stochastic', 'rk4'): "cf67b48fd2152b4967562c4a4477d81baf0c2f9d5f81d0c36578779e0ebfcdba",
+    ('signed_zero', 'vertex', 0.0, 3, 'full_average', 'rk4'): "cf67b48fd2152b4967562c4a4477d81baf0c2f9d5f81d0c36578779e0ebfcdba",
+    ('signed_zero', 'vertex', 0.0, 4, 'stochastic', 'rk4'): "4021b8d1c86c463d184af71919eb3272ba309fb89a6e6254a2f85870e1cfd895",
+    ('signed_zero', 'vertex', 0.0, 4, 'full_average', 'rk4'): "4021b8d1c86c463d184af71919eb3272ba309fb89a6e6254a2f85870e1cfd895",
+    ('signed_zero', 'vertex', 0.375, 2, 'stochastic', 'rk4'): "b6816111f7c5f8f94f2c828bec88a859d1ab432e9ab13320079234ee535adcbe",
+    ('signed_zero', 'vertex', 0.375, 2, 'full_average', 'rk4'): "b6816111f7c5f8f94f2c828bec88a859d1ab432e9ab13320079234ee535adcbe",
+    ('signed_zero', 'vertex', 0.375, 3, 'stochastic', 'rk4'): "9f3f77fa7220d2497b49e60b0d12114de5f430ae12567f7415f66004c8b0d40b",
+    ('signed_zero', 'vertex', 0.375, 3, 'full_average', 'rk4'): "9f3f77fa7220d2497b49e60b0d12114de5f430ae12567f7415f66004c8b0d40b",
+    ('signed_zero', 'vertex', 0.375, 4, 'stochastic', 'rk4'): "846c0c16ed5fd854c873bcc48abf204749f0dfa213ada0b293f19e48124e653c",
+    ('signed_zero', 'vertex', 0.375, 4, 'full_average', 'rk4'): "846c0c16ed5fd854c873bcc48abf204749f0dfa213ada0b293f19e48124e653c",
+}
+
+
+@pytest.mark.parametrize("path", ["bank", "generic"])
+@pytest.mark.parametrize("case", COINCIDING_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_coinciding_chains_and_identity_passes_match_golden_digest(case, path):
+    assert coinciding_digest(*case, path=path) == COINCIDING_GOLDEN[case]

@@ -3,11 +3,13 @@ import json
 import os
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from cogflow.cogspace import CognitiveAnchor, DimensionSpec, enumerate_anchors
 from cogflow.errors import BackendError, BindingError, ContractViolation
+import cogflow.polarize as polarize_module
 from cogflow.polarize import (
     LlmBackend,
     PolarizationCache,
@@ -24,7 +26,7 @@ from cogflow.polarize import (
     prompt_sets_to_json,
 )
 
-from conftest import make_space, seed_cache, stub_digest
+from conftest import STUB_DIMENSION, StubBackend, make_space, seed_cache, stub_digest
 
 
 # --- chain orders ---------------------------------------------------------
@@ -258,6 +260,84 @@ def test_cache_short_append_is_backend_error(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:5]))
     with pytest.raises(BackendError, match="short append"):
         seed_cache(cache, {"p0": "out0"})
+
+
+def short_append_race(path, monkeypatch):
+    """Two threads fetch prompt p1 into a cache at path that holds p0,
+    with every append cut to 5 bytes; the second thread starts waiting
+    while the first is in the backend. Returns the cache, the backend
+    (which counts its calls), both threads and their outcomes, each an
+    output or the BackendError raised."""
+    cache = PolarizationCache(path)
+    seed_cache(cache, {"p0": "out0"})
+    entered, proceed, waiting = threading.Event(), threading.Event(), threading.Event()
+
+    class SignallingEvent(threading.Event):
+        def wait(self, timeout=None):
+            waiting.set()
+            return super().wait(timeout)
+
+    class BlockingBackend(StubBackend):
+        calls = 0
+
+        def polarize(self, prompt, dimension, pole):
+            self.calls += 1
+            if self.calls == 1:
+                entered.set()
+                proceed.wait(5)
+            return super().polarize(prompt, dimension, pole)
+
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:5]))
+    monkeypatch.setattr(
+        polarize_module, "threading", SimpleNamespace(Event=SignallingEvent, Lock=threading.Lock)
+    )
+    backend = BlockingBackend({"p1": "out1"})
+    outcomes = {}
+
+    def fetch(name):
+        try:
+            outcomes[name] = cache.fetch(backend, "p1", STUB_DIMENSION, 1)
+        except BackendError as exc:
+            outcomes[name] = exc
+
+    threads = [threading.Thread(target=fetch, args=(name,), daemon=True) for name in ("first", "second")]
+    threads[0].start()
+    assert entered.wait(2)
+    threads[1].start()
+    assert waiting.wait(2)
+    proceed.set()
+    for thread in threads:
+        thread.join(2)
+    return cache, backend, threads, outcomes
+
+
+def test_failed_append_releases_the_waiting_thread(tmp_path, monkeypatch):
+    _, _, threads, outcomes = short_append_race(tmp_path / "cache.ndjson", monkeypatch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert isinstance(outcomes["first"], BackendError)
+    assert outcomes["second"] == "out1" or isinstance(outcomes["second"], BackendError)
+
+
+def test_failed_append_keeps_no_entry(tmp_path, monkeypatch):
+    cache, backend, _, _ = short_append_race(tmp_path / "cache.ndjson", monkeypatch)
+    calls = backend.calls
+    with pytest.raises(BackendError, match="short append"):
+        cache.fetch(backend, "p1", STUB_DIMENSION, 1)
+    assert backend.calls == calls + 1
+
+
+def test_failed_append_leaves_a_torn_record_that_reopening_drops(tmp_path, monkeypatch):
+    """The process's cache and a reopened one agree: both hold p0 only."""
+    path = tmp_path / "cache.ndjson"
+    cache, _, _, _ = short_append_race(path, monkeypatch)
+    monkeypatch.undo()
+    assert not path.read_bytes().endswith(b"\n")
+    reopened = PolarizationCache(path)
+    for held in (cache, reopened):
+        assert len(held) == 1 and held.get(stub_digest("p0")) == "out0"
+        assert held.get(stub_digest("p1")) is None
+    assert path.read_bytes().endswith(b"\n")
 
 
 @pytest.mark.parametrize("corrupt", [b"not json", b'{"digest": "x"}', b"[1, 2]"])
