@@ -36,21 +36,29 @@ hash of word k div L, with lanes b = log2(n) bits wide for a
 power-of-two n and 32 bits otherwise, and L = 64 // b. A row then
 hashes one word per ordinal at n = 2 and 4, 4 at n = 3 and 32 at n = 6.
 The hash is split into a key and a counter: when the field is built,
-(seed_r, STREAM_CHAIN_DRAW) is folded once into a key, (1, B) for
-per-row seeds or a scalar for a scalar seed, and the draw plan of the
-active anchor ids, (A, 1) or (A,), is built (see streams.draw_buffers):
-the distinct words to hash, each anchor's word and lane shift, and the
-buffers. One randbelow call per ordinal then folds only the ordinal
-into the key, hashes the words and gathers every draw at once, (A, B)
-or (A,), for the A active of the K = 2**n anchors: the i-th active
-anchor's draws are the contiguous row draws[i]. An anchor's draws
-depend on its own id alone, so they are those of a draw over all K ids,
-and at a vertex only the word holding the one active anchor is hashed.
+(seed_r, STREAM_CHAIN_DRAW) is folded once into a (1, B) key, and the
+draw plan of the (A, 1) active anchor ids is built (see
+streams.draw_buffers): the distinct words to hash, each anchor's word
+and lane shift, and the buffers. One randbelow call per ordinal then
+folds only the ordinal into the key, hashes the words and gathers every
+draw at once, (A, B), for the A active of the K = 2**n anchors: the
+i-th active anchor's draws are the contiguous row draws[i]. An anchor's
+draws depend on its own id alone, so they are those of a draw over all
+K ids, and at a vertex only the word holding the one active anchor is
+hashed.
 The words are hashed in a (words, B) hash buffer and the draws reduced
 in an (A, B) draw buffer, both in the plan the field owns, so an
 evaluation allocates no (A, B) temporaries and plans nothing. The draws
 are a view of the draw buffer until the next hash. At n = 1 each anchor
-has a single chain and no hash is made.
+has a single chain, which is its full average, so stochastic mode takes
+the full_average path and makes no hash.
+
+A field has one input shape: seed is a 1-D array of per-row seeds, and
+eval takes a (B, D) batch with one row per seed; any other shape raises
+ContractViolation. Row r's draws depend on seed_r and the ordinal alone,
+and every other operation is row by row, so a 1-row batch with seed s,
+evaluated at the states of the row of seed s in any batch, gives that
+row bit for bit.
 
 There are two evaluation paths with the same bits. When the base field
 and the active anchors' chain fields are plain GaussianTargetFields (the
@@ -69,9 +77,9 @@ the same bits. An anchor whose chain variances differ (explicit
 bindings may give them) gathers. Feature-major, a per-field (D, 1) mean
 broadcasts along the long axis, which numpy does several times faster
 than a (D,) mean over (B, D) rows at small D. The layout is this
-class's decision alone: eval takes a (B, D) or (D,) state of any
-layout, and returns acc.T, the (B, D) view of its (D, B) result, which
-is Fortran-ordered. numpy's elementwise operations keep their inputs'
+class's decision alone: eval takes a (B, D) batch of any layout, and
+returns acc.T, the (B, D) view of its (D, B) result, which is
+Fortran-ordered. numpy's elementwise operations keep their inputs'
 layout, so a solver that combines states and velocities elementwise
 holds its state Fortran-ordered after the first evaluation; x.T is then
 the C-contiguous block and no evaluation copies the state in or out.
@@ -315,9 +323,9 @@ class GaussianBank(NamedTuple):
         order, at a feature-major state x of shape (D, B), with at the
         bank's constants at the evaluation's time.
 
-        draws holds chain indices of shape (A,) or (A, B), or is None for
-        the full average; the expressions are the generic path's, so the
-        bits equal its bits.
+        draws holds chain indices of shape (A, B), or is None for the full
+        average; the expressions are the generic path's, so the bits equal
+        its bits.
         """
         t, base_kappa, base_shift, kappas, shifts = at
         base = shifted_velocity(self.base_mean, base_shift, base_kappa, x)
@@ -334,7 +342,7 @@ class GaussianBank(NamedTuple):
                 zip(self.means, kappas, self.equal_variances)
             ):
                 chosen = draws[k]
-                mean = means.take(chosen, axis=1).reshape(len(means), -1)
+                mean = means.take(chosen, axis=1)
                 # equal variances give equal kappas, so the drawn kappa is kappa[0]
                 yield gaussian_velocity(mean, kappa[0] if equal else kappa.take(chosen), x, t)
 
@@ -344,21 +352,26 @@ class GaussianBank(NamedTuple):
 class BlendedField(VelocityField):
     """Evaluates the blend; owns the draw stream and evaluation counter.
 
-    x may be a single state (D,) or a batch (B, D). For batched use,
-    seed may be an array of per-row seeds so each row reproduces the
-    stream it would own as a standalone single-sample field.
+    seed is a 1-D array of per-row seeds, and eval takes (B, D) batches
+    with one row per seed; any other shape raises ContractViolation. Each
+    row draws from its own seed's stream, so a 1-row batch with seed s
+    reproduces the row of seed s in any batch; see the module notes.
     """
 
     def __init__(self, spec: BlendSpec, seed):
+        if np.ndim(seed) != 1:
+            raise ContractViolation(
+                f"seed must be a 1-D array of per-row seeds, got shape {np.shape(seed)}"
+            )
         self.spec = spec
         self.seed = seed
         self.eval_counter = 0
         self._eval_ordinal = 0
         # fixed for the field's life, so worked out once rather than per eval
         self._evals_per_call = spec.evals_per_call()
-        self._stochastic = spec.mode == "stochastic"
+        # at n = 1 each anchor's one chain is its full average: no draws
+        self._stochastic = spec.mode == "stochastic" and spec.n > 1
         self._anchor_share = 1.0 - spec.base_mix
-        self._per_row = np.ndim(seed) > 0
         # only the active anchors are evaluated; see the module notes
         weights = spec.weights()
         active = np.flatnonzero(weights)
@@ -368,44 +381,20 @@ class BlendedField(VelocityField):
         self._vertex = len(active) == 1 and self._weights[0] == 1.0
         self._bank = GaussianBank.of(spec, active)
         self._time = self._at = None  # the bank's constants at the last time
-        self._draw_plan = None
-        if self._stochastic and spec.n > 1:
+        if self._stochastic:
             # the key/counter split and the draw plan; see the module notes
-            self._key = streams.fold_key(
-                np.asarray(seed)[None, :] if self._per_row else seed,
-                streams.STREAM_CHAIN_DRAW,
-            )
-            ids = active.astype(np.uint64)
-            self._draw_plan = streams.draw_buffers(
-                spec.n, self._key, 0, ids[:, None] if self._per_row else ids
-            )
+            self._key = streams.fold_key(np.asarray(seed)[None, :], streams.STREAM_CHAIN_DRAW)
+            ids = active.astype(np.uint64)[:, None]
+            self._draw_plan = streams.draw_buffers(spec.n, self._key, 0, ids)
             # the plan's read-only copy of the ids passes its check by identity
             self._anchor_ids = self._draw_plan.last
 
-    @property
-    def dim(self):
-        return getattr(self.spec.base_field, "dim", None)
+    def _draws(self, ordinal: int) -> np.ndarray:
+        """Chain index per active anchor and row, (A, B).
 
-    def _draws(self, x, ordinal: int) -> np.ndarray:
-        """Chain index per active anchor: (A,) for a scalar seed, (A, B)
-        per row.
-
-        x is the state, (D,) or (B, D); per-row seeds need one seed per
-        row. The draws depend on the seed and the ordinal alone, and are
-        a view of the field's draw buffer, valid until the next hash.
+        The draws depend on the seeds and the ordinal alone, and are a
+        view of the field's draw buffer, valid until the next hash.
         """
-        if self._per_row:
-            if x.ndim == 1:
-                raise ContractViolation(
-                    "per-row seeds require batched states of shape (rows, dim)"
-                )
-            if x.shape[0] != len(self.seed):
-                raise ContractViolation(
-                    f"{len(self.seed)} per-row seeds for a batch of {x.shape[0]} rows"
-                )
-        if self._draw_plan is None:
-            # n = 1: randbelow(1, ...) is always 0, so skip the hash
-            return np.zeros(len(self._weights), dtype=np.int64)
         return streams.randbelow(
             self.spec.n, self._key, ordinal, self._anchor_ids, out=self._draw_plan
         )
@@ -414,8 +403,6 @@ class BlendedField(VelocityField):
     def _chain_value(fields, x, t, draw):
         if draw is None:
             return _deviation_mean(f.eval(x, t) for f in fields)
-        if np.ndim(draw) == 0:
-            return fields[int(draw)].eval(x, t)
         out = np.empty_like(x)
         for j, f in enumerate(fields):
             rows = draw == j
@@ -424,17 +411,20 @@ class BlendedField(VelocityField):
         return out
 
     def eval(self, x, t):
-        """Blended velocity at a state (D,) or a batch (B, D), same shape.
+        """Blended velocity at a batch (B, D) with one row per seed, (B, D).
 
         On the bank path the result is a transposed view of the (D, B)
-        block the evaluation computed in, so a batch comes back
+        block the evaluation computed in, so it comes back
         Fortran-ordered; see the module notes.
         """
         x = np.asarray(x, dtype=float)
-        draws = self._draws(x, self._eval_ordinal) if self._stochastic else None
+        if x.ndim != 2 or len(x) != len(self.seed):
+            got = f"batch of {len(x)} rows" if x.ndim == 2 else f"state of shape {x.shape}"
+            raise ContractViolation(f"{len(self.seed)} per-row seeds for a {got}")
+        draws = self._draws(self._eval_ordinal) if self._stochastic else None
         if self._bank is not None:
             # no copy when x is a view of a C-contiguous (D, B) block
-            block = np.ascontiguousarray(x.reshape(-1, x.shape[-1]).T)
+            block = np.ascontiguousarray(x.T)
             if t != self._time:
                 self._at = self._bank.at(_check_time(t))
                 self._time = t
@@ -463,8 +453,8 @@ class BlendedField(VelocityField):
             acc *= self._anchor_share
         acc += base
         self._eval_ordinal += 1
-        self.eval_counter += (1 if x.ndim == 1 else len(x)) * self._evals_per_call
+        self.eval_counter += len(x) * self._evals_per_call
         if self._bank is None:
             return acc
-        return acc.T.reshape(x.shape)
+        return acc.T
 

@@ -100,12 +100,13 @@ def integrate(
 ) -> IntegrationResult:
     """Integrate dx/dt = field(x, t) from t=0 to t=1.
 
-    x0 may be one state (D,) or a batch (B, D); batches advance in
-    lockstep, which matches per-sample integration exactly because the
-    draw streams are keyed per row. Step i, from t = i / N, evaluates
-    the field at t, at t + h / 2 (midpoint, and rk4's two mid-stages) and
-    at (i + 1) / N (rk4's last stage). The solver only calls field.eval,
-    in that order: a stochastic field keys its draws by its own count of
+    x0 may be one state (D,) or a batch (B, D), as the field takes it (a
+    BlendedField takes batches only). A batch advances in lockstep; under
+    a BlendedField each row matches the 1-row batch with its seed exactly,
+    because the draw streams are keyed per row. Step i, from t = i / N,
+    evaluates the field at t, at t + h / 2 (midpoint, and rk4's two
+    mid-stages) and at (i + 1) / N (rk4's last stage). The solver only
+    calls field.eval, in that order: a stochastic field keys its draws by its own count of
     evaluations, and the solver knows nothing of them.
 
     The memory layout of the state is the field's choice: the solver

@@ -129,8 +129,8 @@ def blend_identity_and_counts() -> str | None:
     )
     for mode, per_call in (("stochastic", 5), ("full_average", 9)):
         spec = BlendSpec(shared, anchor_sets, ScoreVector((0.3, 0.8)), mode=mode)
-        field = BlendedField(spec, seed=0)
-        x = np.array([0.1, 0.2])
+        field = BlendedField(spec, seed=np.zeros(1, dtype=np.uint64))
+        x = np.array([[0.1, 0.2]])
         for _ in range(3):
             out = field.eval(x, 0.5)
             _require(np.array_equal(out, shared.eval(x, 0.5)), "identity collapse broken")

@@ -244,12 +244,11 @@ class PolarizationCache:
     def in_memory(cls) -> "PolarizationCache":
         return cls(path=None)
 
-    def _load(self):
-        """Read every record. The last line of an append cut short has no
-        newline: if it does not parse it is dropped with a warning and cut
-        from the file, and if it does its newline is restored, so the next
-        append starts on a fresh line. Any other record that does not
-        parse raises BackendError."""
+    def _mend_tail(self) -> list[bytes]:
+        """The file's lines, after mending the tail of an append cut short.
+        Such a last line has no newline: if it does not parse it is dropped
+        with a warning and cut from the file, and if it does its newline is
+        restored, so the next append starts on a fresh line."""
         data = self.path.read_bytes()
         lines = data.split(b"\n")
         tail = lines[-1]  # empty unless the file ends mid-line
@@ -266,7 +265,12 @@ class PolarizationCache:
             else:
                 with open(self.path, "ab") as fh:
                     fh.write(b"\n")
-        for lineno, line in enumerate(lines, start=1):
+        return lines
+
+    def _load(self):
+        """Read every record, the tail mended first (see _mend_tail). Any
+        other record that does not parse raises BackendError."""
+        for lineno, line in enumerate(self._mend_tail(), start=1):
             if not line.strip():
                 continue
             try:
@@ -287,7 +291,9 @@ class PolarizationCache:
     def _store_locked(self, digest: str, output: str):
         """Append the record, then keep it in memory: an append that fails
         raises and leaves no entry, so no fetch returns an output the file
-        does not hold (a torn record is dropped by the next load)."""
+        does not hold. An append cut short mends the tail it tore before it
+        raises, so the next append in this process starts on a fresh
+        line."""
         if digest in self._entries:
             return
         if self.path is not None:
@@ -301,6 +307,7 @@ class PolarizationCache:
             finally:
                 os.close(fd)
             if written != len(record):
+                self._mend_tail()
                 raise BackendError(
                     f"short append to {self.path}: {written} of {len(record)} bytes"
                 )

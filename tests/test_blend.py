@@ -61,6 +61,11 @@ def spec_with_constant_chains(values_by_anchor, score, n=2, **kwargs):
     )
 
 
+def row_seeds(*seeds):
+    """Per-row seeds, one for each row of the batch a field evaluates."""
+    return np.array(seeds, dtype=np.uint64)
+
+
 def uniform_spec(value, score=(0.3, 0.8), n=2, **kwargs):
     values = [[value] * n for _ in range(1 << n)]
     kwargs.setdefault("base_field", ConstantField(value))
@@ -78,9 +83,9 @@ def test_identity_collapse_is_bit_exact(mode, base_mix):
         for _ in range(5):
             score = tuple(rng.uniform(0, 1, n))
             spec = uniform_spec(value, score=score, n=n, mode=mode, base_mix=base_mix)
-            field = BlendedField(spec, seed=17)
-            out = field.eval(np.zeros(2), 0.5)
-            assert np.array_equal(out, value)
+            field = BlendedField(spec, seed=row_seeds(17))
+            out = field.eval(np.zeros((1, 2)), 0.5)
+            assert np.array_equal(out, value[None])
 
 
 def test_identity_collapse_via_shared_gaussian():
@@ -95,8 +100,8 @@ def test_identity_collapse_via_shared_gaussian():
         score=ScoreVector((0.3, 0.8)),
         mode="full_average",
     )
-    x = np.array([0.4, 0.9])
-    out = BlendedField(spec, 0).eval(x, 0.37)
+    x = np.array([[0.4, 0.9]])
+    out = BlendedField(spec, row_seeds(0)).eval(x, 0.37)
     assert np.array_equal(out, shared.eval(x, 0.37))
 
 
@@ -110,8 +115,8 @@ def test_one_dimensional_vertex_half_mix():
         [[low], [high]], (0.0,), n=1,
         base_field=ConstantField(base), mode="full_average", base_mix=0.5,
     )
-    out = BlendedField(spec, 0).eval(np.zeros(2), 0.2)
-    assert np.allclose(out, 0.5 * (low + base), atol=1e-15, rtol=0)
+    out = BlendedField(spec, row_seeds(0)).eval(np.zeros((1, 2)), 0.2)
+    assert np.allclose(out, [0.5 * (low + base)], atol=1e-15, rtol=0)
 
 
 def test_vertex_weight_coupling_full_mode():
@@ -125,9 +130,9 @@ def test_vertex_weight_coupling_full_mode():
                 values, tuple(float(b) for b in anchor.bits),
                 base_field=ConstantField(base), mode="full_average", base_mix=lam,
             )
-            out = BlendedField(spec, 0).eval(np.zeros(3), 0.5)
+            out = BlendedField(spec, row_seeds(0)).eval(np.zeros((1, 3)), 0.5)
             expected = (1 - lam) * np.mean(values[anchor.index - 1], axis=0) + lam * base
-            assert np.allclose(out, expected, atol=1e-14, rtol=0)
+            assert np.allclose(out, [expected], atol=1e-14, rtol=0)
 
 
 def test_base_mix_extremes():
@@ -139,20 +144,21 @@ def test_base_mix_extremes():
         values, (0.3, 0.8), base_field=ConstantField(base),
         mode="full_average", base_mix=1.0,
     )
-    assert np.array_equal(BlendedField(spec_base, 0).eval(np.zeros(2), 0.1), base)
+    x = np.zeros((1, 2))
+    assert np.array_equal(BlendedField(spec_base, row_seeds(0)).eval(x, 0.1), base[None])
     # base_mix=0 drops the base: the anchor mix alone
     spec_anchor = spec_with_constant_chains(
         values, (0.3, 0.8), base_field=ConstantField(base),
         mode="full_average", base_mix=0.0,
     )
-    out = BlendedField(spec_anchor, 0).eval(np.zeros(2), 0.1)
+    out = BlendedField(spec_anchor, row_seeds(0)).eval(x, 0.1)
     from cogflow.cogspace import weight_vector
 
     weights = weight_vector(ScoreVector((0.3, 0.8)), CognitiveSpace.from_names("a", "b"))
     expected = sum(
         w * np.mean(vals, axis=0) for w, vals in zip(weights, values)
     ) + (1 - weights.sum()) * base
-    assert np.allclose(out, expected, atol=1e-12, rtol=0)
+    assert np.allclose(out, [expected], atol=1e-12, rtol=0)
 
 
 def test_linearity_in_an_inner_field_slot():
@@ -166,7 +172,7 @@ def test_linearity_in_an_inner_field_slot():
         spec = spec_with_constant_chains(
             values, (0.3, 0.8), base_field=ConstantField(base), mode="full_average"
         )
-        return BlendedField(spec, 0).eval(np.zeros(2), 0.5)
+        return BlendedField(spec, row_seeds(0)).eval(np.zeros((1, 2)), 0.5)
 
     f, g = rng.normal(size=2), rng.normal(size=2)
     mixed = blend_with((f + g) / 2)
@@ -183,15 +189,15 @@ def test_eval_counts_per_call(n):
         ("full_average", n * (1 << n) + 1),
     ):
         spec = uniform_spec(value, score=(0.5,) * n, n=n, mode=mode)
-        field = BlendedField(spec, 0)
+        field = BlendedField(spec, row_seeds(0))
         for calls in range(1, 4):
-            field.eval(np.zeros(2), 0.5)
+            field.eval(np.zeros((1, 2)), 0.5)
             assert field.eval_counter == calls * per_call
 
 
 def test_eval_counts_batched_rows():
     spec = uniform_spec(np.zeros(2), mode="stochastic")
-    field = BlendedField(spec, 0)
+    field = BlendedField(spec, np.arange(7, dtype=np.uint64))
     field.eval(np.zeros((7, 2)), 0.5)
     assert field.eval_counter == 7 * 5
 
@@ -209,9 +215,9 @@ def distinct_chain_spec(score=(0.3, 0.8), **kwargs):
 
 def test_same_seed_reproduces_sequences():
     spec = distinct_chain_spec()
-    x = np.array([0.1, 0.2])
-    a = BlendedField(spec, seed=5)
-    b = BlendedField(spec, seed=5)
+    x = np.array([[0.1, 0.2]])
+    a = BlendedField(spec, seed=row_seeds(5))
+    b = BlendedField(spec, seed=row_seeds(5))
     seq_a = [a.eval(x, 0.4) for _ in range(6)]
     seq_b = [b.eval(x, 0.4) for _ in range(6)]
     assert all(np.array_equal(u, v) for u, v in zip(seq_a, seq_b))
@@ -219,50 +225,45 @@ def test_same_seed_reproduces_sequences():
 
 def test_different_seeds_differ():
     spec = distinct_chain_spec()
-    x = np.array([0.1, 0.2])
-    seq_a = np.stack([BlendedField(spec, 5).eval(x, 0.4) for _ in range(1)])
+    x = np.array([[0.1, 0.2]])
+    seq_a = np.stack([BlendedField(spec, row_seeds(5)).eval(x, 0.4) for _ in range(1)])
     outs = []
     for seed in range(20):
-        outs.append(BlendedField(spec, seed).eval(x, 0.4))
+        outs.append(BlendedField(spec, row_seeds(seed)).eval(x, 0.4))
     assert any(not np.array_equal(seq_a[0], o) for o in outs)
 
 
 def test_full_average_ignores_seed():
     spec = distinct_chain_spec(mode="full_average")
-    x = np.array([0.1, 0.2])
-    a = BlendedField(spec, 1).eval(x, 0.4)
-    b = BlendedField(spec, 999).eval(x, 0.4)
+    x = np.array([[0.1, 0.2]])
+    a = BlendedField(spec, row_seeds(1)).eval(x, 0.4)
+    b = BlendedField(spec, row_seeds(999)).eval(x, 0.4)
     assert np.array_equal(a, b)
 
 
 def test_per_eval_draws_vary_within_a_run():
     spec = distinct_chain_spec()
-    field = BlendedField(spec, 3)
-    x = np.array([0.1, 0.2])
+    field = BlendedField(spec, row_seeds(3))
+    x = np.array([[0.1, 0.2]])
     outs = np.stack([field.eval(x, 0.4) for _ in range(30)])
     assert len(np.unique(outs.round(12), axis=0)) > 1
 
 
-def test_row_seeds_require_batched_states():
-    spec = distinct_chain_spec()
-    field = BlendedField(spec, np.array([1, 2], dtype=np.uint64))
-    with pytest.raises(ContractViolation):
-        field.eval(np.zeros(2), 0.5)
-
-
 def test_batched_rows_match_per_row_fields():
     spec = distinct_chain_spec()
-    row_seeds = np.array([11, 22, 33], dtype=np.uint64)
-    batched = BlendedField(spec, row_seeds)
+    seeds = row_seeds(11, 22, 33)
+    batched = BlendedField(spec, seeds)
     xs = np.array([[0.1, 0.2], [0.3, -0.4], [-0.5, 0.6]])
     for t in (0.0, 0.25, 0.75):
         batch_out = batched.eval(xs, t)
-        for i, seed in enumerate(row_seeds):
-            solo = BlendedField(spec, int(seed))
+        for i in range(len(seeds)):
+            # a 1-row batch with row i's seed, at row i's state
+            row = slice(i, i + 1)
+            solo = BlendedField(spec, seeds[row])
             # advance the solo ordinal to match the batched call count
             for _ in range(batched._eval_ordinal - 1):
-                solo.eval(xs[i], t)
-            assert np.array_equal(solo.eval(xs[i], t), batch_out[i])
+                solo.eval(xs[row], t)
+            assert np.array_equal(solo.eval(xs[row], t), batch_out[row])
 
 
 # --- expected_field_check ---------------------------------------------------
@@ -276,14 +277,14 @@ class ExpectedFieldCheck(NamedTuple):
 def expected_field_check(spec, x, t, num_draws, seed=0) -> ExpectedFieldCheck:
     """Monte-Carlo check that stochastic draws average to the full blend:
     the stochastic blend evaluated num_draws times with fresh draws at a
-    fixed (x, t), against the full_average value."""
+    fixed 1-row batch x and time t, against the full_average value."""
     if spec.mode != "stochastic":
         raise ContractViolation("expected_field_check requires stochastic mode")
     if num_draws < 1:
         raise ContractViolation(f"num_draws must be >= 1, got {num_draws}")
-    field = BlendedField(spec, seed)
+    field = BlendedField(spec, row_seeds(seed))
     samples = np.stack([field.eval(x, t) for _ in range(num_draws)])
-    full_value = BlendedField(replace(spec, mode="full_average"), seed).eval(x, t)
+    full_value = BlendedField(replace(spec, mode="full_average"), row_seeds(seed)).eval(x, t)
     mean = samples.mean(axis=0)
     if num_draws == 1:
         return ExpectedFieldCheck(mean, full_value, None)
@@ -293,14 +294,14 @@ def expected_field_check(spec, x, t, num_draws, seed=0) -> ExpectedFieldCheck:
 
 def test_expected_field_check_equal_chains_is_exact():
     spec = uniform_spec(np.array([1.0, -2.0]), mode="stochastic")
-    result = expected_field_check(spec, np.zeros(2), 0.5, num_draws=16)
+    result = expected_field_check(spec, np.zeros((1, 2)), 0.5, num_draws=16)
     assert np.array_equal(result.stochastic_mean, result.full_value)
     assert result.std_error == 0.0
 
 
 def test_expected_field_check_unbiased_within_four_se():
     spec = distinct_chain_spec()
-    result = expected_field_check(spec, np.array([0.2, -0.1]), 0.6, num_draws=10_000)
+    result = expected_field_check(spec, np.array([[0.2, -0.1]]), 0.6, num_draws=10_000)
     assert result.std_error > 0.0
     gap = np.abs(result.stochastic_mean - result.full_value)
     assert np.all(gap <= 4.0 * result.std_error)
@@ -308,18 +309,18 @@ def test_expected_field_check_unbiased_within_four_se():
 
 def test_expected_field_check_single_draw():
     spec = distinct_chain_spec()
-    result = expected_field_check(spec, np.zeros(2), 0.5, num_draws=1)
+    result = expected_field_check(spec, np.zeros((1, 2)), 0.5, num_draws=1)
     assert result.std_error is None
-    assert result.stochastic_mean.shape == (2,)
+    assert result.stochastic_mean.shape == (1, 2)
 
 
 def test_expected_field_check_errors():
     spec = distinct_chain_spec()
     with pytest.raises(ContractViolation):
-        expected_field_check(spec, np.zeros(2), 0.5, num_draws=0)
+        expected_field_check(spec, np.zeros((1, 2)), 0.5, num_draws=0)
     full = distinct_chain_spec(mode="full_average")
     with pytest.raises(ContractViolation):
-        expected_field_check(full, np.zeros(2), 0.5, num_draws=10)
+        expected_field_check(full, np.zeros((1, 2)), 0.5, num_draws=10)
 
 
 # --- validation -------------------------------------------------------------
@@ -389,20 +390,18 @@ def run_steps(field, x, steps=3):
 
 
 def assert_bank_matches_generic_path(n, spec_seed, xs, monkeypatch, **kwargs):
-    """Per-row seeds, a scalar seed and a 1-D state: the bank path, with
-    inner evals patched to fail, gives the generic path's bits."""
+    """The whole batch xs and its first row as a 1-row batch: the bank
+    path, with inner evals patched to fail, gives the generic path's bits."""
     bank_spec = gaussian_spec(n, seed=spec_seed, **kwargs)
     generic_spec = gaussian_spec(n, wrap=DelegatingField, seed=spec_seed, **kwargs)
-    seeds = [5, np.arange(100, 140, dtype=np.uint64)]
-    expected = [run_steps(BlendedField(generic_spec, seed), xs) for seed in seeds]
-    expected.append(run_steps(BlendedField(generic_spec, 5), xs[0]))
+    runs = [(np.arange(100, 100 + len(xs), dtype=np.uint64), xs), (row_seeds(5), xs[:1])]
+    expected = [run_steps(BlendedField(generic_spec, seeds), x) for seeds, x in runs]
 
     def no_inner_eval(self, x, t):
         raise AssertionError("the bank path evaluated an inner field")
 
     monkeypatch.setattr(GaussianTargetField, "eval", no_inner_eval)
-    got = [run_steps(BlendedField(bank_spec, seed), xs) for seed in seeds]
-    got.append(run_steps(BlendedField(bank_spec, 5), xs[0]))
+    got = [run_steps(BlendedField(bank_spec, seeds), x) for seeds, x in runs]
     for want_run, got_run in zip(expected, got):
         assert all(np.array_equal(w, g) for w, g in zip(want_run, got_run))
 
@@ -432,11 +431,12 @@ def test_bank_path_returns_the_generic_paths_shape_dtype_and_bits(mode):
     own business."""
     batch = np.random.default_rng(2).normal(size=(6, 3))
     fortran = np.asfortranarray(batch)
-    inputs = (batch, fortran, fortran[2], np.ones((6, 3), dtype=int))
-    assert not fortran[2].flags.c_contiguous  # a strided single state
+    inputs = (batch, fortran, fortran[2:3], np.ones((6, 3), dtype=int))
+    assert not fortran[2:3].flags.c_contiguous  # a strided 1-row batch
     for x in inputs:
-        bank = BlendedField(gaussian_spec(3, mode=mode), 5)
-        generic = BlendedField(gaussian_spec(3, wrap=DelegatingField, mode=mode), 5)
+        seeds = np.arange(len(x), dtype=np.uint64)
+        bank = BlendedField(gaussian_spec(3, mode=mode), seeds)
+        generic = BlendedField(gaussian_spec(3, wrap=DelegatingField, mode=mode), seeds)
         assert bank._bank is not None and generic._bank is None
         out, want = bank.eval(x, 0.4), generic.eval(x, 0.4)
         assert out.shape == x.shape and out.dtype == np.float64
@@ -512,7 +512,8 @@ def test_blend_never_writes_into_inner_results(mode):
         base_mix=0.25,
     )
     stored = [f.value.copy() for f in fields]
-    field = BlendedField(spec, 3)
+    # one seed for every row, so each anchor draws one chain for the batch
+    field = BlendedField(spec, np.full(rows, 3, dtype=np.uint64))
     for t in (0.0, 0.5, 1.0):
         out = field.eval(np.zeros((rows, 2)), t)
         assert all(out is not f.value for f in fields)
@@ -520,16 +521,33 @@ def test_blend_never_writes_into_inner_results(mode):
 
 
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
 @pytest.mark.parametrize("seed_count", [4, 1])
-def test_per_row_seed_count_must_match_the_rows(wrap, seed_count):
-    spec = gaussian_spec(2, wrap=wrap, mode="stochastic")
+def test_per_row_seed_count_must_match_the_rows(wrap, mode, seed_count):
+    spec = gaussian_spec(2, wrap=wrap, mode=mode)
     field = BlendedField(spec, np.arange(seed_count, dtype=np.uint64))
     message = f"{seed_count} per-row seeds for a batch of 3 rows"
     with pytest.raises(ContractViolation, match=message):
         field.eval(np.zeros((3, 3)), 0.5)
     with pytest.raises(ContractViolation, match="per-row seeds for a batch of 3 rows"):
         integrate(field, np.zeros((3, 3)), IntegrationConfig("euler", 2))
+    # a state that is not a (rows, dim) batch, even one row per seed long
+    for state in (np.zeros(3), np.zeros(seed_count), np.zeros((seed_count, 1, 3))):
+        with pytest.raises(ContractViolation, match=f"{seed_count} per-row seeds for a state"):
+            field.eval(state, 0.5)
+    assert field.eval_counter == 0
     assert field.eval(np.zeros((seed_count, 3)), 0.5).shape == (seed_count, 3)
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "full_average"])
+@pytest.mark.parametrize(
+    "seed",
+    [0, np.uint64(7), [[1, 2]], np.zeros((2, 1), dtype=np.uint64)],
+    ids=["int", "uint64", "nested-list", "column"],
+)
+def test_seeds_must_be_one_dimensional(mode, seed):
+    with pytest.raises(ContractViolation, match="1-D array of per-row seeds"):
+        BlendedField(gaussian_spec(2, mode=mode), seed)
 
 
 def test_mixture_chain_takes_generic_path_with_row_equality(space2, biased_model, monkeypatch):
@@ -551,14 +569,14 @@ def test_mixture_chain_takes_generic_path_with_row_equality(space2, biased_model
         return gaussian_eval(self, x, t)
 
     monkeypatch.setattr(GaussianTargetField, "eval", counted)
-    row_seeds = np.array([11, 22, 33, 44], dtype=np.uint64)
+    seeds = row_seeds(11, 22, 33, 44)
     xs = np.random.default_rng(3).normal(size=(4, 2))
-    batched = BlendedField(spec, row_seeds)
-    solos = [BlendedField(spec, int(seed)) for seed in row_seeds]
+    batched = BlendedField(spec, seeds)
+    solos = [BlendedField(spec, seeds[i : i + 1]) for i in range(len(seeds))]
     for t in (0.0, 0.3, 0.9):
         batch_out = batched.eval(xs, t)
         for i, solo in enumerate(solos):
-            assert np.array_equal(solo.eval(xs[i], t), batch_out[i])
+            assert np.array_equal(solo.eval(xs[i : i + 1], t), batch_out[i : i + 1])
     assert inner_calls  # the generic path calls the inner fields
 
 
@@ -621,21 +639,16 @@ EDGE_SEEDS = np.array([(1 << 63) | 5, (1 << 64) - 1, 0, 12345, 1 << 63], dtype=n
 EDGE_ORDINALS = [0, 1, 1 << 32, (1 << 63) - 1]
 
 
-def reference_draws(n, seed, ordinal):
-    """The draws by the plain counter tuple, hashed from scratch."""
-    if np.ndim(seed):
-        return streams.randbelow(
-            n, np.asarray(seed)[None, :], streams.STREAM_CHAIN_DRAW, ordinal,
-            np.arange(1 << n)[:, None],
-        )
-    return streams.randbelow(n, seed, streams.STREAM_CHAIN_DRAW, ordinal, np.arange(1 << n))
+def reference_draws(n, seeds, ordinal):
+    """The (K, B) draws by the plain counter tuple, hashed from scratch."""
+    return streams.randbelow(
+        n, np.asarray(seeds)[None, :], streams.STREAM_CHAIN_DRAW, ordinal,
+        np.arange(1 << n)[:, None],
+    )
 
 
-def assert_draws_equal(got, want, n):
-    # at n = 1 the field skips the hash and returns one (K,) column of zeros
+def assert_draws_equal(got, want):
     assert got.dtype == np.int64
-    if n == 1:
-        got = np.broadcast_to(got.reshape(-1, *(1,) * (want.ndim - 1)), want.shape)
     assert np.array_equal(got, want)
 
 
@@ -644,32 +657,27 @@ def stochastic_spec(n):
     return gaussian_spec(n, mode="stochastic")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_field_draws_equal_randbelow(n):
     spec = stochastic_spec(n)
-    for seed in (int(EDGE_SEEDS[0]), 7, EDGE_SEEDS):
-        field = BlendedField(spec, seed)
-        x = np.zeros((len(EDGE_SEEDS), 3))
+    for seeds in (EDGE_SEEDS[:1], row_seeds(7), EDGE_SEEDS):
+        field = BlendedField(spec, seeds)
         for ordinal in EDGE_ORDINALS:
-            got = field._draws(x, ordinal).copy()
-            assert_draws_equal(got, reference_draws(n, seed, ordinal), n)
+            got = field._draws(ordinal).copy()
+            assert_draws_equal(got, reference_draws(n, seeds, ordinal))
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(
-    n=st.integers(1, 6),
-    seeds=st.one_of(
-        st.integers(0, (1 << 64) - 1),
-        st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=9),
-    ),
+    n=st.integers(2, 6),
+    seeds=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=9),
     ordinals=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=4),
 )
 def test_field_draws_equal_randbelow_property(n, seeds, ordinals):
-    seed = np.array(seeds, dtype=np.uint64) if isinstance(seeds, list) else seeds
-    field = BlendedField(stochastic_spec(n), seed)
-    x = np.zeros((np.size(seed), 3))
+    seeds = np.array(seeds, dtype=np.uint64)
+    field = BlendedField(stochastic_spec(n), seeds)
     for ordinal in ordinals:
-        assert_draws_equal(field._draws(x, ordinal), reference_draws(n, seed, ordinal), n)
+        assert_draws_equal(field._draws(ordinal), reference_draws(n, seeds, ordinal))
 
 
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
@@ -677,7 +685,7 @@ def test_interleaved_fields_equal_fields_run_alone(wrap):
     xs = np.random.default_rng(9).normal(size=(8, 3))
     specs = [gaussian_spec(n, wrap=wrap, seed=n, mode="stochastic") for n in (4, 4, 4, 3)]
     rows = np.arange(8, dtype=np.uint64)
-    seeds = [rows, rows + np.uint64(100), EDGE_SEEDS[0], rows]
+    seeds = [rows, rows + np.uint64(100), np.full(8, EDGE_SEEDS[0]), rows]
     alone = [run_steps(BlendedField(spec, seed), xs) for spec, seed in zip(specs, seeds)]
     fields = [BlendedField(spec, seed) for spec, seed in zip(specs, seeds)]
     interleaved = [[] for _ in fields]
@@ -712,6 +720,22 @@ def test_one_dimension_stochastic_equals_full_average():
     assert np.array_equal(batches[0].endpoints, batches[1].endpoints)
 
 
+@pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
+def test_one_dimension_stochastic_draws_nothing_and_is_the_full_average(wrap, hash_calls):
+    """At n = 1 each anchor's one chain is its full average, so stochastic
+    mode takes the full_average path: no draw hash, the same bits."""
+    seeds = np.arange(6, dtype=np.uint64)
+    x0 = np.random.default_rng(5).normal(size=(6, 3))
+    endpoints = []
+    for mode in ("stochastic", "full_average"):
+        for score in ((0.3,), (1.0,)):
+            spec = replace(gaussian_spec(1, wrap=wrap, mode=mode), score=ScoreVector(score))
+            endpoints.append(integrate(BlendedField(spec, seeds), x0, IntegrationConfig("rk4", 5)))
+    assert hash_calls == []
+    stochastic, full = endpoints[:2], endpoints[2:]
+    assert [r.endpoint.tobytes() for r in stochastic] == [r.endpoint.tobytes() for r in full]
+
+
 def product_weight(score, anchor):
     """The multilinear weight as a left-to-right product over the dimensions."""
     w = 1.0
@@ -740,7 +764,7 @@ class SpyField(DelegatingField):
         self.rows = 0
 
     def eval(self, x, t):
-        self.rows += 1 if np.ndim(x) == 1 else len(x)
+        self.rows += len(x)
         return super().eval(x, t)
 
 
@@ -788,12 +812,11 @@ def test_face_score_draws_are_the_active_anchors_reference_draws(n):
     spec = replace(stochastic_spec(n), score=ScoreVector((0.0, 0.75, 1.0, 0.375)[:n]))
     active = active_anchor_ids(spec)
     assert 0 < len(active) < spec.anchor_count
-    for seed in (int(EDGE_SEEDS[0]), 7, EDGE_SEEDS):
-        field = BlendedField(spec, seed)
-        x = np.zeros((len(EDGE_SEEDS), 3))
+    for seeds in (EDGE_SEEDS[:1], row_seeds(7), EDGE_SEEDS):
+        field = BlendedField(spec, seeds)
         for ordinal in EDGE_ORDINALS:
-            want = reference_draws(n, seed, ordinal)[active]
-            assert np.array_equal(field._draws(x, ordinal), want)
+            want = reference_draws(n, seeds, ordinal)[active]
+            assert np.array_equal(field._draws(ordinal), want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -804,14 +827,13 @@ def test_an_anchors_draws_are_the_same_at_interior_face_and_vertex_scores(n):
         ScoreVector((1.0, 0.75, 1.0, 0.375, 0.5, 0.25)[:n]),
         ScoreVector((1.0, 0.0, 1.0, 1.0, 0.0, 1.0)[:n]),
     ]
-    x = np.zeros((len(EDGE_SEEDS), 3))
-    for seed in (int(EDGE_SEEDS[0]), EDGE_SEEDS):
+    for seeds in (EDGE_SEEDS[:1], EDGE_SEEDS):
         seen = {}  # (anchor, ordinal) -> its draws under each score
         for score in scores:
             spec = replace(interior, score=score)
-            field = BlendedField(spec, seed)
+            field = BlendedField(spec, seeds)
             for ordinal in EDGE_ORDINALS:
-                draws = field._draws(x, ordinal)
+                draws = field._draws(ordinal)
                 for k, row in zip(active_anchor_ids(spec), draws):
                     seen.setdefault((k, ordinal), []).append(np.array(row))
         (vertex,) = active_anchor_ids(replace(interior, score=scores[-1]))
@@ -820,7 +842,7 @@ def test_an_anchors_draws_are_the_same_at_interior_face_and_vertex_scores(n):
             assert all(np.array_equal(row, rows[0]) for row in rows)
         # at the vertex only the word holding the active anchor is hashed
         hashes = field._draw_plan.hashes
-        assert hashes.shape[1:] == ((1, len(EDGE_SEEDS)) if np.ndim(seed) else (1,))
+        assert hashes.shape[1:] == (1, len(seeds))
 
 
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
@@ -898,12 +920,13 @@ def test_chains_are_one_field_only_when_their_bytes_and_variance_are_equal(monke
     xs = np.random.default_rng(4).normal(size=(5, 3))
     got = run_steps(field, xs)
     assert len(calls) == len(got) * (1 + 1 + 2 + 2 + 2)
-    want = run_steps(BlendedField(one_field_key_spec(DelegatingField), 0), xs)
+    seeds = np.arange(5, dtype=np.uint64)
+    want = run_steps(BlendedField(one_field_key_spec(DelegatingField), seeds), xs)
     assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
     # at the vertex of the collapsed anchor: the base and one closed form
     calls.clear()
     bits = spec.anchor_sets[0].anchor.bits
-    got = run_steps(BlendedField(one_field_key_spec(score=tuple(map(float, bits))), 0), xs)
+    got = run_steps(BlendedField(one_field_key_spec(score=tuple(map(float, bits))), seeds), xs)
     assert len(calls) == 2 * len(got)
 
 
@@ -928,7 +951,7 @@ def test_bank_computes_its_constants_once_per_distinct_time(solver, times, monke
     monkeypatch.setattr(blend_module.GaussianBank, "at", counting_at)
     monkeypatch.setattr(blend_module, "flow_kappa", counting_kappa)
     steps = 8
-    field = BlendedField(gaussian_spec(2, mode="full_average"), 0)
+    field = BlendedField(gaussian_spec(2, mode="full_average"), np.arange(4, dtype=np.uint64))
     integrate(field, np.zeros((4, 3)), IntegrationConfig(solver, steps))
     want = times * steps + (solver == "rk4")
     assert counts == {"at": want, "kappa": 2 * want}
@@ -962,15 +985,16 @@ def test_overflow_under_a_collapsed_anchor_diverges_where_the_generic_path_does(
 
     x0 = np.linspace(-1, 1, 24).reshape(8, 3)
     x0[5, 0], x0[2, 0] = -1e307, -5e306
+    seeds = np.arange(len(x0), dtype=np.uint64)
     errors = []
     for wrap, banked in ((lambda f: f, True), (DelegatingField, False)):
-        field = BlendedField(spec(wrap), 0)
+        field = BlendedField(spec(wrap), seeds)
         assert (field._bank is not None) == banked
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
             integrate(field, x0, IntegrationConfig(solver, 8))
         errors.append(err.value)
     bank, generic = errors
-    assert field._bank is None and BlendedField(spec(lambda f: f), 0)._bank.distinct[1] == 1
+    assert field._bank is None and BlendedField(spec(lambda f: f), seeds)._bank.distinct[1] == 1
     assert (bank.step_index, bank.sample_index) == (generic.step_index, generic.sample_index)
     assert (bank.step_index, bank.sample_index) == (step, sample)
     assert (bank.last_max_abs, bank.last_time) == (generic.last_max_abs, generic.last_time)

@@ -850,10 +850,10 @@ def test_batched_generation_equals_per_sample(space2, biased_model):
         seeds = sample_seeds(request.seed, request.sample_count)
         x0 = initial_states(seeds, 2)
         for i in range(4):
-            solo = integrate(
-                BlendedField(spec, int(seeds[i])), x0[i], request.integration
-            )
-            assert np.array_equal(solo.endpoint, batch.endpoints[i]), f"{mode} row {i}"
+            # a 1-row batch with row i's seed and start
+            row = slice(i, i + 1)
+            solo = integrate(BlendedField(spec, seeds[row]), x0[row], request.integration)
+            assert np.array_equal(solo.endpoint, batch.endpoints[row]), f"{mode} row {i}"
 
 
 # --- batch serialization --------------------------------------------------------

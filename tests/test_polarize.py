@@ -327,17 +327,39 @@ def test_failed_append_keeps_no_entry(tmp_path, monkeypatch):
     assert backend.calls == calls + 1
 
 
-def test_failed_append_leaves_a_torn_record_that_reopening_drops(tmp_path, monkeypatch):
-    """The process's cache and a reopened one agree: both hold p0 only."""
+def test_failed_append_cuts_its_torn_record(tmp_path, monkeypatch, caplog):
+    """The process's cache and a reopened one agree: both hold p0 only, and
+    the file holds p0's record alone once the failed appends return."""
     path = tmp_path / "cache.ndjson"
-    cache, _, _, _ = short_append_race(path, monkeypatch)
+    with caplog.at_level("WARNING", logger="cogflow.polarize"):
+        cache, _, _, _ = short_append_race(path, monkeypatch)
     monkeypatch.undo()
-    assert not path.read_bytes().endswith(b"\n")
+    assert "torn record" in caplog.records[0].getMessage()
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == 1
     reopened = PolarizationCache(path)
     for held in (cache, reopened):
         assert len(held) == 1 and held.get(stub_digest("p0")) == "out0"
         assert held.get(stub_digest("p1")) is None
-    assert path.read_bytes().endswith(b"\n")
+    assert path.read_bytes() == data
+
+
+def test_whole_append_after_a_short_one_in_the_same_process(tmp_path, monkeypatch):
+    """A 5-byte append of p1 raises; the whole append of p2 that follows in
+    the same cache starts on a fresh line, so reopening holds p2 and not p1."""
+    path = tmp_path / "cache.ndjson"
+    cache = PolarizationCache(path)
+    seed_cache(cache, {"p0": "out0"})
+    real_write = os.write
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", lambda fd, data: real_write(fd, data[:5]))
+        with pytest.raises(BackendError, match="short append"):
+            seed_cache(cache, {"p1": "out1"})
+    seed_cache(cache, {"p2": "out2"})
+    reopened = PolarizationCache(path)
+    assert {p: reopened.get(stub_digest(p)) for p in ("p0", "p1", "p2")} == {
+        "p0": "out0", "p1": None, "p2": "out2"
+    }
 
 
 @pytest.mark.parametrize("corrupt", [b"not json", b'{"digest": "x"}', b"[1, 2]"])

@@ -1,5 +1,5 @@
-"""Property-based tests: template tags, anchor weights, the rewrite cache
-and config resolution."""
+"""Property-based tests: template tags, anchor weights, the rewrite cache,
+the blended field's rows and config resolution."""
 
 import json
 import tempfile
@@ -8,13 +8,16 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from cogflow.blend import MODES, AnchorFields, BlendedField, BlendSpec
 from cogflow.cli import main
-from cogflow.cogspace import ScoreVector, weight_vector
+from cogflow.cogspace import ScoreVector, enumerate_anchors, weight_vector
 from cogflow.config import DEFAULT_CONFIG, apply_overrides, resolve_config
 from cogflow.errors import ConfigError
+from cogflow.flow import SOLVERS, IntegrationConfig, integrate
 from cogflow.polarize import PolarizationCache, format_template_prompt, parse_template_tags
+from cogflow.semantics import GaussianTargetField
 
-from conftest import seed_cache, stub_digest
+from conftest import DelegatingField, make_space, seed_cache, stub_digest
 
 # no example database: runs leave nothing in the checkout
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
@@ -67,6 +70,50 @@ def test_cache_cut_at_any_byte_reloads_the_records_before_the_cut(outputs, data)
         lines = path.read_bytes().splitlines(keepends=True)
         assert [json.loads(line)["digest"] for line in lines] == list(kept)
         assert all(line.endswith(b"\n") for line in lines)
+
+
+# --- the blended field's rows -----------------------------------------------------
+
+@PROPERTY
+@given(
+    n=st.integers(1, 4),
+    mode=st.sampled_from(MODES),
+    generic=st.booleans(),
+    solver=st.sampled_from(sorted(SOLVERS)),
+    seeds=st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_a_one_row_batch_equals_its_row_of_any_batch(n, mode, generic, solver, seeds, data):
+    """Integrated from that row's start, a 1-row batch with seed s gives the
+    bits of the row with seed s in a random batch, at any score (vertex and
+    face coordinates included), in both modes and on both paths."""
+    wrap = DelegatingField if generic else (lambda f: f)
+    rng = np.random.default_rng(data.draw(st.integers(0, 1 << 32), label="fields"))
+
+    def field():
+        return wrap(GaussianTargetField(rng.normal(size=3), rng.uniform(0.2, 2.0)))
+
+    coordinate = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    score = data.draw(st.lists(coordinate, min_size=n, max_size=n), label="score")
+    spec = BlendSpec(
+        base_field=field(),
+        anchor_sets=tuple(
+            AnchorFields(a, tuple(field() for _ in range(n)))
+            for a in enumerate_anchors(make_space(n))
+        ),
+        score=ScoreVector(tuple(score)),
+        mode=mode,
+    )
+    seeds = np.array(seeds, dtype=np.uint64)
+    x0 = rng.normal(size=(len(seeds), 3))
+    r = data.draw(st.integers(0, len(seeds) - 1), label="row")
+    row = slice(r, r + 1)
+    config = IntegrationConfig(solver, 3)
+    batch = BlendedField(spec, seeds)
+    assert (batch._bank is None) == generic
+    endpoints = integrate(batch, x0, config).endpoint
+    alone = integrate(BlendedField(spec, seeds[row]), x0[row], config).endpoint
+    assert alone.tobytes() == endpoints[row].tobytes()
 
 
 # --- config resolution ------------------------------------------------------------
