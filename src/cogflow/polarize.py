@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from .cogspace import (
     MAX_DIMENSIONS, CognitiveAnchor, CognitiveSpace, DimensionSpec, enumerate_anchors,
@@ -208,13 +208,17 @@ class LlmBackend:
         raise last_error
 
 
+# the encoder json.dumps(..., ensure_ascii=False) builds on every call,
+# built once: the same bytes, so the on-disk keys never change
+_DIGEST_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def cache_digest(backend_id: str, prompt: str, dimension: DimensionSpec, pole: int) -> str:
     """Stable content hash of one rewrite request: the backend (for the
     LLM backend its model and endpoint), the prompt, the dimension's name,
     the pole and that pole's text, which the LLM instruction quotes."""
-    raw = json.dumps(
-        [backend_id, prompt, dimension.name, int(pole), dimension.pole_text(pole)],
-        ensure_ascii=False,
+    raw = _DIGEST_ENCODER.encode(
+        [backend_id, prompt, dimension.name, int(pole), dimension.pole_text(pole)]
     )
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
@@ -428,7 +432,23 @@ def build_prompt_set(
     space: CognitiveSpace,
     cache: PolarizationCache | None = None,
 ) -> PolarizedPromptSet:
-    """All n cyclic chains for one anchor. Uses n**2 rewrites before caching."""
+    """All n cyclic chains for one anchor: n**2 rewrites, each sent
+    through the cache when one is given. The chains start at distinct
+    dimensions, so they share no prefix."""
+    return _build_prompt_set(
+        lambda current, dimension, pole: polarize_once(backend, current, dimension, pole, cache),
+        prompt, anchor, space,
+    )
+
+
+def _build_prompt_set(
+    rewrite: Callable[[str, DimensionSpec, int], str],
+    prompt: str,
+    anchor: CognitiveAnchor,
+    space: CognitiveSpace,
+) -> PolarizedPromptSet:
+    """build_prompt_set with each rewrite step made by
+    rewrite(prompt, dimension, pole)."""
     if len(anchor) != space.n:
         raise ContractViolation(
             f"anchor has {len(anchor)} bits but space has {space.n} dimensions"
@@ -442,7 +462,7 @@ def build_prompt_set(
             dimension = space.dimensions[dim_index - 1]
             pole = anchor.bits[dim_index - 1]
             try:
-                current = polarize_once(backend, current, dimension, pole, cache)
+                current = rewrite(current, dimension, pole)
             except BackendError as exc:
                 raise BackendError(
                     f"chain {j} position {position} (dimension {dimension.name}): {exc}",
@@ -466,9 +486,28 @@ def build_all_sets(
     space: CognitiveSpace,
     cache: PolarizationCache | None = None,
 ) -> list[PolarizedPromptSet]:
-    """Prompt sets for all 2**n anchors, in canonical anchor order."""
+    """Prompt sets for all 2**n anchors, in canonical anchor order.
+
+    The build takes n**2 * 2**n rewrite steps, but chains share prefixes
+    across anchors, so only n * (2**(n+1) - 2) of them are distinct.
+    Without a cache every step calls the backend. With one, each distinct
+    step is fetched from the cache once per build and its repeats reuse
+    that output: the backend and the cache are fixed for the build and a
+    stored entry never changes, so a repeat fetch would return the same.
+    """
+    fetched: dict[tuple[str, str, int], str] = {}
+
+    def rewrite(current, dimension, pole):
+        if cache is None:
+            return polarize_once(backend, current, dimension, pole)
+        key = (current, dimension.name, pole)
+        output = fetched.get(key)
+        if output is None:
+            output = fetched[key] = polarize_once(backend, current, dimension, pole, cache)
+        return output
+
     return [
-        build_prompt_set(backend, prompt, anchor, space, cache)
+        _build_prompt_set(rewrite, prompt, anchor, space)
         for anchor in enumerate_anchors(space)
     ]
 

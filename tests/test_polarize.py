@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -174,6 +175,90 @@ def test_cache_outputs_identical_to_uncached():
     plain = build_all_sets(TemplateBackend(), "a valley", space, None)
     cached = build_all_sets(TemplateBackend(), "a valley", space, PolarizationCache.in_memory())
     assert [s.results for s in plain] == [s.results for s in cached]
+
+
+def distinct_rewrites(n):
+    """Distinct rewrite steps of a full build: n * (2**(n+1) - 2) of the
+    n**2 * 2**n, since chains share prefixes across anchors."""
+    return n * ((1 << (n + 1)) - 2)
+
+
+def counted_fetches(cache):
+    """Wrap cache.fetch on the instance, as a tracer does; returns the
+    list that gets one entry per fetch."""
+    calls = []
+    fetch = cache.fetch
+
+    def counting_fetch(*args, **kwargs):
+        calls.append(args)
+        return fetch(*args, **kwargs)
+
+    cache.fetch = counting_fetch
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cached_build_fetches_each_distinct_rewrite_once(n):
+    space = make_space(n)
+    backend = TemplateBackend()
+    cache = PolarizationCache.in_memory()
+    fetches = counted_fetches(cache)
+    cold = build_all_sets(backend, "p", space, cache)
+    assert len(fetches) == distinct_rewrites(n)
+    assert backend.calls == distinct_rewrites(n)
+    warm = build_all_sets(backend, "p", space, cache)
+    assert len(fetches) == 2 * distinct_rewrites(n)
+    assert backend.calls == distinct_rewrites(n)
+    assert warm == cold == build_all_sets(TemplateBackend(), "p", space)
+
+
+def test_cached_build_writes_the_same_bytes(tmp_path):
+    # golden sha256 of the cache file and of the export at n = 3: reusing
+    # a build's repeat rewrites must not change what the build writes
+    space = make_space(3)
+    path = tmp_path / "cache.ndjson"
+    sets = build_all_sets(TemplateBackend(), "a valley", space, PolarizationCache(path))
+    export = json.dumps(prompt_sets_to_json("a valley", space, sets), indent=2) + "\n"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "04ee855d0652730f21697a1db8149d4c141dca13f44829e9b1c55dccd9794491"
+    )
+    assert hashlib.sha256(export.encode("utf-8")).hexdigest() == (
+        "528161c865703c9bdc7e12b3b39315a81e63c24cc11b76ebdbbfaaf7b31b836f"
+    )
+
+
+def test_two_builds_on_one_cache_in_two_threads():
+    class LockedBackend(TemplateBackend):
+        """The template backend, counting under a lock and slow enough
+        that the two builds ask for the same rewrite at the same time."""
+
+        def __init__(self):
+            super().__init__()
+            self.lock = threading.Lock()
+
+        def polarize(self, prompt, dimension, pole):
+            with self.lock:
+                output = super().polarize(prompt, dimension, pole)
+            threading.Event().wait(0.001)
+            return output
+
+    n = 3
+    space = make_space(n)
+    backend = LockedBackend()
+    cache = PolarizationCache.in_memory()
+    results = [None, None]
+
+    def worker(slot):
+        results[slot] = build_all_sets(backend, "a valley", space, cache)
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert results[0] == results[1] == build_all_sets(TemplateBackend(), "a valley", space)
+    assert backend.calls == distinct_rewrites(n)
 
 
 def test_cache_persists_and_reloads(tmp_path, space2):
@@ -386,6 +471,21 @@ def test_cache_digest_discriminates():
     assert base == cache_digest("template", "p", replace(d1, low_pole_text="lower"), 1)
     assert base != cache_digest("llm:m", "p", d1, 1)
     assert base == cache_digest("template", "p", d1, 1)
+
+
+def test_cache_digest_bytes_are_pinned():
+    # the digest is the on-disk key, so these values must never change
+    d1 = DimensionSpec("d1", 1, "low", "high")
+    assert cache_digest("template", "a valley at dusk", d1, 1) == (
+        "a397ac1d1354c09bbd1e4e566c29f918368eeed6d7735510f90ee157cacfbd14"
+    )
+    assert cache_digest(
+        "template", "a valley «d1:+» «d2:-»", DimensionSpec("d2", 2, "low", "high"), 0
+    ) == "29059c8dbe0a3bb9c05b89ef1682b1072d42d9a3ebb11cf4b527437379166207"
+    valence = DimensionSpec("valence", 1, "trübe", "heiter ☀")
+    assert cache_digest("llm:m@http://llm.local", "a valley", valence, 1) == (
+        "0dd744ef4fe2b609d828fd6c48f018e8aab83ac39a52bcad13ca9b16111f4d03"
+    )
 
 
 def test_polarize_once_requires_nonempty_prompt(space2):
