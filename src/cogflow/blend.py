@@ -64,33 +64,51 @@ There are two evaluation paths with the same bits. When the base field
 and the active anchors' chain fields are plain GaussianTargetFields (the
 template backend without mixture bindings), both modes read a stacked
 Gaussian bank of the active anchors, built when the field is made: the
-base mean (D, 1) and variance, chain means stored feature-major as
-(A, D, n), and chain variances (A, n). An evaluation works in a
-C-contiguous (D, B) block: it takes kappa(t) of all chains, computed at
-once (rule 3 below), and computes every Gaussian closed form in that
-block (in stochastic mode on each row's drawn mean and kappa); no inner
+base mean and variance, the chain means, and the chain variances (A, n).
+An evaluation takes kappa(t) of all chains, computed at once (rule 3
+below), and computes every Gaussian closed form itself; no inner
 field's eval is called. The bank records which anchors' chains all have
 one variance, as template bindings give them: such an anchor's chains
 share one kappa(t), so each row's drawn kappa is that number, and the
 closed form multiplies by it instead of gathering a kappa per row, with
 the same bits. An anchor whose chain variances differ (explicit
-bindings may give them) gathers. Feature-major, a per-field (D, 1) mean
-broadcasts along the long axis, which numpy does several times faster
-than a (D,) mean over (B, D) rows at small D. The layout is this
-class's decision alone: eval takes a (B, D) batch of any layout, and
-returns acc.T, the (B, D) view of its (D, B) result, which is
-Fortran-ordered. numpy's elementwise operations keep their inputs'
-layout, so a solver that combines states and velocities elementwise
-holds its state Fortran-ordered after the first evaluation; x.T is then
-the C-contiguous block and no evaluation copies the state in or out.
+bindings may give them) gathers.
+
+The bank lays its means out for the mode that reads them. Per-field
+means go feature-major. The full average reads only those, so the bank
+holds the base mean as (D, 1) and the chain means as (A, D, n), and an
+evaluation works in a C-contiguous (D, B) block, where a per-field
+(D, 1) mean broadcasts along the long axis: numpy does that several
+times faster than a (D,) mean over (B, D) rows at small D. Per-row
+means go row-major. In stochastic mode every mean the closed form reads
+is a row's drawn one, save the base mean, so the bank holds the chain
+means as (A, n, D) and the base mean tiled once to (B, D), and an
+evaluation works on the solver's own (B, D) rows. Each anchor's drawn
+means are then one gather of contiguous D-wide rows, about three times
+cheaper than gathering single numbers into a (D, B) block, and every
+operation of the closed form and the weighted sum runs on same-shape
+contiguous (B, D) arrays; no (D,) mean is broadcast over rows. The base
+velocity and each drawn vhat are computed in two C-ordered (B, D)
+scratch arrays the field allocates once, and each deviation vhat - base
+in place, so an evaluation allocates only the gathered means and its
+result; the result is always a new array, since a solver may keep
+several (rk4 holds four). The layout is this class's decision alone:
+eval takes a (B, D) batch of any layout. The full average returns
+acc.T, the (B, D) view of its (D, B) result, which is Fortran-ordered;
+the draws return C-ordered rows. numpy's elementwise operations keep
+their inputs' layout, so a solver that combines states and velocities
+elementwise holds its state in the bank's layout after the first
+evaluation (x.T is then the C-contiguous block, or x the C-contiguous
+rows), and no evaluation copies the state in or out.
+
 Every elementwise expression and its order is the generic path's, so
 the bits are too. Sums accumulate in place, in arrays the evaluation
-allocated (an inner field's result may be an array it keeps, so it is
-never written into); IEEE + and * commute, so acc /= n; acc += first
-has the bits of first + acc / n. Any other inner field (a
-mixture, a subclass, a test double) selects the generic path, which
-calls eval on each chain field, in stochastic mode for the rows that
-drew it. The path follows from the evaluated fields' types alone.
+allocated or the field owns (an inner field's result may be an array
+it keeps, so it is never written into); IEEE + and * commute, so
+acc /= n; acc += first has the bits of first + acc / n. Any other inner
+field (a mixture, a subclass, a test double) selects the generic path,
+which calls eval on each chain field, in stochastic mode for the rows
+that drew it. The path follows from the evaluated fields' types alone.
 
 Passes whose result is known exactly are skipped, by three rules that
 follow from the spec alone, with no option:
@@ -106,9 +124,10 @@ follow from the spec alone, with no option:
    no start from zeros; an anchor share 1 - base_mix of exactly 1 is not
    multiplied. The combine is shared, so this holds on both paths.
 3. The bank's per-time constants, kappa(t) of the base and the chains
-   and t * mean of each, are computed once per distinct t: rk4's two
-   mid-stages share one t, and a step's first t is the last t of the
-   step before.
+   and t * mean of the base and, in full_average, of each chain, are
+   computed once per distinct t: rk4's two mid-stages share one t, and
+   a step's first t is the last t of the step before. (The draws shift
+   each row's drawn mean, which changes with every evaluation.)
 
 Why the bits stay. n equal closed forms v have deviations v - v = +0.0,
 so their deviation mean is +0.0 / n + v: that is v, except that a -0.0
@@ -124,8 +143,9 @@ anchor reads inf. A row diverges at the same step either way, and
 DivergenceError's last_max_velocity may read inf where it read nan.
 
 A BlendedField instance owns its ordinal, evaluation counter, draw key,
-draw buffers and the bank's constants at the last time it evaluated,
-and must not be shared across concurrent callers;
+draw buffers, the stochastic bank's scratch arrays and the bank's
+constants at the last time it evaluated, and must not be shared across
+concurrent callers;
 separate instances may run on separate threads. A BlendSpec is
 immutable and freely shareable.
 """
@@ -151,7 +171,6 @@ from .semantics import (
     VelocityField,
     _check_time,
     flow_kappa,
-    gaussian_velocity,
     shifted_velocity,
 )
 
@@ -278,75 +297,96 @@ def _one_field(chain) -> bool:
 
 class GaussianBank(NamedTuple):
     """Stacked parameters of a spec whose inner fields are all Gaussian,
-    laid out for feature-major (D, B) states."""
+    laid out for the mode that reads them: for the full average, per-field
+    means feature-major, for (D, B) states; for draws, per-row means
+    row-major, for (B, D) states. See the module notes."""
 
-    base_mean: np.ndarray  # (D, 1)
+    base_mean: np.ndarray  # (D, 1); for draws (B, D), tiled once
     base_variance: float
-    means: np.ndarray  # (A, D, n)
+    means: np.ndarray  # (A, D, n); for draws (A, n, D)
     variances: np.ndarray  # (A, n)
     equal_variances: tuple  # per anchor, whether its n chain variances are equal
     distinct: tuple  # per anchor, its distinct chain fields: 1 if they are one field, else n
+    row_major: bool  # laid out for draws
 
     @classmethod
-    def of(cls, spec: BlendSpec, active) -> "GaussianBank | None":
+    def of(cls, spec: BlendSpec, active, rows=None) -> "GaussianBank | None":
         """The bank of spec's base field and of its anchors at the
         positions active, or None unless each of those fields is exactly a
-        GaussianTargetField (subclasses may override eval)."""
+        GaussianTargetField (subclasses may override eval). rows is the
+        batch size of a field that draws chains, None for the full
+        average."""
         chains = [spec.anchor_sets[k].chain_fields for k in active]
         fields = [spec.base_field, *(f for chain in chains for f in chain)]
         if any(type(f) is not GaussianTargetField for f in fields):
             return None
         means = np.array([[f.mean for f in chain] for chain in chains])
         variances = np.array([[f.variance for f in chain] for chain in chains])
+        if rows is None:
+            base_mean = np.array(spec.base_field.mean)[:, None]
+            means = np.ascontiguousarray(means.transpose(0, 2, 1))
+        else:
+            base_mean = np.tile(spec.base_field.mean, (rows, 1))
         return cls(
-            base_mean=np.array(spec.base_field.mean)[:, None],
+            base_mean=base_mean,
             base_variance=spec.base_field.variance,
-            means=np.ascontiguousarray(means.transpose(0, 2, 1)),
+            means=means,
             variances=variances,
             equal_variances=tuple((variances == variances[:, :1]).all(axis=1).tolist()),
             distinct=tuple(1 if _one_field(chain) else spec.n for chain in chains),
+            row_major=rows is not None,
         )
 
     def at(self, t: float) -> tuple:
         """What every evaluation at time t shares: (t, the base's kappa(t)
-        and t * mean, the chains' kappa(t) (A, n) and t * means (A, D, n))."""
+        and t * mean, the chains' kappa(t) (A, n) and t * means (A, D, n)).
+        The draws shift each row's drawn mean, so they have no chain
+        shifts (None)."""
         return (
             t,
             flow_kappa(t, self.base_variance),
             t * self.base_mean,
             flow_kappa(t, self.variances),
-            t * self.means,
+            None if self.row_major else t * self.means,
         )
 
-    def values(self, x, at, draws):
-        """Base velocity and an iterator over the bank's vhats, in anchor
-        order, at a feature-major state x of shape (D, B), with at the
-        bank's constants at the evaluation's time.
-
-        draws holds chain indices of shape (A, B), or is None for the full
-        average; the expressions are the generic path's, so the bits equal
-        its bits.
-        """
+    def values(self, x, at):
+        """Base velocity and an iterator over the bank's full-average
+        vhats, in anchor order, at a feature-major state x (D, B), with at
+        the bank's constants at the evaluation's time; the expressions are
+        the generic path's, so the bits equal its bits."""
         t, base_kappa, base_shift, kappas, shifts = at
         base = shifted_velocity(self.base_mean, base_shift, base_kappa, x)
+        vhats = (
+            _deviation_mean(
+                shifted_velocity(means[:, j : j + 1], shift[:, j : j + 1], kappa[j], x)
+                for j in range(count)
+            )
+            for means, shift, kappa, count in zip(self.means, shifts, kappas, self.distinct)
+        )
+        return base, vhats
 
-        def averaged():
-            for means, shift, kappa, count in zip(self.means, shifts, kappas, self.distinct):
-                yield _deviation_mean(
-                    shifted_velocity(means[:, j : j + 1], shift[:, j : j + 1], kappa[j], x)
-                    for j in range(count)
-                )
+    def drawn(self, x, at, draws, scratch):
+        """As values, for draws: at a row-major state x (B, D), each row's
+        vhat is the closed form of the chain it drew, with draws the chain
+        indices (A, B). scratch is a C-ordered (2, B, D) array the caller
+        owns: the base velocity is computed in scratch[0], and each vhat
+        in scratch[1], valid until the next is asked for."""
+        t, base_kappa, base_shift, kappas, _ = at
+        base, work = scratch
+        shifted_velocity(self.base_mean, base_shift, base_kappa, x, out=base)
 
-        def drawn():
-            for k, (means, kappa, equal) in enumerate(
-                zip(self.means, kappas, self.equal_variances)
+        def vhats():
+            for means, kappa, equal, chosen in zip(
+                self.means, kappas, self.equal_variances, draws
             ):
-                chosen = draws[k]
-                mean = means.take(chosen, axis=1)
+                mean = means.take(chosen, axis=0)
                 # equal variances give equal kappas, so the drawn kappa is kappa[0]
-                yield gaussian_velocity(mean, kappa[0] if equal else kappa.take(chosen), x, t)
+                drawn_kappa = kappa[0] if equal else kappa.take(chosen)[:, None]
+                shift = np.multiply(t, mean, out=work)
+                yield shifted_velocity(mean, shift, drawn_kappa, x, out=work)
 
-        return base, averaged() if draws is None else drawn()
+        return base, vhats()
 
 
 class BlendedField(VelocityField):
@@ -379,7 +419,12 @@ class BlendedField(VelocityField):
         self._chains = tuple(spec.anchor_sets[k].chain_fields for k in active)
         # one anchor of weight exactly 1: a vertex
         self._vertex = len(active) == 1 and self._weights[0] == 1.0
-        self._bank = GaussianBank.of(spec, active)
+        self._bank = GaussianBank.of(spec, active, len(seed) if self._stochastic else None)
+        # the full average computes in a (D, B) block, draws on (B, D) rows
+        self._feature_major = self._bank is not None and not self._stochastic
+        self._scratch = None
+        if self._bank is not None and self._stochastic:
+            self._scratch = np.empty((2, *self._bank.base_mean.shape))
         self._time = self._at = None  # the bank's constants at the last time
         if self._stochastic:
             # the key/counter split and the draw plan; see the module notes
@@ -411,11 +456,13 @@ class BlendedField(VelocityField):
         return out
 
     def eval(self, x, t):
-        """Blended velocity at a batch (B, D) with one row per seed, (B, D).
+        """Blended velocity at a batch (B, D) with one row per seed, (B, D),
+        always a new array.
 
-        On the bank path the result is a transposed view of the (D, B)
-        block the evaluation computed in, so it comes back
-        Fortran-ordered; see the module notes.
+        On the bank path the result has the layout the bank computed in:
+        in full_average a transposed view of a (D, B) block, so
+        Fortran-ordered; in stochastic mode C-ordered rows. See the
+        module notes.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or len(x) != len(self.seed):
@@ -423,12 +470,14 @@ class BlendedField(VelocityField):
             raise ContractViolation(f"{len(self.seed)} per-row seeds for a {got}")
         draws = self._draws(self._eval_ordinal) if self._stochastic else None
         if self._bank is not None:
-            # no copy when x is a view of a C-contiguous (D, B) block
-            block = np.ascontiguousarray(x.T)
             if t != self._time:
                 self._at = self._bank.at(_check_time(t))
                 self._time = t
-            base, vhats = self._bank.values(block, self._at, draws)
+            if self._feature_major:
+                # no copy when x is a view of a C-contiguous (D, B) block
+                base, vhats = self._bank.values(np.ascontiguousarray(x.T), self._at)
+            else:
+                base, vhats = self._bank.drawn(x, self._at, draws, self._scratch)
         else:
             base = self.spec.base_field.eval(x, t)
             vhats = (
@@ -438,13 +487,15 @@ class BlendedField(VelocityField):
         # base + (1 - base_mix) * sum_k w_k * (vhat_k - base) over the
         # active anchors, summed in order from zeros, in place in arrays
         # allocated here: base and the vhats may be arrays an inner field
-        # owns. At a vertex the sum is vhat - base, and a share of exactly
-        # 1 is not multiplied; see the module notes.
+        # owns. The drawn vhats are the field's scratch[1], so their
+        # deviations are taken there. At a vertex the sum is vhat - base,
+        # and a share of exactly 1 is not multiplied; see the module notes.
         if self._vertex:
             (vhat,) = vhats
             acc = vhat - base
         else:
-            acc, dev = np.zeros_like(base), np.empty_like(base)
+            acc = np.zeros_like(base)
+            dev = np.empty_like(base) if self._scratch is None else self._scratch[1]
             for w, vhat in zip(self._weights, vhats):
                 np.subtract(vhat, base, out=dev)
                 dev *= w
@@ -454,7 +505,4 @@ class BlendedField(VelocityField):
         acc += base
         self._eval_ordinal += 1
         self.eval_counter += len(x) * self._evals_per_call
-        if self._bank is None:
-            return acc
-        return acc.T
-
+        return acc.T if self._feature_major else acc

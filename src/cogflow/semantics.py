@@ -141,13 +141,14 @@ def gaussian_velocity(mean, kappa, x, t: float) -> np.ndarray:
     return shifted_velocity(mean, t * mean, kappa, x)
 
 
-def shifted_velocity(mean, shift, kappa, x) -> np.ndarray:
+def shifted_velocity(mean, shift, kappa, x, out=None) -> np.ndarray:
     """gaussian_velocity with t * mean given as shift, for a caller that
     evaluates one field at one t many times. The product and the sum run
-    in place in the new array x - shift; IEEE + and * commute, so the
-    bits are those of the formula.
+    in place in the array x - shift, new unless out is given (out may be
+    shift itself); IEEE + and * commute, so the bits are those of the
+    formula.
     """
-    v = x - shift
+    v = np.subtract(x, shift, out=out)
     v *= kappa
     v += mean
     return v

@@ -1,6 +1,7 @@
 import functools
 import itertools
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -360,13 +361,15 @@ def test_spec_dimension_mismatch():
 
 # --- the stacked Gaussian bank ------------------------------------------------
 
-def gaussian_spec(n, wrap=lambda f: f, seed=0, **kwargs):
-    """Distinct Gaussian chains and base; wrap decides each field's type."""
+def gaussian_spec(n, wrap=lambda f: f, seed=0, variance=None, **kwargs):
+    """Distinct Gaussian chains and base; wrap decides each field's type,
+    and variance, if given, replaces every field's drawn variance."""
     rng = np.random.default_rng(seed)
     dim = 3
 
     def field():
-        return wrap(GaussianTargetField(rng.normal(size=dim), rng.uniform(0.2, 2.0)))
+        mean, drawn = rng.normal(size=dim), rng.uniform(0.2, 2.0)
+        return wrap(GaussianTargetField(mean, drawn if variance is None else variance))
 
     space = make_space(n)
     return BlendSpec(
@@ -452,6 +455,39 @@ def test_bank_path_keeps_eval_count_and_time_check():
         field.eval(np.zeros((5, 3)), 1.5)
     with pytest.raises(ContractViolation):
         field.eval(np.zeros(3), 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("vertex", [False, True], ids=["interior", "vertex"])
+@pytest.mark.parametrize("variance", [None, 0.6], ids=["unequal", "equal"])
+def test_stochastic_bank_results_are_fresh_arrays(n, vertex, variance):
+    """The stochastic bank computes in scratch arrays the field owns, and
+    rk4 keeps k1..k4 alive at once: every result keeps its bytes through
+    the later evaluations, shares no memory with another result or with
+    the scratch, and has the generic path's bits."""
+    def spec(wrap):
+        blend = gaussian_spec(n, wrap, seed=30 + n, variance=variance, mode="stochastic")
+        return replace(blend, score=ScoreVector((1.0, 0.0, 1.0, 1.0)[:n])) if vertex else blend
+
+    seeds = np.arange(7, dtype=np.uint64)
+    field = BlendedField(spec(lambda f: f), seeds)
+    assert field._scratch is not None and field._vertex == vertex
+    assert all(field._bank.equal_variances) == (variance is not None)
+    snapshots = []
+
+    def evaluate(x, t):
+        out = field.eval(x, t)
+        snapshots.append(out.tobytes())
+        return out
+
+    xs = np.random.default_rng(n).normal(size=(7, 3))
+    outs = run_steps(SimpleNamespace(eval=evaluate), xs)
+    assert [out.tobytes() for out in outs] == snapshots
+    for i, out in enumerate(outs):
+        assert not np.shares_memory(out, field._scratch)
+        assert not any(np.shares_memory(out, later) for later in outs[i + 1 :])
+    generic = BlendedField(spec(DelegatingField), seeds)
+    assert [want.tobytes() for want in run_steps(generic, xs)] == snapshots
 
 
 def test_deviation_mean_keeps_the_bits_of_the_zero_started_sum():

@@ -324,20 +324,29 @@ def test_feature_major_generate_matches_generic_path(solver, mode, monkeypatch):
         sample_count=11, blend_mode=mode,
         integration=IntegrationConfig(solver, 6, record_trajectory=True),
     )
-    calls = []  # (bank-backed, state F-contiguous) per evaluation
+    # the layout the bank computes in: the full average's (D, B) block,
+    # which a (B, D) state is a view of when it is F-contiguous, and the
+    # draws' C-contiguous (B, D) rows
+    layout = "f_contiguous" if mode == "full_average" else "c_contiguous"
+    calls = []  # (bank-backed, state in that layout) per evaluation
     blended_eval = BlendedField.eval
 
     def spy(self, x, t):
-        calls.append((self._bank is not None, x.flags.f_contiguous))
+        calls.append((self._bank is not None, getattr(x.flags, layout)))
         return blended_eval(self, x, t)
 
     monkeypatch.setattr(BlendedField, "eval", spy)
     bank = generate(request, space, model)
-    # the solver keeps the layout eval returns: only the first evaluation
-    # gets the C-ordered x0, and every later one a state the bank reads
-    # as its (D, B) block without a copy
-    assert calls[0] == (True, False)
-    assert len(calls) > 1 and all(c == (True, True) for c in calls[1:])
+    # the solver keeps the layout eval returns, so no evaluation copies the
+    # state: in full_average only the first evaluation gets the C-ordered
+    # x0, and every later one a state the bank reads as its (D, B) block;
+    # in stochastic mode every evaluation gets C-ordered rows
+    assert len(calls) > 1
+    if mode == "full_average":
+        assert calls[0] == (True, False)
+        assert all(c == (True, True) for c in calls[1:])
+    else:
+        assert all(c == (True, True) for c in calls)
     calls.clear()
     bind_field = flow.field_for_prompt
     monkeypatch.setattr(flow, "field_for_prompt", lambda m, p: DelegatingField(bind_field(m, p)))
