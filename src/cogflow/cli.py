@@ -10,7 +10,6 @@ codes: 0 success, 1 criterion or validation failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .flow import _check_count, generate, write_sample_batch
 from .harness import emit_report, run_experiment
-from .polarize import build_all_sets, build_chain_orders, prompt_sets_to_json
+from .polarize import build_all_sets, build_chain_orders, indented_json, prompt_sets_to_json
 
 log = logging.getLogger("cogflow")
 
@@ -120,9 +119,7 @@ def _cmd_polarize(args) -> int:
     out = _out_dir(resolved)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "polarized_prompts.json"
-    atomic_write_text(
-        path, json.dumps(prompt_sets_to_json(prompt, space, sets), indent=2) + "\n"
-    )
+    atomic_write_text(path, indented_json(prompt_sets_to_json(prompt, space, sets)) + "\n")
     print(f"wrote {path}")
     return 0
 

@@ -22,6 +22,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring, encode_basestring_ascii
 from numbers import Real
 from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
@@ -208,17 +209,17 @@ class LlmBackend:
         raise last_error
 
 
-# the encoder json.dumps(..., ensure_ascii=False) builds on every call,
-# built once: the same bytes, so the on-disk keys never change
-_DIGEST_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 def cache_digest(backend_id: str, prompt: str, dimension: DimensionSpec, pole: int) -> str:
     """Stable content hash of one rewrite request: the backend (for the
     LLM backend its model and endpoint), the prompt, the dimension's name,
-    the pole and that pole's text, which the LLM instruction quotes."""
-    raw = _DIGEST_ENCODER.encode(
-        [backend_id, prompt, dimension.name, int(pole), dimension.pole_text(pole)]
+    the pole and that pole's text, which the LLM instruction quotes.
+
+    The hashed text is json.dumps([...], ensure_ascii=False)'s, written
+    out with json's own string escaper: the on-disk keys never change."""
+    raw = (
+        f"[{encode_basestring(backend_id)}, {encode_basestring(prompt)}, "
+        f"{encode_basestring(dimension.name)}, {int(pole)}, "
+        f"{encode_basestring(dimension.pole_text(pole))}]"
     )
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
@@ -234,12 +235,15 @@ class PolarizationCache:
     Each record is appended by a single write, and appends within a process
     are serialized; concurrent misses on the same key perform a
     single backend fetch (other callers wait and reuse the result).
+    _pending maps the digest of each fetch in flight to a lock its fetching
+    thread holds until the fetch ends; a caller that misses the same digest
+    waits by acquiring that lock, then releases it and looks again.
     """
 
     def __init__(self, path: str | Path | None = DEFAULT_CACHE_PATH):
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, str] = {}
-        self._pending: dict[str, threading.Event] = {}
+        self._pending: dict[str, threading.Lock] = {}
         self._lock = threading.Lock()
         if self.path is not None and self.path.exists():
             self._load()
@@ -301,7 +305,11 @@ class PolarizationCache:
         if digest in self._entries:
             return
         if self.path is not None:
-            record = (json.dumps({"digest": digest, "output": output}) + "\n").encode("utf-8")
+            # json.dumps({"digest": digest, "output": output})'s bytes
+            record = (
+                f'{{"digest": {encode_basestring_ascii(digest)}, '
+                f'"output": {encode_basestring_ascii(output)}}}\n'
+            ).encode("utf-8")
             # one write on an O_APPEND descriptor lands whole at the current
             # end of the file, so appends from several processes never
             # interleave
@@ -330,11 +338,13 @@ class PolarizationCache:
                 cached = self._entries.get(digest)
                 if cached is not None:
                     return cached
-                event = self._pending.get(digest)
-                if event is None:
-                    self._pending[digest] = threading.Event()
+                pending = self._pending.get(digest)
+                if pending is None:
+                    pending = self._pending[digest] = threading.Lock()
+                    pending.acquire()
                     break
-            event.wait()
+            pending.acquire()
+            pending.release()
         # whether the fetch or the store fails, the waiters are released:
         # each then finds the entry, or misses and fetches itself
         try:
@@ -343,7 +353,7 @@ class PolarizationCache:
                 self._store_locked(digest, output)
         finally:
             with self._lock:
-                self._pending.pop(digest).set()
+                self._pending.pop(digest).release()
         return output
 
 
@@ -530,3 +540,61 @@ def prompt_sets_to_json(
             for ps in sets
         ],
     }
+
+
+def indented_json(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, for a document of dicts
+    with str keys, lists, tuples (written as lists) and scalars.
+
+    json.dumps with an indent runs json's pure-Python encoder, which
+    passes each chunk up through one generator per nesting level. This
+    writes the same chunks, each string through json's C escaper, into
+    one list, in about half the time on a prompt-set export. Scalars
+    other than str, bool and int go through json.dumps."""
+    chunks: list[str] = []
+    _write_indented(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _write_indented(value, newline: str, emit: Callable[[str], object]):
+    # exact str and int items, most of an export, are written in place
+    # rather than through a call per item
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            head = f"{sep}{encode_basestring_ascii(key)}: "
+            if type(item) is str:
+                emit(head + encode_basestring_ascii(item))
+            else:
+                emit(head)
+                _write_indented(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is int:
+                emit(sep + repr(item))
+            elif type(item) is str:
+                emit(sep + encode_basestring_ascii(item))
+            else:
+                emit(sep)
+                _write_indented(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, bool):  # before int: bool is an int
+        emit("true" if value else "false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    else:
+        emit(json.dumps(value))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -78,6 +79,26 @@ def test_polarize_exports_prompt_sets(tmp_path, capsys):
     assert doc["base_prompt"] == "a valley"
     assert len(doc["sets"]) == 4
     assert len(doc["sets"][0]["chains"]) == 2
+
+
+def test_polarize_writes_pinned_bytes(tmp_path):
+    # golden sha256 of what `cogflow polarize` itself writes at n = 3, the
+    # export and the cache file, for a base prompt whose quote, backslash,
+    # tab and non-ASCII letter each need escaping
+    cfg = write_config(
+        tmp_path,
+        space={"dimensions": [{"name": f"d{i}"} for i in (1, 2, 3)]},
+        experiment={"base_prompt": 'a "still" valley \\ trübe\tdusk'},
+    )
+    assert run_cli("polarize", "--config", str(cfg), "--quiet") == 0
+    export = (tmp_path / "out" / "polarized_prompts.json").read_bytes()
+    cache = (tmp_path / "cache.ndjson").read_bytes()
+    assert hashlib.sha256(export).hexdigest() == (
+        "89e7e26bd9dd9276a23b9e1d97cb9e6feb057cf3ddcc25d15f4bdca9e2661428"
+    )
+    assert hashlib.sha256(cache).hexdigest() == (
+        "0e6d1a6b6506ec6577d3810ca1feb43ff2d8b96c4fe841c0118850e1c0cc74d2"
+    )
 
 
 def test_polarize_without_config_uses_defaults(tmp_path):

@@ -2,15 +2,17 @@ import hashlib
 import io
 import json
 import os
+import sys
+import tempfile
 import threading
 from dataclasses import replace
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cogflow.cogspace import CognitiveAnchor, DimensionSpec, enumerate_anchors
+from cogflow.cogspace import CognitiveAnchor, CognitiveSpace, DimensionSpec, enumerate_anchors
 from cogflow.errors import BackendError, BindingError, ContractViolation
-import cogflow.polarize as polarize_module
 from cogflow.polarize import (
     LlmBackend,
     PolarizationCache,
@@ -22,6 +24,7 @@ from cogflow.polarize import (
     build_prompt_set,
     cache_digest,
     format_template_prompt,
+    indented_json,
     parse_template_tags,
     polarize_once,
     prompt_sets_to_json,
@@ -347,54 +350,98 @@ def test_cache_short_append_is_backend_error(tmp_path, monkeypatch):
         seed_cache(cache, {"p0": "out0"})
 
 
-def short_append_race(path, monkeypatch):
-    """Two threads fetch prompt p1 into a cache at path that holds p0,
-    with every append cut to 5 bytes; the second thread starts waiting
-    while the first is in the backend. Returns the cache, the backend
-    (which counts its calls), both threads and their outcomes, each an
-    output or the BackendError raised."""
-    cache = PolarizationCache(path)
-    seed_cache(cache, {"p0": "out0"})
-    entered, proceed, waiting = threading.Event(), threading.Event(), threading.Event()
+class BlockingBackend(StubBackend):
+    """The stub backend, counting its calls. The first call sets entered
+    and returns once proceed is set; with an error given, every call
+    raises it instead of returning."""
 
-    class SignallingEvent(threading.Event):
-        def wait(self, timeout=None):
-            waiting.set()
-            return super().wait(timeout)
+    def __init__(self, outputs, error=None):
+        super().__init__(outputs)
+        self.calls = 0
+        self.error = error
+        self.entered, self.proceed = threading.Event(), threading.Event()
 
-    class BlockingBackend(StubBackend):
-        calls = 0
+    def polarize(self, prompt, dimension, pole):
+        self.calls += 1
+        if self.calls == 1:
+            self.entered.set()
+            self.proceed.wait(5)
+        if self.error is not None:
+            raise self.error
+        return super().polarize(prompt, dimension, pole)
 
-        def polarize(self, prompt, dimension, pole):
-            self.calls += 1
-            if self.calls == 1:
-                entered.set()
-                proceed.wait(5)
-            return super().polarize(prompt, dimension, pole)
 
-    real_write = os.write
-    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:5]))
-    monkeypatch.setattr(
-        polarize_module, "threading", SimpleNamespace(Event=SignallingEvent, Lock=threading.Lock)
-    )
-    backend = BlockingBackend({"p1": "out1"})
+def blocking_acquire_signal(signal):
+    """A profile function (see sys.setprofile) that sets signal when its
+    thread calls acquire() on a lock another thread holds: where a fetch
+    blocks waiting on the same digest's fetch in flight."""
+
+    def profile(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", None) == "acquire":
+            locked = getattr(arg.__self__, "locked", None)
+            if locked is not None and locked():
+                signal.set()
+
+    return profile
+
+
+def race_two_fetches(cache, backend):
+    """Two threads fetch prompt p1: the second starts while the first is
+    in the backend, and the backend goes on once the second waits. Returns
+    both threads and their outcomes, each an output or the BackendError
+    raised."""
+    waiting = threading.Event()
     outcomes = {}
 
-    def fetch(name):
+    def fetch(name, profile=None):
+        sys.setprofile(profile)
         try:
             outcomes[name] = cache.fetch(backend, "p1", STUB_DIMENSION, 1)
         except BackendError as exc:
             outcomes[name] = exc
+        finally:
+            sys.setprofile(None)
 
-    threads = [threading.Thread(target=fetch, args=(name,), daemon=True) for name in ("first", "second")]
+    threads = [
+        threading.Thread(target=fetch, args=("first",), daemon=True),
+        threading.Thread(target=fetch, args=("second", blocking_acquire_signal(waiting)), daemon=True),
+    ]
     threads[0].start()
-    assert entered.wait(2)
+    assert backend.entered.wait(2)
     threads[1].start()
     assert waiting.wait(2)
-    proceed.set()
+    backend.proceed.set()
     for thread in threads:
         thread.join(2)
+    return threads, outcomes
+
+
+def short_append_race(path, monkeypatch):
+    """Two threads fetch prompt p1 into a cache at path that holds p0,
+    with every append cut to 5 bytes (see race_two_fetches). Returns the
+    cache, the backend (which counts its calls), both threads and their
+    outcomes."""
+    cache = PolarizationCache(path)
+    seed_cache(cache, {"p0": "out0"})
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:5]))
+    backend = BlockingBackend({"p1": "out1"})
+    threads, outcomes = race_two_fetches(cache, backend)
     return cache, backend, threads, outcomes
+
+
+def test_failed_backend_releases_the_waiting_thread(tmp_path):
+    cache = PolarizationCache(tmp_path / "cache.ndjson")
+    backend = BlockingBackend({"p1": "out1"}, error=BackendError("backend down"))
+    threads, outcomes = race_two_fetches(cache, backend)
+    assert not any(thread.is_alive() for thread in threads)
+    assert isinstance(outcomes["first"], BackendError)
+    assert outcomes["second"] == "out1" or isinstance(outcomes["second"], BackendError)
+    # the failure leaves nothing pending and nothing stored
+    calls = backend.calls
+    with pytest.raises(BackendError, match="backend down"):
+        cache.fetch(backend, "p1", STUB_DIMENSION, 1)
+    assert backend.calls == calls + 1
 
 
 def test_failed_append_releases_the_waiting_thread(tmp_path, monkeypatch):
@@ -485,6 +532,9 @@ def test_cache_digest_bytes_are_pinned():
     valence = DimensionSpec("valence", 1, "trübe", "heiter ☀")
     assert cache_digest("llm:m@http://llm.local", "a valley", valence, 1) == (
         "0dd744ef4fe2b609d828fd6c48f018e8aab83ac39a52bcad13ca9b16111f4d03"
+    )
+    assert cache_digest("template", 'a "quoted" back\\slash \x07 bell', d1, 0) == (
+        "2e8dab419bd402304b34cd85b6d7722c29e52bd2acc0db7663b8fb2f60c6727c"
     )
 
 
@@ -677,3 +727,92 @@ def test_prompt_sets_export_schema(space2):
     assert first["anchor_bits"] == [0, 0]
     assert first["chains"][0].keys() == {"order", "result"}
     json.dumps(doc)  # serializable
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), "", 0, {"a": ()}, [[], {}], {"k": {"nested": [1, [2, {}]]}},
+    {"ü \"key\"\\\n": "☀"},
+    (True, False, None, -3, 2**70, 1.5, 1e300, float("nan"), float("-inf")),
+])
+def test_indented_json_is_json_dumps(value):
+    assert indented_json(value) == json.dumps(value, indent=2)
+
+
+# --- JSON bytes under escaping --------------------------------------------
+
+# strings that need every escape json writes: quotes, backslashes, control
+# characters, non-ASCII and astral text, the template's «» and lone
+# surrogates, mixed with any other character
+escaped_text = st.text(
+    st.one_of(
+        st.sampled_from(
+            ['"', "\\", "\x00", "\x07", "\n", "\t", "\x1f", "\x7f", "ü", "☀",
+             "\U0001f600", "«", "»", "\ud800", "\udfff"]
+        ),
+        st.characters(),
+    ),
+    max_size=8,
+)
+PROPERTY = settings(max_examples=100, deadline=None, database=None)
+
+
+class EchoBackend:
+    """Rewrites a prompt to itself followed by the pole's text, so every
+    output holds the drawn strings."""
+
+    backend_id = "echo"
+
+    def polarize(self, prompt, dimension, pole):
+        return prompt + dimension.pole_text(pole)
+
+
+@PROPERTY
+@given(n=st.integers(1, 4), data=st.data())
+def test_export_text_is_json_dumps_indent_2(n, data):
+    names = data.draw(st.lists(escaped_text.filter(bool), min_size=n, max_size=n, unique=True))
+    poles = data.draw(st.lists(escaped_text, min_size=2 * n, max_size=2 * n))
+    space = CognitiveSpace(tuple(
+        DimensionSpec(name, i + 1, poles[2 * i], poles[2 * i + 1]) for i, name in enumerate(names)
+    ))
+    prompt = data.draw(escaped_text.filter(bool))
+    doc = prompt_sets_to_json(prompt, space, build_all_sets(EchoBackend(), prompt, space))
+    assert indented_json(doc) + "\n" == json.dumps(doc, indent=2) + "\n"
+
+
+@PROPERTY
+@given(outputs=st.lists(escaped_text, min_size=1, max_size=4))
+def test_cache_records_are_json_dumps(outputs):
+    outputs = {f"p{i}": output for i, output in enumerate(outputs)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.ndjson"
+        seed_cache(PolarizationCache(path), outputs)
+        data = path.read_bytes()
+    assert data == "".join(
+        json.dumps({"digest": stub_digest(prompt), "output": output}) + "\n"
+        for prompt, output in outputs.items()
+    ).encode("utf-8")
+
+
+def reference_digest(backend_id, prompt, dimension, pole):
+    """cache_digest as first defined: sha256 of json.dumps's text of the
+    request with ensure_ascii=False."""
+    raw = json.JSONEncoder(ensure_ascii=False).encode(
+        [backend_id, prompt, dimension.name, int(pole), dimension.pole_text(pole)]
+    )
+    return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+
+
+@PROPERTY
+@given(
+    backend_id=escaped_text, prompt=escaped_text, name=escaped_text.filter(bool),
+    low=escaped_text, high=escaped_text, pole=st.sampled_from([0, 1]),
+)
+def test_cache_digest_hashes_the_json_text(backend_id, prompt, name, low, high, pole):
+    dimension = DimensionSpec(name, 1, low, high)
+    try:
+        want = reference_digest(backend_id, prompt, dimension, pole)
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+        with pytest.raises(UnicodeEncodeError):
+            cache_digest(backend_id, prompt, dimension, pole)
+    else:
+        assert cache_digest(backend_id, prompt, dimension, pole) == want
