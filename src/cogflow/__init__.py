@@ -54,8 +54,6 @@ from .polarize import (
     TemplateBackend,
     build_all_sets,
     build_chain_orders,
-    build_prompt_set,
-    polarize_once,
 )
 from .semantics import (
     GaussianTargetField,

@@ -26,6 +26,7 @@ from .polarize import (
     PolarizationCache,
     PolarizerBackend,
     TemplateBackend,
+    encodes_utf8,
 )
 from .semantics import SemanticModel, TargetDistribution
 
@@ -167,7 +168,7 @@ def load_config(path) -> dict:
 def resolve_config(user: dict | None = None) -> dict:
     """Merge a user document over the defaults, rejecting unknown keys and
     values of the wrong type."""
-    return _check_types(_merge(DEFAULT_CONFIG, user or {}, ""))
+    return _check_strings(_check_types(_merge(DEFAULT_CONFIG, user or {}, "")))
 
 
 def _merge(default: dict, user: dict, path: str) -> dict:
@@ -235,7 +236,7 @@ def apply_overrides(resolved: dict, overrides: list[str]) -> dict:
         if not isinstance(node, dict) or (last not in node and not free):
             raise ConfigError(f"unknown override path: {dotted}")
         node[last] = value
-    return _check_types(out)
+    return _check_strings(_check_types(out))
 
 
 def _is_a(value, kind: type) -> bool:
@@ -289,6 +290,26 @@ def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "")
                 raise ConfigError(f"{here} must be {relation} {bound}, got {value!r}")
         if here in _ONLY_VALUES and value != _ONLY_VALUES[here]:
             raise ConfigError(f"{here} must be {_ONLY_VALUES[here]!r}, got {value!r}")
+    return resolved
+
+
+def _check_strings(resolved: dict) -> dict:
+    """Refuse any key or string leaf that UTF-8 cannot encode, such as a
+    lone surrogate from a JSON escape or an undecodable --set byte: it
+    would end in a UnicodeEncodeError where it is first hashed or written."""
+    pending = [("", resolved)]
+    while pending:
+        path, value = pending.pop()
+        if isinstance(value, str) and not encodes_utf8(value):
+            raise ConfigError(f"{path} is not UTF-8 encodable text: {value!r}")
+        if isinstance(value, dict):
+            for key, item in value.items():
+                here = f"{path}.{key}" if path else key
+                if not encodes_utf8(key):
+                    raise ConfigError(f"config key {here!r} is not UTF-8 encodable")
+                pending.append((here, item))
+        elif isinstance(value, list):
+            pending.extend((f"{path}[{i}]", item) for i, item in enumerate(value))
     return resolved
 
 

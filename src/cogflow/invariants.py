@@ -150,19 +150,35 @@ def integrator_reference_cases() -> str | None:
     _require(abs(rk4.endpoint[0] - np.e) <= 1e-5, "rk4 on dx/dt = x")
 
 
+class _RecordingBackend(TemplateBackend):
+    """The template backend, keeping each (prompt, dimension name, pole)
+    it is asked, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def polarize(self, prompt, dimension, pole):
+        self.asked.append((prompt, dimension.name, pole))
+        return super().polarize(prompt, dimension, pole)
+
+
 def polarization_cache_transparency() -> str | None:
     space = _space(2)
-    uncached_backend = TemplateBackend()
+    uncached_backend = _RecordingBackend()
     uncached = build_all_sets(uncached_backend, "a valley", space, None)
-    _require(uncached_backend.calls == 4 * 2 * 2, "uncached call count wrong")
-    backend = TemplateBackend()
+    backend = _RecordingBackend()
     cache = PolarizationCache.in_memory()
     first = build_all_sets(backend, "a valley", space, cache)
     calls_after_cold = backend.calls
     # shared chain prefixes collapse: one call per distinct rewrite,
-    # n * (2**(n+1) - 2) of the n**2 * 2**n steps
+    # n * (2**(n+1) - 2) of the n**2 * 2**n steps, with or without a cache
     _require(
         calls_after_cold == 2 * (2**3 - 2), f"cold cached build made {calls_after_cold} calls"
+    )
+    _require(
+        uncached_backend.asked == backend.asked,
+        f"uncached build made {uncached_backend.calls} calls, not the cold cached build's",
     )
     second = build_all_sets(backend, "a valley", space, cache)
     _require(backend.calls == calls_after_cold, "warm cache still hit the backend")

@@ -167,46 +167,42 @@ class LlmBackend:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: BackendError | None = None
         for attempt in range(self.retries + 1):
             if attempt:
                 self._sleep(0.5 * 2 ** (attempt - 1))
             self.calls += 1
             try:
-                response = self._session.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
-                )
-            except Exception as exc:
-                last_error = BackendError(
-                    f"LLM request failed: {exc}",
-                    diagnostics={"endpoint": self.endpoint, "attempt": attempt},
-                )
-                continue
-            status = getattr(response, "status_code", 0)
-            if status != 200:
-                last_error = BackendError(
-                    f"LLM endpoint returned status {status}",
-                    diagnostics={"status": status, "attempt": attempt},
-                )
-                continue
-            try:
-                payload = response.json()
-                content = payload["choices"][0]["message"]["content"]
-            except Exception as exc:
-                last_error = BackendError(
-                    f"malformed LLM response: {exc}",
-                    diagnostics={"attempt": attempt},
-                )
-                continue
-            if not isinstance(content, str) or not content:
-                last_error = BackendError(
-                    "LLM response content missing or empty",
-                    diagnostics={"attempt": attempt},
-                )
-                continue
-            return content
-        assert last_error is not None
-        raise last_error
+                return self._attempt(body, headers)
+            except BackendError as exc:
+                exc.diagnostics["attempt"] = attempt
+                error = exc
+        raise error
+
+    def _attempt(self, body: dict, headers: dict) -> str:
+        """One request: the response content, or BackendError. Content that
+        UTF-8 cannot encode (a lone surrogate, which JSON can carry) is
+        refused like empty content: cached, it would break the digest of
+        the next rewrite step."""
+        try:
+            response = self._session.post(
+                self.endpoint, json=body, headers=headers, timeout=self.timeout
+            )
+        except Exception as exc:
+            raise BackendError(
+                f"LLM request failed: {exc}", diagnostics={"endpoint": self.endpoint}
+            ) from exc
+        status = getattr(response, "status_code", 0)
+        if status != 200:
+            raise BackendError(
+                f"LLM endpoint returned status {status}", diagnostics={"status": status}
+            )
+        try:
+            content = response.json()["choices"][0]["message"]["content"]
+        except Exception as exc:
+            raise BackendError(f"malformed LLM response: {exc}") from exc
+        if not isinstance(content, str) or not content or not encodes_utf8(content):
+            raise BackendError("LLM response content missing, empty or not UTF-8 text")
+        return content
 
 
 def cache_digest(backend_id: str, prompt: str, dimension: DimensionSpec, pole: int) -> str:
@@ -222,6 +218,16 @@ def cache_digest(backend_id: str, prompt: str, dimension: DimensionSpec, pole: i
         f"{encode_basestring(dimension.pole_text(pole))}]"
     )
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+
+
+def encodes_utf8(text: str) -> bool:
+    """Whether UTF-8 can encode text, as cache_digest must: a lone
+    surrogate, which JSON strings can carry, cannot be encoded."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _parse_record(line: bytes) -> tuple[str, str]:
@@ -357,21 +363,6 @@ class PolarizationCache:
         return output
 
 
-def polarize_once(
-    backend: PolarizerBackend,
-    prompt: str,
-    dimension: DimensionSpec,
-    pole: int,
-    cache: PolarizationCache | None = None,
-) -> str:
-    """One rewrite of prompt toward the given pole, via the cache."""
-    if not prompt:
-        raise ContractViolation("prompt must be nonempty")
-    if cache is None:
-        return backend.polarize(prompt, dimension, pole)
-    return cache.fetch(backend, prompt, dimension, pole)
-
-
 def build_chain_orders(n: int) -> list[tuple[int, ...]]:
     """The n cyclic rewrite orders; order j starts at dimension j."""
     if not 1 <= n <= MAX_DIMENSIONS:
@@ -435,91 +426,62 @@ class PolarizedPromptSet:
         return tuple(chain.result for chain in self.chains)
 
 
-def build_prompt_set(
-    backend: PolarizerBackend,
-    prompt: str,
-    anchor: CognitiveAnchor,
-    space: CognitiveSpace,
-    cache: PolarizationCache | None = None,
-) -> PolarizedPromptSet:
-    """All n cyclic chains for one anchor: n**2 rewrites, each sent
-    through the cache when one is given. The chains start at distinct
-    dimensions, so they share no prefix."""
-    return _build_prompt_set(
-        lambda current, dimension, pole: polarize_once(backend, current, dimension, pole, cache),
-        prompt, anchor, space,
-    )
-
-
-def _build_prompt_set(
-    rewrite: Callable[[str, DimensionSpec, int], str],
-    prompt: str,
-    anchor: CognitiveAnchor,
-    space: CognitiveSpace,
-) -> PolarizedPromptSet:
-    """build_prompt_set with each rewrite step made by
-    rewrite(prompt, dimension, pole)."""
-    if len(anchor) != space.n:
-        raise ContractViolation(
-            f"anchor has {len(anchor)} bits but space has {space.n} dimensions"
-        )
-    chains = []
-    for j, order in enumerate(build_chain_orders(space.n), start=1):
-        current = prompt
-        intermediates = []
-        applications = []
-        for position, dim_index in enumerate(order, start=1):
-            dimension = space.dimensions[dim_index - 1]
-            pole = anchor.bits[dim_index - 1]
-            try:
-                current = rewrite(current, dimension, pole)
-            except BackendError as exc:
-                raise BackendError(
-                    f"chain {j} position {position} (dimension {dimension.name}): {exc}",
-                    diagnostics=exc.diagnostics,
-                ) from exc
-            intermediates.append(current)
-            applications.append((dim_index, pole))
-        chains.append(
-            PromptChain(
-                applications=tuple(applications),
-                result=current,
-                intermediates=tuple(intermediates),
-            )
-        )
-    return PolarizedPromptSet(anchor=anchor, base_prompt=prompt, chains=tuple(chains))
-
-
 def build_all_sets(
     backend: PolarizerBackend,
     prompt: str,
     space: CognitiveSpace,
     cache: PolarizationCache | None = None,
 ) -> list[PolarizedPromptSet]:
-    """Prompt sets for all 2**n anchors, in canonical anchor order.
+    """Prompt sets for all 2**n anchors, in canonical anchor order; each
+    holds the anchor's n cyclic chains, which start at distinct dimensions.
 
     The build takes n**2 * 2**n rewrite steps, but chains share prefixes
-    across anchors, so only n * (2**(n+1) - 2) of them are distinct.
-    Without a cache every step calls the backend. With one, each distinct
-    step is fetched from the cache once per build and its repeats reuse
-    that output: the backend and the cache are fixed for the build and a
-    stored entry never changes, so a repeat fetch would return the same.
+    across anchors, so only n * (2**(n+1) - 2) of them are distinct. Each
+    distinct step is made once per build, through the cache when one is
+    given and by the backend otherwise, and its repeats reuse that output,
+    as a cache entry that never changes would: a build asks the backend
+    the same rewrites in the same order with or without a cold cache. An
+    empty prompt at any step is refused, and a BackendError names the
+    chain and position of its step.
     """
-    fetched: dict[tuple[str, str, int], str] = {}
-
-    def rewrite(current, dimension, pole):
-        if cache is None:
-            return polarize_once(backend, current, dimension, pole)
-        key = (current, dimension.name, pole)
-        output = fetched.get(key)
-        if output is None:
-            output = fetched[key] = polarize_once(backend, current, dimension, pole, cache)
-        return output
-
-    return [
-        _build_prompt_set(rewrite, prompt, anchor, space)
-        for anchor in enumerate_anchors(space)
-    ]
+    made: dict[tuple[str, str, int], str] = {}
+    orders = build_chain_orders(space.n)
+    sets = []
+    for anchor in enumerate_anchors(space):
+        chains = []
+        for j, order in enumerate(orders, start=1):
+            current = prompt
+            intermediates = []
+            for position, dim_index in enumerate(order, start=1):
+                if not current:
+                    raise ContractViolation("prompt must be nonempty")
+                dimension = space.dimensions[dim_index - 1]
+                pole = anchor.bits[dim_index - 1]
+                key = (current, dimension.name, pole)
+                output = made.get(key)
+                if output is None:
+                    try:
+                        if cache is None:
+                            output = backend.polarize(current, dimension, pole)
+                        else:
+                            output = cache.fetch(backend, current, dimension, pole)
+                    except BackendError as exc:
+                        raise BackendError(
+                            f"chain {j} position {position} (dimension {dimension.name}): {exc}",
+                            diagnostics=exc.diagnostics,
+                        ) from exc
+                    made[key] = output
+                current = output
+                intermediates.append(current)
+            chains.append(
+                PromptChain(
+                    applications=tuple((idx, anchor.bits[idx - 1]) for idx in order),
+                    result=current,
+                    intermediates=tuple(intermediates),
+                )
+            )
+        sets.append(PolarizedPromptSet(anchor=anchor, base_prompt=prompt, chains=tuple(chains)))
+    return sets
 
 
 def prompt_sets_to_json(

@@ -388,6 +388,55 @@ def test_bad_llm_retries_or_timeout_is_config_error(tmp_path, caplog, monkeypatc
     assert not (tmp_path / "out").exists()
 
 
+LONE_SURROGATE = "a \ud800 valley"
+
+
+@pytest.mark.parametrize("source", ["set", "file"])
+@pytest.mark.parametrize("command", ["polarize", "generate", "experiment"])
+def test_text_that_utf8_cannot_encode_is_config_error(tmp_path, caplog, command, source):
+    # a lone surrogate, which a JSON string can carry, ended in a
+    # UnicodeEncodeError traceback from the rewrite cache's digest
+    if source == "file":
+        cfg = write_config(tmp_path, experiment={"base_prompt": LONE_SURROGATE})
+        argv = []
+    else:
+        cfg = write_config(tmp_path)
+        argv = ["--set", f"experiment.base_prompt={LONE_SURROGATE}"]
+    assert run_cli(command, "--config", str(cfg), *argv) == 2
+    assert "experiment.base_prompt" in caplog.text
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
+def test_key_that_utf8_cannot_encode_is_config_error(tmp_path, caplog):
+    # an argument byte that is not UTF-8 reaches Python as a lone surrogate
+    cfg = write_config(tmp_path)
+    key = "semantics.explicit_bindings.a \udcff valley"
+    assert run_cli("polarize", "--config", str(cfg), "--set", f"{key}=[]") == 2
+    assert "is not UTF-8 encodable" in caplog.text
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
+def test_llm_reply_that_utf8_cannot_encode_exits_3(tmp_path, monkeypatch):
+    class SurrogateReply:
+        status_code = 200
+
+        def json(self):
+            return {"choices": [{"message": {"content": LONE_SURROGATE}}]}
+
+    class SurrogateSession:
+        def post(self, *args, **kwargs):
+            return SurrogateReply()
+
+    monkeypatch.setattr("requests.Session", SurrogateSession)
+    cfg = write_config(tmp_path, polarize={"llm": {"endpoint": "http://127.0.0.1:9"}})
+    argv = ["--backend", "llm", "--set", "polarize.llm.retries=0"]
+    assert run_cli("polarize", "--config", str(cfg), *argv) == 3
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
 NON_FINITE = [
     "semantics.default_variance=NaN", "semantics.position_bias=Infinity",
     "semantics.effect_magnitudes=[1.5, NaN]", "semantics.base_mean=-Infinity",

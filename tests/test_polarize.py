@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogflow.cogspace import CognitiveAnchor, CognitiveSpace, DimensionSpec, enumerate_anchors
+from cogflow.cogspace import CognitiveAnchor, CognitiveSpace, DimensionSpec
 from cogflow.errors import BackendError, BindingError, ContractViolation
 from cogflow.polarize import (
     LlmBackend,
@@ -21,12 +21,10 @@ from cogflow.polarize import (
     TemplateBackend,
     build_all_sets,
     build_chain_orders,
-    build_prompt_set,
     cache_digest,
     format_template_prompt,
     indented_json,
     parse_template_tags,
-    polarize_once,
     prompt_sets_to_json,
 )
 
@@ -104,11 +102,11 @@ def test_parse_rejects_malformed_markup():
 
 # --- prompt sets ----------------------------------------------------------
 
-def test_build_prompt_set_two_dimensions():
+def test_prompt_set_two_dimensions():
     # cyclic orders (1,2) and (2,1) with anchor poles (+, -)
     space = make_space(2)
     anchor = CognitiveAnchor((1, 0))
-    prompt_set = build_prompt_set(TemplateBackend(), "a valley", anchor, space)
+    prompt_set = build_all_sets(TemplateBackend(), "a valley", space)[anchor.index - 1]
     assert prompt_set.results == (
         "a valley «d1:+»«d2:-»",
         "a valley «d2:-»«d1:+»",
@@ -120,22 +118,22 @@ def test_build_prompt_set_two_dimensions():
     )
 
 
-def test_build_prompt_set_single_dimension():
+def test_prompt_set_single_dimension():
     space = make_space(1)
-    prompt_set = build_prompt_set(TemplateBackend(), "p", CognitiveAnchor((1,)), space)
+    anchor = CognitiveAnchor((1,))
+    prompt_set = build_all_sets(TemplateBackend(), "p", space)[anchor.index - 1]
     assert len(prompt_set.chains) == 1
     assert prompt_set.chains[0].applications == ((1, 1),)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_uncached_invocation_counts(n):
+    # n**2 rewrite steps per anchor, one backend call per distinct step
     space = make_space(n)
-    backend = TemplateBackend()
-    build_prompt_set(backend, "p", enumerate_anchors(space)[0], space)
-    assert backend.calls == n * n
     backend_all = TemplateBackend()
     sets = build_all_sets(backend_all, "p", space)
-    assert backend_all.calls == n * n * (1 << n)
+    assert sum(len(chain.intermediates) for chain in sets[0].chains) == n * n
+    assert backend_all.calls == distinct_rewrites(n)
     assert len(sets) == 1 << n
     assert [s.anchor.index for s in sets] == list(range(1, (1 << n) + 1))
 
@@ -213,6 +211,31 @@ def test_cached_build_fetches_each_distinct_rewrite_once(n):
     assert len(fetches) == 2 * distinct_rewrites(n)
     assert backend.calls == distinct_rewrites(n)
     assert warm == cold == build_all_sets(TemplateBackend(), "p", space)
+
+
+class RecordingBackend(TemplateBackend):
+    """The template backend, keeping each (prompt, dimension name, pole)
+    it is asked, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def polarize(self, prompt, dimension, pole):
+        self.asked.append((prompt, dimension.name, pole))
+        return super().polarize(prompt, dimension, pole)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_uncached_build_asks_what_a_cold_cached_build_asks(n):
+    # one backend call per distinct rewrite either way: 756 at n = 6
+    space = make_space(n)
+    uncached, cold = RecordingBackend(), RecordingBackend()
+    plain = build_all_sets(uncached, "p", space)
+    cached = build_all_sets(cold, "p", space, PolarizationCache.in_memory())
+    assert uncached.asked == cold.asked
+    assert uncached.calls == distinct_rewrites(n)
+    assert plain == cached
 
 
 def test_cached_build_writes_the_same_bytes(tmp_path):
@@ -538,9 +561,11 @@ def test_cache_digest_bytes_are_pinned():
     )
 
 
-def test_polarize_once_requires_nonempty_prompt(space2):
+def test_build_refuses_an_empty_prompt(space2):
+    backend = TemplateBackend()
     with pytest.raises(ContractViolation):
-        polarize_once(TemplateBackend(), "", space2.dimensions[0], 1)
+        build_all_sets(backend, "", space2)
+    assert backend.calls == 0
 
 
 def test_cache_single_flight_under_concurrency(space2):
@@ -563,7 +588,7 @@ def test_cache_single_flight_under_concurrency(space2):
     results = []
 
     def worker():
-        results.append(polarize_once(backend, "p", dim, 1, cache))
+        results.append(cache.fetch(backend, "p", dim, 1))
 
     threads = [threading.Thread(target=worker) for _ in range(8)]
     for t in threads:
@@ -661,6 +686,20 @@ def test_llm_backend_malformed_response(space2):
         backend.polarize("p", space2.dimensions[0], 1)
 
 
+def test_llm_reply_that_utf8_cannot_encode_is_refused(space2, tmp_path):
+    # a lone surrogate was appended to the cache, and the next rewrite
+    # step's digest ended in a UnicodeEncodeError
+    session = FakeSession([ok_response("a \ud800 valley")] * 4)
+    backend = LlmBackend("http://llm.local", "m", session=session, sleep=lambda _: None)
+    path = tmp_path / "cache.ndjson"
+    with pytest.raises(BackendError) as err:
+        build_all_sets(backend, "a valley", space2, PolarizationCache(path))
+    assert "not UTF-8" in str(err.value)
+    assert err.value.diagnostics["attempt"] == 3
+    assert backend.calls == 4
+    assert not path.exists()
+
+
 def test_llm_cache_key_covers_pole_text_and_endpoint(space2, tmp_path):
     """A cached rewrite is reused only for the same endpoint, model, prompt,
     dimension, pole and pole text; changing any of them fetches again."""
@@ -670,7 +709,7 @@ def test_llm_cache_key_covers_pole_text_and_endpoint(space2, tmp_path):
 
     def fetch(endpoint, dimension):
         backend = LlmBackend(endpoint, "m", session=session)
-        return polarize_once(backend, "a valley", dimension, 1, cache)
+        return cache.fetch(backend, "a valley", dimension, 1)
 
     assert fetch("http://a.local", dim) == "rewrite 0"
     assert fetch("http://a.local", dim) == "rewrite 0"
@@ -711,7 +750,7 @@ def test_backend_error_carries_chain_context(space2):
     session = FakeSession([FakeResponse(status_code=500)] * 4)
     backend = LlmBackend("http://llm.local", "m", session=session, sleep=lambda _: None)
     with pytest.raises(BackendError) as err:
-        build_prompt_set(backend, "p", CognitiveAnchor((1, 0)), space2)
+        build_all_sets(backend, "p", space2)[CognitiveAnchor((1, 0)).index - 1]
     assert "chain 1 position 1" in str(err.value)
 
 

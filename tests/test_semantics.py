@@ -4,7 +4,7 @@ import pytest
 from cogflow.cogspace import CognitiveAnchor, CognitiveSpace
 from cogflow.errors import BindingError, ContractViolation
 from cogflow.flow import IntegrationConfig, integrate
-from cogflow.polarize import TemplateBackend, build_prompt_set
+from cogflow.polarize import TemplateBackend, build_all_sets
 from cogflow.semantics import (
     GaussianTargetField,
     MixtureTargetField,
@@ -297,7 +297,7 @@ def test_cyclic_chain_average_cancels_position_bias(space2):
     # averaging bound means over a full rotation equals the unbiased mean
     backend = TemplateBackend()
     anchor = CognitiveAnchor((1, 0))
-    prompt_set = build_prompt_set(backend, "a valley", anchor, space2)
+    prompt_set = build_all_sets(backend, "a valley", space2)[anchor.index - 1]
     biased = SemanticModel.for_space(space2, effect_magnitudes=1.5, position_bias=0.7)
     flat = SemanticModel.for_space(space2, effect_magnitudes=1.5, position_bias=0.0)
     means = [bind(biased, chain.result).mean() for chain in prompt_set.chains]
