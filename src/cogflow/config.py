@@ -1,11 +1,17 @@
 """Config loading and resolution for the CLI.
 
 One JSON document with sections {space, semantics, polarize, blend,
-flow, experiment}. Unknown keys are rejected, every key has a default,
-and dotted --set overrides (e.g. blend.lambda=0) apply to the resolved
-document; after the merge and after the overrides every value is
-checked against its default's type. The provenance digest of every CLI
-output is config_digest, the sha256 of the resolved config.
+flow, experiment}. Every key has a default, and resolution is one walk
+over the defaults that merges the user's document into them: an unknown
+key is refused, and each user value is checked where it is merged. A
+leaf accepts the kinds _KINDS lists for it, or else its default's kind;
+a kind is a description and a check, and the fields of the record lists
+in _RECORDS use the same kinds. _LOWER_BOUNDS and _ONLY_VALUES narrow a
+few leaves further, and a key or string that UTF-8 cannot encode is
+refused last. Dotted --set overrides (e.g. blend.lambda=0) are set in a
+copy of the resolved document, which is then resolved again. The
+provenance digest of every CLI output is config_digest, the sha256 of
+the resolved config.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import copy
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 from .cogspace import CognitiveSpace, ScoreVector
@@ -91,13 +98,42 @@ DEFAULT_CONFIG = {
     },
 }
 
-# keys whose values map free-form names (prompts) to lists of records
-_FREE_PATHS = {"semantics.explicit_bindings"}
-# per key, the schema of its records: the required keys, and for each
-# allowed key a description and a check of its value
+# a kind is a description and a check of a JSON value; a bool is never a
+# number, and a number is finite (1e400 reads as inf, and NaN fails <=)
 _TEXT = ("a string", lambda v: isinstance(v, str))
-_NUMBER = ("a number", lambda v: _is_a(v, float))
+_PATH = ("a string without NUL", lambda v: isinstance(v, str) and "\0" not in v)
+_NUMBER = (
+    "a finite number",
+    lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    and abs(v) <= sys.float_info.max,
+)
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_NULL = ("null", lambda v: v is None)
 _VECTOR = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_NUMBER[1], v)))
+_MATRIX = (
+    "a list of equal-length number lists",
+    lambda v: isinstance(v, list) and all(map(_VECTOR[1], v)) and len(set(map(len, v))) <= 1,
+)
+# the kinds each leaf accepts, where they are not just its default's kind
+_KINDS = {
+    "semantics.latent_dim": (_INT, _NULL),
+    "semantics.base_mean": (_NUMBER, _VECTOR),
+    "semantics.effect_magnitudes": (_NUMBER, _VECTOR),
+    "semantics.dimension_directions": (_MATRIX, _NULL),
+    "polarize.cache_path": (_PATH, _NULL),
+    "flow.decoder.matrix": (_MATRIX, _NULL),
+    "flow.decoder.offset": (_VECTOR, _NULL),
+    "experiment.score": (_VECTOR, _NULL),
+    "experiment.path_start": (_VECTOR, _NULL),
+    "experiment.path_stop": (_VECTOR, _NULL),
+    "experiment.output_dir": (_PATH,),
+}
+# a leaf _KINDS does not list takes its default's kind; a null default
+# has none, so a leaf with one must be listed
+_DEFAULT_KINDS = {str: (_TEXT,), int: (_INT,), float: (_NUMBER,)}
+# per record-list key, its records' schema: the required keys, and the
+# kind of each allowed key; a key whose default is an object maps
+# free-form names (prompts) to record lists
 _RECORDS = {
     "space.dimensions": (
         {"name"}, {"name": _TEXT, "low_pole_text": _TEXT, "high_pole_text": _TEXT}
@@ -106,31 +142,7 @@ _RECORDS = {
         {"weight", "mean", "variance"}, {"weight": _NUMBER, "mean": _VECTOR, "variance": _NUMBER}
     ),
 }
-# leaves whose accepted types are not just the type of their default
-_LEAF_TYPES = {
-    "semantics.latent_dim": (int,),
-    "semantics.base_mean": (float, list),
-    "semantics.effect_magnitudes": (float, list),
-    "experiment.score": (list,),
-    "experiment.path_start": (list,),
-    "experiment.path_stop": (list,),
-    "semantics.dimension_directions": (list,),
-    "flow.decoder.matrix": (list,),
-    "flow.decoder.offset": (list,),
-}
-# list leaves whose elements must be numbers
-_NUMBER_LISTS = {
-    "semantics.base_mean",
-    "semantics.effect_magnitudes",
-    "experiment.score",
-    "experiment.path_start",
-    "experiment.path_stop",
-    "flow.decoder.offset",
-}
-# list leaves whose elements must be lists of numbers
-_NUMBER_MATRICES = {"semantics.dimension_directions", "flow.decoder.matrix"}
-# lower bounds (bound, inclusive) on numeric leaves; on a list leaf the
-# bound holds for every element
+# lower bounds (bound, inclusive) on numeric leaves
 _LOWER_BOUNDS = {
     "flow.steps": (1, True),
     "flow.sample_count": (1, True),
@@ -166,12 +178,12 @@ def load_config(path) -> dict:
 
 
 def resolve_config(user: dict | None = None) -> dict:
-    """Merge a user document over the defaults, rejecting unknown keys and
-    values of the wrong type."""
-    return _check_strings(_check_types(_merge(DEFAULT_CONFIG, user or {}, "")))
+    """Merge a user document over the defaults, refusing unknown keys and
+    values of a kind their leaf does not accept."""
+    return _check_strings(_merge(DEFAULT_CONFIG, user or {}, ""))
 
 
-def _merge(default: dict, user: dict, path: str) -> dict:
+def _merge(default: dict, user, path: str) -> dict:
     if not isinstance(user, dict):
         raise ConfigError(f"config section {path or '<root>'} must be an object")
     unknown = set(user) - set(default)
@@ -182,14 +194,36 @@ def _merge(default: dict, user: dict, path: str) -> dict:
     out = {}
     for key, dval in default.items():
         here = f"{path}.{key}" if path else key
-        if key not in user:
-            out[key] = copy.deepcopy(dval)
-            continue
-        if isinstance(dval, dict) and here not in _FREE_PATHS:
-            out[key] = _merge(dval, user[key], here)
+        if isinstance(dval, dict) and here not in _RECORDS:
+            out[key] = _merge(dval, user.get(key, {}), here)
         else:
-            out[key] = copy.deepcopy(user[key])
+            out[key] = copy.deepcopy(_checked(here, dval, user[key]) if key in user else dval)
     return out
+
+
+def _checked(path: str, default, value):
+    """value if the leaf at path accepts it, else a ConfigError."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object")
+        for name, records in value.items():
+            _check_records(f"{path}[{name!r}]", records, path)
+        return value
+    if path in _RECORDS:
+        _check_records(path, value, path)
+        return value
+    kinds = _KINDS.get(path) or _DEFAULT_KINDS[type(default)]
+    if not any(is_kind(value) for _, is_kind in kinds):
+        names = " or ".join(kind for kind, _ in kinds)
+        raise ConfigError(f"{path} must be {names}, got {value!r}")
+    if path in _LOWER_BOUNDS:
+        bound, inclusive = _LOWER_BOUNDS[path]
+        if not (value >= bound if inclusive else value > bound):
+            relation = ">=" if inclusive else ">"
+            raise ConfigError(f"{path} must be {relation} {bound}, got {value!r}")
+    if path in _ONLY_VALUES and value != _ONLY_VALUES[path]:
+        raise ConfigError(f"{path} must be {_ONLY_VALUES[path]!r}, got {value!r}")
+    return value
 
 
 def _check_records(path: str, records, schema: str) -> None:
@@ -212,85 +246,26 @@ def _check_records(path: str, records, schema: str) -> None:
 
 
 def apply_overrides(resolved: dict, overrides: list[str]) -> dict:
-    """Apply dotted key=value overrides; values parse as JSON, else string
+    """Set each dotted key=value override in a copy of the resolved
+    document, then resolve the copy; values parse as JSON, else string
     (NaN and Infinity stay strings, so a numeric leaf refuses them)."""
     out = copy.deepcopy(resolved)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        keys = dotted.split(".")
         try:
             value = json.loads(raw, parse_constant=_reject_constant)
         except ValueError:
             value = raw
+        *sections, last = dotted.split(".")
         node = out
-        free = False
-        for depth, key in enumerate(keys[:-1]):
-            free = free or ".".join(keys[: depth + 1]) in _FREE_PATHS
-            if not isinstance(node, dict) or (key not in node and not free):
-                raise ConfigError(f"unknown override path: {dotted}")
-            node = node.setdefault(key, {}) if free else node[key]
-        last = keys[-1]
-        free = free or dotted in _FREE_PATHS
-        if not isinstance(node, dict) or (last not in node and not free):
+        for key in sections:
+            node = node.setdefault(key, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
             raise ConfigError(f"unknown override path: {dotted}")
         node[last] = value
-    return _check_strings(_check_types(out))
-
-
-def _is_a(value, kind: type) -> bool:
-    if isinstance(value, bool):  # a bool is never a number
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, kind)
-
-
-def _check_types(resolved: dict, default: dict = DEFAULT_CONFIG, path: str = "") -> dict:
-    """Check every leaf against its default's type (an int passes for a
-    float), then the elements of _NUMBER_LISTS and _NUMBER_MATRICES and
-    the _LOWER_BOUNDS and _ONLY_VALUES; a null default accepts anything
-    unless _LEAF_TYPES says otherwise. Record keys are checked against
-    their _RECORDS schema."""
-    for key, dval in default.items():
-        here = f"{path}.{key}" if path else key
-        value = resolved[key]
-        if here in _FREE_PATHS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{here} must be an object")
-            for prompt, records in value.items():
-                _check_records(f"{here}[{prompt!r}]", records, here)
-            continue
-        if here in _RECORDS:
-            _check_records(here, value, here)
-            continue
-        if isinstance(dval, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {here} must be an object")
-            _check_types(value, dval, here)
-            continue
-        kinds = _LEAF_TYPES.get(here, () if dval is None else (type(dval),))
-        if not kinds or (dval is None and value is None):
-            continue
-        if not any(_is_a(value, kind) for kind in kinds):
-            names = [kind.__name__ for kind in kinds] + ["null"] * (dval is None)
-            raise ConfigError(f"{here} must be {' or '.join(names)}, got {value!r}")
-        numbers = value if isinstance(value, list) else [value]
-        if here in _NUMBER_LISTS and not all(_is_a(v, float) for v in numbers):
-            raise ConfigError(f"{here} must hold numbers, got {value!r}")
-        if here in _NUMBER_MATRICES and not (
-            all(_VECTOR[1](row) for row in value) and len(set(map(len, value))) <= 1
-        ):
-            raise ConfigError(f"{here} must be a list of equal-length number lists, got {value!r}")
-        if here in _LOWER_BOUNDS:
-            bound, inclusive = _LOWER_BOUNDS[here]
-            if not all(v >= bound if inclusive else v > bound for v in numbers):
-                relation = ">=" if inclusive else ">"
-                raise ConfigError(f"{here} must be {relation} {bound}, got {value!r}")
-        if here in _ONLY_VALUES and value != _ONLY_VALUES[here]:
-            raise ConfigError(f"{here} must be {_ONLY_VALUES[here]!r}, got {value!r}")
-    return resolved
+    return resolve_config(out)
 
 
 def _check_strings(resolved: dict) -> dict:

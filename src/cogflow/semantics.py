@@ -28,7 +28,12 @@ from .cogspace import CognitiveSpace
 from .errors import BindingError, ContractViolation
 from .polarize import parse_template_tags
 
-MIN_VARIANCE = 1e-4  # guards kappa(t) conditioning as t -> 1
+# bounds on a target variance v: the field changes over the time
+# sqrt(v) / (1 + v), the same at v and 1 / v, so the floor guards kappa(t)
+# as t -> 1 and the ceiling as t -> 0, and harness._MAP_TOLERANCE and the
+# moment oracle's quadrature grid are sized for the times between them
+MIN_VARIANCE = 1e-4
+MAX_VARIANCE = 1e4
 
 
 def _check_time(t: float) -> float:
@@ -40,9 +45,9 @@ def _check_time(t: float) -> float:
 
 def _check_variance(variance: float) -> float:
     variance = float(variance)
-    if not MIN_VARIANCE <= variance < np.inf:  # false for a NaN too
+    if not MIN_VARIANCE <= variance <= MAX_VARIANCE:  # false for a NaN too
         raise ContractViolation(
-            f"variance must be finite and >= {MIN_VARIANCE}, got {variance}"
+            f"variance must be a finite number in [{MIN_VARIANCE}, {MAX_VARIANCE}], got {variance}"
         )
     return variance
 
@@ -57,7 +62,7 @@ class TargetDistribution:
     """Isotropic Gaussian mixture over the latent space.
 
     components: tuple of (weight, mean, variance) with weights summing
-    to 1 and every variance above the MIN_VARIANCE floor.
+    to 1 and every variance in [MIN_VARIANCE, MAX_VARIANCE].
     """
 
     components: tuple[tuple[float, np.ndarray, float], ...]
@@ -127,26 +132,21 @@ def gaussian_field(mean, variance: float, x, t: float) -> np.ndarray:
     variance = _check_variance(variance)
     mean = np.asarray(mean, dtype=float)
     x = np.asarray(x, dtype=float)
-    return gaussian_velocity(mean, flow_kappa(t, variance), x, t)
-
-
-def gaussian_velocity(mean, kappa, x, t: float) -> np.ndarray:
-    """The closed form mean + kappa * (x - t * mean) for a given kappa(t).
-
-    Unchecked and broadcasting: mean (D,) or per-row (B, D), kappa a
-    scalar or per-row (B, 1), and kappa must not widen x - t * mean.
-    Every Gaussian velocity in the package goes through this one
-    expression, so batched and per-field evaluations agree bit for bit.
-    """
-    return shifted_velocity(mean, t * mean, kappa, x)
+    return shifted_velocity(mean, t * mean, flow_kappa(t, variance), x)
 
 
 def shifted_velocity(mean, shift, kappa, x, out=None) -> np.ndarray:
-    """gaussian_velocity with t * mean given as shift, for a caller that
-    evaluates one field at one t many times. The product and the sum run
-    in place in the array x - shift, new unless out is given (out may be
-    shift itself); IEEE + and * commute, so the bits are those of the
-    formula.
+    """The closed form mean + kappa * (x - shift), with shift = t * mean
+    and kappa = kappa(t), so a caller that evaluates one field at one t
+    many times computes both once.
+
+    Unchecked and broadcasting: mean (D,) or per-row (B, D), kappa a
+    scalar or per-row (B, 1), and kappa must not widen x - shift. Every
+    Gaussian velocity in the package goes through this one expression, so
+    batched and per-field evaluations agree bit for bit. The product and
+    the sum run in place in the array x - shift, new unless out is given
+    (out may be shift itself); IEEE + and * commute, so the bits are those
+    of the formula.
     """
     v = np.subtract(x, shift, out=out)
     v *= kappa
@@ -276,6 +276,20 @@ class SemanticModel:
             _check_finite(name, value)
         if self.position_bias < 0.0:
             raise ContractViolation("position_bias must be >= 0")
+        # bind refuses a non-finite mean, but only once the prompts are
+        # polarized: bound every tagged mean here, the largest position
+        # weight on every shift, with room for any order of the sum; an
+        # overflow is the answer, not a fault to warn of. No matmul: its
+        # first call pages BLAS in, which generate does not otherwise use
+        omega = position_weight(n, n, self.position_bias)
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifts = (mags * omega)[:, None] * np.abs(dirs)
+            reach = 2.0 * (np.abs(base_mean) + shifts.sum(axis=0))
+        if not np.all(reach < np.inf):
+            raise ContractViolation(
+                "base_mean, effect_magnitudes and position_bias bind tagged prompts "
+                f"to means beyond {np.finfo(float).max / 2:.3g}"
+            )
         _check_variance(self.default_variance)
         base_mean.flags.writeable = False
         dirs.flags.writeable = False

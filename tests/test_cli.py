@@ -319,17 +319,21 @@ def test_score_of_another_length_fails_before_any_backend_call(tmp_path, caplog)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("override", [
-    "flow.decoder.matrix=[[1e999, 0], [0, 1]]", "flow.decoder.offset=[1e999, 0]",
+@pytest.mark.parametrize("override, message", [
+    ("flow.decoder.matrix=[[1e999, 0], [0, 1]]",
+     "flow.decoder.matrix must be a list of equal-length number lists or null, "
+     "got [[inf, 0], [0, 1]]"),
+    ("flow.decoder.offset=[1e999, 0]",
+     "flow.decoder.offset must be a list of numbers or null, got [inf, 0]"),
 ], ids=["matrix", "offset"])
-def test_non_finite_affine_decoder_is_config_error(tmp_path, caplog, override):
-    # json reads 1e999 as inf, which decoded.csv carried into every row
+def test_non_finite_affine_decoder_is_config_error(tmp_path, caplog, override, message):
+    # json reads 1e999 as inf, which decoded.csv carried into every row;
+    # config resolution refuses it before AffineDecoder's own check can
     decoder = {"kind": "affine", "matrix": [[1, 0], [0, 1]], "offset": [0, 0]}
     cfg = write_config(tmp_path, flow={"decoder": decoder})
     out = tmp_path / "generated"
     assert run_cli("generate", "--config", str(cfg), "--out", str(out), "--set", override) == 2
-    name = override.split("=")[0].rsplit(".", 1)[1]
-    assert f"affine decoder {name} has a non-finite entry" in caplog.text
+    assert message in caplog.text
     assert not out.exists()
 
 
@@ -408,6 +412,40 @@ def test_text_that_utf8_cannot_encode_is_config_error(tmp_path, caplog, command,
     assert not (tmp_path / "cache.ndjson").exists()
 
 
+@pytest.mark.parametrize("override", [
+    "polarize.cache_path=[1]", "polarize.cache_path=5", "polarize.cache_path=true",
+    'polarize.cache_path="a\\u0000b"', 'experiment.output_dir="o\\u0000x"',
+    "polarize.llm.timeout_s=1e400",
+], ids=["cache-list", "cache-number", "cache-bool", "cache-nul", "output-nul", "timeout-inf"])
+@pytest.mark.parametrize("command", ["polarize", "generate", "experiment"])
+def test_unusable_path_or_infinite_number_is_config_error(tmp_path, caplog, command, override):
+    # a cache path that was no string ended in a TypeError traceback, a NUL
+    # in a path in "ValueError: embedded null byte" (for output_dir after
+    # the whole run), and json reads 1e400 as inf, which passed timeout_s > 0
+    assert run_cli(command, "--config", str(write_config(tmp_path)), "--set", override) == 2
+    assert override.split("=")[0] in caplog.text
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    ["semantics.default_variance=1e308"],
+    ["semantics.base_mean=1e308", "semantics.effect_magnitudes=1e308"],
+], ids=["variance", "means"])
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_model_past_float_range_fails_before_any_backend_call(
+    tmp_path, caplog, command, overrides
+):
+    # a variance of 1e308 sized the moment oracle's grid past numpy's
+    # largest array (a ValueError traceback), and tagged means of
+    # 1e308 + 1e308 were refused only when bound, after the cache was written
+    argv = [arg for override in overrides for arg in ("--set", override)]
+    assert run_cli(command, "--config", str(write_config(tmp_path)), *argv) == 2
+    assert "config error" in caplog.text
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
 def test_key_that_utf8_cannot_encode_is_config_error(tmp_path, caplog):
     # an argument byte that is not UTF-8 reaches Python as a lone surrogate
     cfg = write_config(tmp_path)
@@ -469,7 +507,7 @@ def test_experiment_deltas_is_an_unknown_key(tmp_path, caplog):
     cfg = write_config(tmp_path, experiment={"kind": "continuity_sweep"})
     argv = ["experiment", "--config", str(cfg), "--out", str(out)]
     assert run_cli(*argv, "--set", "experiment.deltas=[0.01]") == 2
-    assert "unknown override path: experiment.deltas" in caplog.text
+    assert "unknown config key(s): experiment.deltas" in caplog.text
     write_config(tmp_path, experiment={"kind": "continuity_sweep", "deltas": [0.01]})
     assert run_cli(*argv) == 2
     assert "unknown config key(s): experiment.deltas" in caplog.text

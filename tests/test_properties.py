@@ -1,13 +1,16 @@
 """Property-based tests: template tags, anchor weights, the rewrite cache,
-the blended field's rows and config resolution."""
+the blended field's rows, config resolution and hostile config content."""
 
+import copy
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from cogflow import config as config_module, invariants
 from cogflow.blend import MODES, AnchorFields, BlendedField, BlendSpec
 from cogflow.cli import main
 from cogflow.cogspace import ScoreVector, enumerate_anchors, weight_vector
@@ -128,6 +131,7 @@ LEAF_KINDS = {
     "semantics.default_variance": {"number"},
     "semantics.dimension_directions": {"number_matrix", "null"},
     "polarize.backend": {"str"},
+    "polarize.cache_path": {"str", "null"},
     "polarize.llm.endpoint": {"str"},
     "polarize.llm.model": {"str"},
     "polarize.llm.timeout_s": {"number"},
@@ -152,8 +156,8 @@ LEAF_KINDS = {
     "experiment.oracle_steps": {"int"},
     "experiment.output_dir": {"str"},
 }
-# leaves that take any value, or whose records have a schema of their own
-UNTYPED = {"polarize.cache_path", "semantics.explicit_bindings", "space.dimensions"}
+# leaves whose records have a schema of their own
+UNTYPED = {"semantics.explicit_bindings", "space.dimensions"}
 
 
 def leaf_paths(node, prefix=""):
@@ -165,8 +169,26 @@ def leaf_paths(node, prefix=""):
             yield path
 
 
+def leaf_default(path: str):
+    node = DEFAULT_CONFIG
+    for key in path.split("."):
+        node = node[key]
+    return node
+
+
 def test_leaf_kinds_cover_every_leaf():
     assert set(leaf_paths(DEFAULT_CONFIG)) == set(LEAF_KINDS) | UNTYPED
+
+
+def test_every_leaf_resolves_to_a_kind_that_takes_its_default(monkeypatch):
+    # a leaf that _KINDS does not list takes its default's kind, which a
+    # null default does not name: such a leaf must fail here, not on input
+    for path in leaf_paths(DEFAULT_CONFIG):
+        default = leaf_default(path)
+        assert config_module._checked(path, default, default) is default
+    monkeypatch.delitem(config_module._KINDS, "polarize.cache_path")
+    with pytest.raises(KeyError):
+        config_module._checked("polarize.cache_path", None, None)
 
 
 def kinds_of(value) -> set[str]:
@@ -209,9 +231,13 @@ VALID = {
 }
 # leaves that accept fewer values than VALID draws for their kinds: a
 # number with a lower bound, or a single accepted value
+path_text = st.text(st.characters(blacklist_characters="\0"), max_size=8)
 VALID_LEAF = {
     "polarize.llm.timeout_s": st.floats(1e-3, 1e3),
     "blend.draw_scope": st.just("per_eval"),
+    # a path names no NUL
+    "polarize.cache_path": st.one_of(path_text, st.none()),
+    "experiment.output_dir": path_text,
 }
 valid_leaves = st.sampled_from(sorted(LEAF_KINDS)).flatmap(
     lambda path: st.tuples(
@@ -276,6 +302,87 @@ def test_every_mistyped_leaf_exits_2(data):
         config.write_text(json.dumps({"polarize": {"cache_path": f"{tmp}/cache.ndjson"}}))
         assert main(["generate", "--config", str(config), "--set",
                      f"{path}={json.dumps(value)}"]) == 2
-        config.write_text(json.dumps(with_leaf(document, "polarize.cache_path", f"{tmp}/c")))
+        if path != "polarize.cache_path":
+            document = with_leaf(document, "polarize.cache_path", f"{tmp}/c")
+        config.write_text(json.dumps(document))
         assert main(["generate", "--config", str(config)]) == 2
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]
+
+
+# --- hostile content ----------------------------------------------------------------
+
+# values of the right kind but hostile content: lone surrogates, NUL, the
+# template's tag marks, empty text and text of about 10 000 characters;
+# no "/", so a path leaf stays in its example's directory
+hostile_text = st.one_of(
+    st.text(st.sampled_from(["a", " ", ":", "«", "»", "\0", "\ud800", "\udcff"]), max_size=6),
+    st.builds(
+        lambda char, count: char * count,
+        st.sampled_from(["a", "«", "\0", "\ud800"]), st.integers(9_990, 10_010),
+    ),
+)
+# --set text: json reads 1e400 as inf
+HOSTILE_NUMBERS = ["-0.0", "1e308", "-1e308", "1e400", "-1e400"]
+# the path leaves' hostile text goes after "cache" and "out" in the
+# example's directory, and every example draws it
+PATH_LEAVES = {"polarize.cache_path", "experiment.output_dir"}
+TEXT_LEAVES = sorted(
+    path for path, kinds in LEAF_KINDS.items() if "str" in kinds and path not in PATH_LEAVES
+)
+POLE_TEXTS = [
+    f"space.dimensions.{i}.{key}" for i in range(2)
+    for key in ("name", "low_pole_text", "high_pole_text")
+]
+FLOAT_LEAVES = sorted(p for p in LEAF_KINDS if isinstance(leaf_default(p), float))
+
+
+@PROPERTY
+@given(
+    paths=st.tuples(hostile_text, hostile_text),
+    texts=st.dictionaries(st.sampled_from(TEXT_LEAVES + POLE_TEXTS), hostile_text, max_size=2),
+    numbers=st.dictionaries(st.sampled_from(FLOAT_LEAVES), st.sampled_from(HOSTILE_NUMBERS),
+                            max_size=2),
+)
+def test_hostile_content_ends_in_a_documented_exit_code(paths, texts, numbers):
+    """Every count stays small (n = 2, 8 samples, 2 steps, 2 oracle steps),
+    so each run is quick; a run may pass, fail or be refused, but it never
+    raises, and a refused run writes nothing."""
+    overrides = [arg for path, raw in numbers.items() for arg in ("--set", f"{path}={raw}")]
+    for command in ("polarize", "generate", "experiment"):
+        with tempfile.TemporaryDirectory() as tmp:
+            cache, out = (f"{tmp}/{prefix}{text}" for prefix, text in zip(("cache", "out"), paths))
+            document = {
+                "space": {"dimensions": copy.deepcopy(DEFAULT_CONFIG["space"]["dimensions"])},
+                "flow": {"steps": 2, "sample_count": 8},
+                "polarize": {"cache_path": cache},
+                "experiment": {"oracle_steps": 2, "output_dir": out},
+            }
+            for path, text in texts.items():
+                if path.startswith("space."):
+                    _, _, i, key = path.split(".")
+                    document["space"]["dimensions"][int(i)][key] = text
+                else:
+                    document = with_leaf(document, path, text)
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(document))
+            code = main([command, "--config", str(config), *overrides])
+            assert code in (0, 1, 2, 3)
+            if code == 2:
+                assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]
+
+
+def test_validate_reads_no_config(monkeypatch):
+    # validate runs the invariant suite and reads no config, so hostile
+    # content cannot reach it: one plain run covers it, not the property
+    # above. The two slow invariants are stubbed.
+    slow = {"weight_partition_of_unity", "gaussian_field_monte_carlo_oracle"}
+    checks = [(name, (lambda: None) if name in slow else check)
+              for name, check in invariants.INVARIANTS]
+    monkeypatch.setattr(invariants, "INVARIANTS", checks)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({"polarize": {"cache_path": f"{tmp}/a\0b"}}))
+        argv = ["validate", "--config", str(config), "--out", f"{tmp}/out",
+                "--set", "experiment.base_prompt=a \ud800 valley"]
+        assert main(argv) == 0
         assert sorted(p.name for p in Path(tmp).iterdir()) == ["config.json"]

@@ -6,6 +6,7 @@ from cogflow.errors import BindingError, ContractViolation
 from cogflow.flow import IntegrationConfig, integrate
 from cogflow.polarize import TemplateBackend, build_all_sets
 from cogflow.semantics import (
+    MAX_VARIANCE,
     GaussianTargetField,
     MixtureTargetField,
     SemanticModel,
@@ -45,6 +46,16 @@ def test_distribution_rejects_a_non_finite_number(component):
     if not np.isfinite(component[2]):
         with pytest.raises(ContractViolation, match="finite"):
             GaussianTargetField(np.zeros(2), component[2])
+
+
+def test_variance_above_the_ceiling_is_refused():
+    # the field's time scale sqrt(v) / (1 + v) shrinks without bound as v
+    # grows; at 1e308 the moment oracle's grid outgrew numpy's largest array
+    GaussianTargetField(np.zeros(2), MAX_VARIANCE)
+    with pytest.raises(ContractViolation, match="finite number in"):
+        GaussianTargetField(np.zeros(2), np.nextafter(MAX_VARIANCE, np.inf))
+    with pytest.raises(ContractViolation, match="finite number in"):
+        TargetDistribution(components=((1.0, np.zeros(2), 1e308),))
 
 
 def test_distribution_round_trip():
@@ -247,6 +258,19 @@ def test_model_rejects_a_non_finite_number(space2, kwargs):
     # a NaN passed every check, since every comparison with it is false
     with pytest.raises(ContractViolation, match="finite"):
         SemanticModel.for_space(space2, **kwargs)
+
+
+def test_model_refuses_tagged_means_past_half_the_float_range(space2):
+    # bind refused these only once the prompts were polarized
+    for kwargs in (
+        {"base_mean": 1e308, "effect_magnitudes": 1e308},
+        {"effect_magnitudes": 10.0, "position_bias": 1e308},
+        {"base_mean": 5e307, "effect_magnitudes": 5e307},  # finite, but not half of it
+    ):
+        with pytest.raises(ContractViolation, match="beyond"):
+            SemanticModel.for_space(space2, **kwargs)
+    model = SemanticModel.for_space(space2, base_mean=4e307, effect_magnitudes=4e307)
+    assert np.isfinite(bind(model, "p «valence:+»«arousal:+»").mean()).all()
 
 
 def test_bind_without_bias_ignores_tag_order(space2):
