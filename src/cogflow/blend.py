@@ -75,31 +75,48 @@ the same bits. An anchor whose chain variances differ (explicit
 bindings may give them) gathers.
 
 The bank lays its means out for the mode that reads them. Per-field
-means go feature-major. The full average reads only those, so the bank
-holds the base mean as (D, 1) and the chain means as (A, D, n), and an
-evaluation works in a C-contiguous (D, B) block, where a per-field
-(D, 1) mean broadcasts along the long axis: numpy does that several
-times faster than a (D,) mean over (B, D) rows at small D. Per-row
-means go row-major. In stochastic mode every mean the closed form reads
-is a row's drawn one, save the base mean, so the bank holds the chain
-means as (A, n, D) and the base mean tiled once to (B, D), and an
-evaluation works on the solver's own (B, D) rows. Each anchor's drawn
-means are then one gather of contiguous D-wide rows, about three times
-cheaper than gathering single numbers into a (D, B) block, and every
-operation of the closed form and the weighted sum runs on same-shape
-contiguous (B, D) arrays; no (D,) mean is broadcast over rows. The base
-velocity and each drawn vhat are computed in two C-ordered (B, D)
-scratch arrays the field allocates once, and each deviation vhat - base
-in place, so an evaluation allocates only the gathered means and its
-result; the result is always a new array, since a solver may keep
-several (rk4 holds four). The layout is this class's decision alone:
-eval takes a (B, D) batch of any layout. The full average returns
-acc.T, the (B, D) view of its (D, B) result, which is Fortran-ordered;
-the draws return C-ordered rows. numpy's elementwise operations keep
-their inputs' layout, so a solver that combines states and velocities
-elementwise holds its state in the bank's layout after the first
-evaluation (x.T is then the C-contiguous block, or x the C-contiguous
-rows), and no evaluation copies the state in or out.
+means go feature-major. The full average reads only those, and an
+evaluation works in a C-contiguous (D, B) block. The bank tiles each
+field's constants across the batch, so that every elementwise operation
+of the closed form runs on operands of one shape: the base mean (D, W),
+the chain means (A, n, D, W), and at each distinct t the shifts t * mean
+at the same shapes (rule 3 below). W is the batch's B when those means
+and shifts fit TILE_BUDGET bytes, and 1 otherwise, where a (D, 1) mean
+broadcasts along the long axis. One call serves both widths, since numpy
+broadcasts whichever the bank stored. Tiles pay because most of a
+small-D evaluation is numpy's fixed cost per call, and a broadcast
+operand sends it through its general iterator: at D = 2 and 2048 rows a
+subtract with a (D, 1) operand took 3.4 us, and 1.5 us on two arrays of
+one shape (an in-place add 3.1 and 1.4 us; numpy 2.4). Past about 1 MB
+the tiles' own memory traffic costs more than the calls save (they then
+fill much of a core's 2 MB L2 on the machine measured). Alternating the
+budget in one process (full_average generate, rk4/25, 2048 rows,
+template bindings, median of 30), tiles took 0.87x the broadcast time
+with 0.2 MB of tiles (n = 2, D = 2, vertex), 0.91x at 0.6 MB, 0.92x at
+0.8 MB, 0.98x at 0.9 MB, 1.03x at 1.2 and 1.4 MB, and 1.05-1.08x from
+2.5 to 8.5 MB; hence a budget of 1 MiB. The means and shifts are
+read-only, so an in-place write into a shared constant raises.
+Per-row means go row-major. In stochastic mode every mean the closed
+form reads is a row's drawn one, save the base mean, so the bank holds
+the chain means as (A, n, D) and the base mean tiled once to (B, D), and
+an evaluation works on the solver's own (B, D) rows. Each anchor's
+drawn means are then one gather of contiguous D-wide rows, about three
+times cheaper than gathering single numbers into a (D, B) block, and
+every operation of the closed form and the weighted sum runs on
+same-shape contiguous (B, D) arrays; no (D,) mean is broadcast over
+rows. The base velocity and each drawn vhat are computed in two
+C-ordered (B, D) scratch arrays the field allocates once, and each
+deviation vhat - base in place, so an evaluation allocates only the
+gathered means and its result; the result is always a new array, since
+a solver may keep several (rk4 holds four). The layout is this
+class's decision alone: eval takes a (B, D) batch of any layout. The
+full average returns acc.T, the (B, D) view of its (D, B) result, which
+is Fortran-ordered; the draws return C-ordered rows. numpy's
+elementwise operations keep their inputs' layout, so a solver that
+combines states and velocities elementwise holds its state in the
+bank's layout after the first evaluation (x.T is then the C-contiguous
+block, or x the C-contiguous rows), and no evaluation copies the state
+in or out.
 
 Every elementwise expression and its order is the generic path's, so
 the bits are too. Sums accumulate in place, in arrays the evaluation
@@ -142,6 +159,11 @@ chains deviate by NaN, so where the n-chain average read NaN a collapsed
 anchor reads inf. A row diverges at the same step either way, and
 DivergenceError's last_max_velocity may read inf where it read nan.
 
+Each BlendedField logs one debug line to the cogflow.blend logger when
+it is built: its path (bank or generic), its mode, and on the bank path
+the width W and the bytes of its means and of one time's shifts
+(`cogflow --verbose` shows it).
+
 A BlendedField instance owns its ordinal, evaluation counter, draw key,
 draw buffers, the stochastic bank's scratch arrays and the bank's
 constants at the last time it evaluated, and must not be shared across
@@ -152,6 +174,7 @@ immutable and freely shareable.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from numbers import Real
 from typing import NamedTuple
@@ -175,6 +198,11 @@ from .semantics import (
 )
 
 MODES = ("stochastic", "full_average")
+# bytes of the full average's means and shifts tiled across the batch;
+# larger tiles broadcast instead (see the module notes)
+TILE_BUDGET = 1 << 20
+
+log = logging.getLogger("cogflow.blend")
 
 
 def _check_base_mix(value) -> None:
@@ -284,6 +312,11 @@ def _deviation_mean(values):
     return acc
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _one_field(chain) -> bool:
     """Whether the Gaussian chain fields are one field: equal variances and
     equal mean bytes. Bytes, not values: means equal as values may differ
@@ -298,56 +331,69 @@ def _one_field(chain) -> bool:
 class GaussianBank(NamedTuple):
     """Stacked parameters of a spec whose inner fields are all Gaussian,
     laid out for the mode that reads them: for the full average, per-field
-    means feature-major, for (D, B) states; for draws, per-row means
-    row-major, for (B, D) states. See the module notes."""
+    means feature-major and tiled to a width W, for (D, B) states; for
+    draws, per-row means row-major, for (B, D) states. The means and the
+    shifts of at() are read-only. See the module notes."""
 
-    base_mean: np.ndarray  # (D, 1); for draws (B, D), tiled once
+    base_mean: np.ndarray  # (D, W); for draws (B, D), tiled once
     base_variance: float
-    means: np.ndarray  # (A, D, n); for draws (A, n, D)
+    means: np.ndarray  # (A, n, D, W); for draws (A, n, D)
     variances: np.ndarray  # (A, n)
     equal_variances: tuple  # per anchor, whether its n chain variances are equal
     distinct: tuple  # per anchor, its distinct chain fields: 1 if they are one field, else n
     row_major: bool  # laid out for draws
 
     @classmethod
-    def of(cls, spec: BlendSpec, active, rows=None) -> "GaussianBank | None":
+    def of(cls, spec: BlendSpec, active, rows: int, draws: bool) -> "GaussianBank | None":
         """The bank of spec's base field and of its anchors at the
-        positions active, or None unless each of those fields is exactly a
-        GaussianTargetField (subclasses may override eval). rows is the
-        batch size of a field that draws chains, None for the full
-        average."""
+        positions active, for a batch of rows, or None unless each of
+        those fields is exactly a GaussianTargetField (subclasses may
+        override eval). draws lays it out for a field that draws chains."""
         chains = [spec.anchor_sets[k].chain_fields for k in active]
         fields = [spec.base_field, *(f for chain in chains for f in chain)]
         if any(type(f) is not GaussianTargetField for f in fields):
             return None
         means = np.array([[f.mean for f in chain] for chain in chains])
         variances = np.array([[f.variance for f in chain] for chain in chains])
-        if rows is None:
-            base_mean = np.array(spec.base_field.mean)[:, None]
-            means = np.ascontiguousarray(means.transpose(0, 2, 1))
-        else:
+        if draws:
             base_mean = np.tile(spec.base_field.mean, (rows, 1))
+        else:
+            # a (D, W) mean and shift per field; see the module notes
+            tiles = 2 * len(fields) * spec.base_field.mean.nbytes * rows
+            width = rows if tiles <= TILE_BUDGET else 1
+            base_mean = np.repeat(spec.base_field.mean[:, None], width, axis=1)
+            means = np.repeat(means[..., None], width, axis=-1)
         return cls(
-            base_mean=base_mean,
+            base_mean=_read_only(base_mean),
             base_variance=spec.base_field.variance,
-            means=means,
+            means=_read_only(means),
             variances=variances,
             equal_variances=tuple((variances == variances[:, :1]).all(axis=1).tolist()),
             distinct=tuple(1 if _one_field(chain) else spec.n for chain in chains),
-            row_major=rows is not None,
+            row_major=draws,
         )
+
+    @property
+    def width(self) -> int:
+        """The batch width the constants are laid out at: W, or for draws B."""
+        return len(self.base_mean) if self.row_major else self.base_mean.shape[1]
+
+    def constant_bytes(self) -> int:
+        """Bytes of the stored means and of one time's shifts."""
+        shifted = self.base_mean.nbytes + (0 if self.row_major else self.means.nbytes)
+        return self.base_mean.nbytes + self.means.nbytes + shifted
 
     def at(self, t: float) -> tuple:
         """What every evaluation at time t shares: (t, the base's kappa(t)
-        and t * mean, the chains' kappa(t) (A, n) and t * means (A, D, n)).
-        The draws shift each row's drawn mean, so they have no chain
-        shifts (None)."""
+        and t * mean, the chains' kappa(t) (A, n) and t * means
+        (A, n, D, W)). The draws shift each row's drawn mean, so they have
+        no chain shifts (None)."""
         return (
             t,
             flow_kappa(t, self.base_variance),
-            t * self.base_mean,
+            _read_only(t * self.base_mean),
             flow_kappa(t, self.variances),
-            None if self.row_major else t * self.means,
+            None if self.row_major else _read_only(t * self.means),
         )
 
     def values(self, x, at):
@@ -359,8 +405,7 @@ class GaussianBank(NamedTuple):
         base = shifted_velocity(self.base_mean, base_shift, base_kappa, x)
         vhats = (
             _deviation_mean(
-                shifted_velocity(means[:, j : j + 1], shift[:, j : j + 1], kappa[j], x)
-                for j in range(count)
+                shifted_velocity(means[j], shift[j], kappa[j], x) for j in range(count)
             )
             for means, shift, kappa, count in zip(self.means, shifts, kappas, self.distinct)
         )
@@ -419,7 +464,14 @@ class BlendedField(VelocityField):
         self._chains = tuple(spec.anchor_sets[k].chain_fields for k in active)
         # one anchor of weight exactly 1: a vertex
         self._vertex = len(active) == 1 and self._weights[0] == 1.0
-        self._bank = GaussianBank.of(spec, active, len(seed) if self._stochastic else None)
+        self._bank = GaussianBank.of(spec, active, len(seed), self._stochastic)
+        if self._bank is None:
+            log.debug("blended field: generic path, %s, %d rows", spec.mode, len(seed))
+        else:
+            log.debug(
+                "blended field: bank path, %s, width %d, %d bytes of constants",
+                spec.mode, self._bank.width, self._bank.constant_bytes(),
+            )
         # the full average computes in a (D, B) block, draws on (B, D) rows
         self._feature_major = self._bank is not None and not self._stochastic
         self._scratch = None

@@ -6,12 +6,12 @@ over the defaults that merges the user's document into them: an unknown
 key is refused, and each user value is checked where it is merged. A
 leaf accepts the kinds _KINDS lists for it, or else its default's kind;
 a kind is a description and a check, and the fields of the record lists
-in _RECORDS use the same kinds. _LOWER_BOUNDS and _ONLY_VALUES narrow a
-few leaves further, and a key or string that UTF-8 cannot encode is
-refused last. Dotted --set overrides (e.g. blend.lambda=0) are set in a
-copy of the resolved document, which is then resolved again. The
-provenance digest of every CLI output is config_digest, the sha256 of
-the resolved config.
+in _RECORDS use the same kinds. _BOUNDS and _ONLY_VALUES narrow a few
+leaves further, every count to a range with an upper bound, and a key
+or string that UTF-8 cannot encode is refused last. Dotted --set
+overrides (e.g. blend.lambda=0) are set in a copy of the resolved
+document, which is then resolved again. The provenance digest of every
+CLI output is config_digest, the sha256 of the resolved config.
 """
 
 from __future__ import annotations
@@ -142,15 +142,19 @@ _RECORDS = {
         {"weight", "mean", "variance"}, {"weight": _NUMBER, "mean": _VECTOR, "variance": _NUMBER}
     ),
 }
-# lower bounds (bound, inclusive) on numeric leaves
-_LOWER_BOUNDS = {
-    "flow.steps": (1, True),
-    "flow.sample_count": (1, True),
-    "experiment.oracle_steps": (1, True),
-    "experiment.grid_points": (2, True),
-    "experiment.equivalence_seeds": (2, True),
-    "polarize.llm.timeout_s": (0, False),
-    "polarize.llm.retries": (0, True),
+# ranges of numeric leaves: (low, whether low itself is accepted, high
+# or None); high is accepted. Every count has a high bound, so that a
+# count numpy cannot allocate is refused here, before any backend call,
+# cache file or output directory, and not in a traceback mid-run
+_BOUNDS = {
+    "semantics.latent_dim": (2, True, 1024),
+    "flow.steps": (1, True, 100_000),
+    "flow.sample_count": (1, True, 1 << 20),
+    "experiment.oracle_steps": (1, True, 100_000),
+    "experiment.grid_points": (2, True, 1000),
+    "experiment.equivalence_seeds": (2, True, 1 << 20),
+    "polarize.llm.timeout_s": (0, False, None),
+    "polarize.llm.retries": (0, True, None),
 }
 # leaves that accept one value only
 _ONLY_VALUES = {"blend.draw_scope": "per_eval"}
@@ -216,11 +220,13 @@ def _checked(path: str, default, value):
     if not any(is_kind(value) for _, is_kind in kinds):
         names = " or ".join(kind for kind, _ in kinds)
         raise ConfigError(f"{path} must be {names}, got {value!r}")
-    if path in _LOWER_BOUNDS:
-        bound, inclusive = _LOWER_BOUNDS[path]
-        if not (value >= bound if inclusive else value > bound):
+    if path in _BOUNDS and value is not None:
+        low, inclusive, high = _BOUNDS[path]
+        if not (value >= low if inclusive else value > low):
             relation = ">=" if inclusive else ">"
-            raise ConfigError(f"{path} must be {relation} {bound}, got {value!r}")
+            raise ConfigError(f"{path} must be {relation} {low}, got {value!r}")
+        if high is not None and value > high:
+            raise ConfigError(f"{path} must be <= {high}, got {value!r}")
     if path in _ONLY_VALUES and value != _ONLY_VALUES[path]:
         raise ConfigError(f"{path} must be {_ONLY_VALUES[path]!r}, got {value!r}")
     return value

@@ -490,6 +490,112 @@ def test_stochastic_bank_results_are_fresh_arrays(n, vertex, variance):
     assert [want.tobytes() for want in run_steps(generic, xs)] == snapshots
 
 
+# --- the full average's tiles --------------------------------------------------
+
+VERTEX = (1.0, 0.0, 1.0, 1.0)
+
+
+def full_average_spec(n, vertex, wrap=lambda f: f, seed=0):
+    blend = gaussian_spec(n, wrap, seed=seed, mode="full_average")
+    return replace(blend, score=ScoreVector(VERTEX[:n])) if vertex else blend
+
+
+def tile_bytes(field, t=0.5):
+    """Bytes of a full-average bank's means and of its shifts at t."""
+    bank = field._bank
+    _, _, base_shift, _, shifts = bank.at(t)
+    return sum(a.nbytes for a in (bank.base_mean, bank.means, base_shift, shifts))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("vertex", [False, True], ids=["interior", "vertex"])
+def test_full_average_tiles_only_what_fits_the_budget(n, vertex):
+    """W is the batch's rows when the means and shifts tiled to it fit
+    TILE_BUDGET, and 1 otherwise: no bank stores more tiles than the
+    budget, and none broadcasts what would have fit."""
+    active = 1 if vertex else 2**n
+    widths = set()
+    for rows in (8, 40, 336, 337, 1000, 4000):
+        field = BlendedField(full_average_spec(n, vertex), np.arange(rows, dtype=np.uint64))
+        bank = field._bank
+        tiled = 2 * (1 + active * n) * 3 * 8 * rows  # a (3, rows) mean and shift per field
+        width = rows if tiled <= blend_module.TILE_BUDGET else 1
+        assert bank.width == width
+        assert bank.base_mean.shape == (3, width)
+        assert bank.means.shape == (active, n, 3, width)
+        assert bank.constant_bytes() == tile_bytes(field)
+        if width > 1:
+            assert tile_bytes(field) <= blend_module.TILE_BUDGET
+        widths.add(width > 1)
+    assert widths == ({True, False} if n > 1 and not vertex else {True})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("side", ["tiled", "broadcast"])
+def test_full_average_bank_matches_generic_path_on_each_side_of_the_budget(
+    n, side, monkeypatch
+):
+    """A budget of exactly the 40-row batch's tiles tiles them; one byte
+    less broadcasts them. Either way the bank gives the generic path's
+    bits."""
+    xs = np.random.default_rng(9).normal(size=(40, 3))
+    seeds = np.arange(len(xs), dtype=np.uint64)
+    tiled = 2 * (1 + 2**n * n) * 3 * 8 * len(xs)
+    monkeypatch.setattr(blend_module, "TILE_BUDGET", tiled - (side == "broadcast"))
+    field = BlendedField(gaussian_spec(n, seed=20 + n, mode="full_average"), seeds)
+    assert field._bank.width == (len(xs) if side == "tiled" else 1)
+    assert_bank_matches_generic_path(n, 20 + n, xs, monkeypatch, mode="full_average")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("vertex", [False, True], ids=["interior", "vertex"])
+def test_full_average_tiles_are_read_only_and_no_result_shares_them(n, vertex):
+    """The means and shifts are constants every evaluation reads, so an
+    in-place write into one raises; and every result of an rk4-like
+    schedule keeps its bytes through the later evaluations and shares no
+    memory with a tile or another result, with the generic path's bits."""
+    seeds = np.arange(7, dtype=np.uint64)
+    field = BlendedField(full_average_spec(n, vertex, seed=40 + n), seeds)
+    bank = field._bank
+    assert bank.width == len(seeds)
+    tiles = [bank.base_mean, bank.means]
+    snapshots = []
+
+    def evaluate(x, t):
+        out = field.eval(x, t)
+        snapshots.append(out.tobytes())
+        tiles.extend((field._at[2], field._at[4]))
+        return out
+
+    xs = np.random.default_rng(n).normal(size=(7, 3))
+    outs = run_steps(SimpleNamespace(eval=evaluate), xs)
+    assert [out.tobytes() for out in outs] == snapshots
+    for i, out in enumerate(outs):
+        assert not any(np.shares_memory(out, tile) for tile in tiles)
+        assert not any(np.shares_memory(out, later) for later in outs[i + 1 :])
+    for tile in tiles:
+        assert not tile.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(tile, 1.0, out=tile)
+    generic = BlendedField(full_average_spec(n, vertex, DelegatingField, seed=40 + n), seeds)
+    assert [want.tobytes() for want in run_steps(generic, xs)] == snapshots
+
+
+def test_each_blended_field_logs_its_path_width_and_bytes(caplog):
+    seeds = np.arange(8, dtype=np.uint64)
+    with caplog.at_level("DEBUG", logger="cogflow.blend"):
+        BlendedField(gaussian_spec(2, mode="full_average"), seeds)
+        BlendedField(gaussian_spec(2, DelegatingField, mode="full_average"), seeds)
+        BlendedField(gaussian_spec(2, mode="stochastic"), seeds)
+    # full_average: 9 fields, a (3, 8) mean and shift each; stochastic: the
+    # base mean and its shift (8, 3) and the chain means (4, 2, 3)
+    assert [r.getMessage() for r in caplog.records if r.name == "cogflow.blend"] == [
+        "blended field: bank path, full_average, width 8, 3456 bytes of constants",
+        "blended field: generic path, full_average, 8 rows",
+        "blended field: bank path, stochastic, width 8, 576 bytes of constants",
+    ]
+
+
 def test_deviation_mean_keeps_the_bits_of_the_zero_started_sum():
     # every combination of signed zeros and +-tiny values, one per column:
     # starting the sum at the first deviation must give the bits of the

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -446,6 +450,43 @@ def test_model_past_float_range_fails_before_any_backend_call(
     assert not (tmp_path / "cache.ndjson").exists()
 
 
+COUNT_BOUNDS = {
+    "semantics.latent_dim": 1024,
+    "flow.steps": 100_000,
+    "flow.sample_count": 1 << 20,
+    "experiment.oracle_steps": 100_000,
+    "experiment.grid_points": 1000,
+    "experiment.equivalence_seeds": 1 << 20,
+}
+
+
+@pytest.mark.parametrize("leaf", sorted(COUNT_BOUNDS))
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_count_past_its_bound_fails_before_any_backend_call(
+    tmp_path, caplog, monkeypatch, command, leaf
+):
+    # flow.sample_count=1e20 was polarized, cached, and then ended in a
+    # ValueError traceback from numpy, exit 1
+    def no_backend_call(self, *args, **kwargs):
+        raise AssertionError("the backend was called")
+
+    monkeypatch.setattr("cogflow.polarize.TemplateBackend.polarize", no_backend_call)
+    cfg = write_config(tmp_path)
+    for value in (COUNT_BOUNDS[leaf] + 1, 10**20):
+        assert run_cli(command, "--config", str(cfg), "--set", f"{leaf}={value}") == 2
+        assert f"{leaf} must be <= {COUNT_BOUNDS[leaf]}, got {value}" in caplog.text
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache.ndjson").exists()
+
+
+@pytest.mark.parametrize("leaf", sorted(COUNT_BOUNDS))
+def test_count_at_its_bound_resolves(leaf):
+    document = {}
+    section, key = leaf.split(".")
+    document[section] = {key: COUNT_BOUNDS[leaf]}
+    assert resolve_config(document)[section][key] == COUNT_BOUNDS[leaf]
+
+
 def test_key_that_utf8_cannot_encode_is_config_error(tmp_path, caplog):
     # an argument byte that is not UTF-8 reaches Python as a lone surrogate
     cfg = write_config(tmp_path)
@@ -636,6 +677,24 @@ def test_every_subcommand_rejects_a_non_positive_thread_count(tmp_path, caplog, 
     assert run_cli(*argv, "--threads", threads) == 2
     assert f"threads must be an integer >= 1, got {threads}" in caplog.text
     assert not out.exists()
+
+
+def test_verbose_logs_each_blended_fields_path(tmp_path):
+    # a fresh process, so that --verbose configures logging as a user's
+    # run does; the generate builds one full_average field of 32 rows
+    cfg = write_config(tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "cogflow.cli", "generate", "--config", str(cfg), "--verbose"]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if "cogflow.blend" in line]
+    # 9 fields (the base and 4 anchors of 2 chains), a (2, 32) mean and shift each
+    assert lines == [
+        "DEBUG cogflow.blend: blended field: bank path, full_average, width 32, "
+        "9216 bytes of constants"
+    ]
 
 
 def test_experiment_unknown_kind(tmp_path):

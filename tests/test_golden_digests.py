@@ -78,17 +78,21 @@ def digest(array):
 
 
 def run(
-    n, mode, solver, path="bank", record_trajectory=False, scores=SCORES, equal_variances=False
+    n, mode, solver, path="bank", record_trajectory=False, scores=SCORES, equal_variances=False,
+    rows=ROWS, width=None,
 ):
-    x0 = np.array([[((7 * r + 3 * d) % 13 - 6) / 4 for d in range(DIM)] for r in range(ROWS)])
+    """integrate's result; width, if given, is the full-average bank's W."""
+    x0 = np.array([[((7 * r + 3 * d) % 13 - 6) / 4 for d in range(DIM)] for r in range(rows)])
     field = BlendedField(
         dyadic_spec(n, mode, WRAPS[path], scores, equal_variances),
-        np.arange(100, 100 + ROWS, dtype=np.uint64),
+        np.arange(100, 100 + rows, dtype=np.uint64),
     )
     assert (field._bank is not None) == (path == "bank")
+    if width is not None and field._bank is not None:
+        assert field._bank.width == width
     config = IntegrationConfig(solver, STEPS, record_trajectory=record_trajectory)
     result = integrate(field, x0, config)
-    assert result.endpoint.shape == (ROWS, DIM)
+    assert result.endpoint.shape == (rows, DIM)
     return result
 
 
@@ -476,3 +480,43 @@ COINCIDING_GOLDEN = {
 @pytest.mark.parametrize("case", COINCIDING_CASES, ids=lambda case: "-".join(map(str, case)))
 def test_coinciding_chains_and_identity_passes_match_golden_digest(case, path):
     assert coinciding_digest(*case, path=path) == COINCIDING_GOLDEN[case]
+
+
+# Batches of 1024 rows, wide enough that the full average's means and
+# shifts tiled across the batch no longer fit TILE_BUDGET at interior
+# scores for n = 3 and 4, which broadcast a (D, 1) mean (W = 1); every
+# other case here tiles (W = 1024), as every 8-row case above does.
+# Recorded before the bank tiled any constant.
+WIDE_ROWS = 1024
+WIDE_BROADCAST = {("interior", 3), ("interior", 4)}
+WIDE_GOLDEN = {
+    ("interior", 2, "euler"): "1b1eadfaa711da95b78d91970e447675c69969ea7099eaad2d6d98489fadb053",
+    ("interior", 2, "rk4"): "0926c2bf0ae51fa6c4df16855c27608517f9abcfb46b6f9084f5b294c682a467",
+    ("interior", 3, "euler"): "2c60fd6b55426c755c11aa2ace262c543fd01e344a834f0888e4a7e454915f77",
+    ("interior", 3, "rk4"): "604c6af7392528a28105401e4daef65cf6d45a011b035b26b7e88ff017c6a70f",
+    ("interior", 4, "euler"): "025c6ddb4d9aa5ad1e3a82f399fb85805777d0208127283bbca1060d418c8da0",
+    ("interior", 4, "rk4"): "ef02f49a17371cd78b2e0caba4491ee746133b29db3a205241ffb62a297528a7",
+    ("face", 2, "euler"): "b3e49eb32c8ed74f9c7f9a5ec1b603db138528ffa531f3cfc614de8cc148e5f4",
+    ("face", 2, "rk4"): "d9f2494f999931e44a041269c7b65f71b1cd46c4fd9bc3ea076481aa16434baf",
+    ("face", 3, "euler"): "e9ae44e739b1270e5ca6dca1310cde929b8dbdf1f48afb4ee0e7140a5b7df56d",
+    ("face", 3, "rk4"): "1c5011326e8d25772d66b78375b00ada7d10126877f93d1eb98887fd1408e035",
+    ("face", 4, "euler"): "44901c79bdc64257dbee50e8725a17dbe97f3a15026377507adb2c44386387c9",
+    ("face", 4, "rk4"): "c5634cce82b509fb967544f281e1eecc43ec10760282f6fdb5bbac7b65bb74c2",
+    ("vertex", 2, "euler"): "65732cd141d67487a962fb842f06da3ee89c2d7d004efdc7702e246710ead715",
+    ("vertex", 2, "rk4"): "68f56b279909584fac37e00387226e67304baa9a4dc38fc201e64c1b314d1cf2",
+    ("vertex", 3, "euler"): "da067174a1c16a5fddfc7112dce2b93c315f9193fb503696b7ce34e4a8f44ae5",
+    ("vertex", 3, "rk4"): "14429de6d7d8be15b30cf8f03c3e380692b8df905a93140678fdf7f50f4aceb1",
+    ("vertex", 4, "euler"): "8acd89783302d03095737e7f1b30caf4e4feb5ad6911bab2fac2c6cb7328e1eb",
+    ("vertex", 4, "rk4"): "1e723ca6659f6c629c8c21da3a19e0bb8455f8e4540caab0d4174524dac96a06",
+}
+
+
+@pytest.mark.parametrize("path", ["bank", "generic"])
+@pytest.mark.parametrize("solver", ["euler", "rk4"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("where", ["interior", "face", "vertex"])
+def test_wide_full_average_endpoint_matches_golden_digest(where, n, solver, path):
+    width = 1 if (where, n) in WIDE_BROADCAST else WIDE_ROWS
+    scores = EQUAL_VARIANCE_SCORES[where]
+    result = run(n, "full_average", solver, path, scores=scores, rows=WIDE_ROWS, width=width)
+    assert digest(result.endpoint) == WIDE_GOLDEN[where, n, solver]
