@@ -39,19 +39,43 @@ The hash is split into a key and a counter: when the field is built,
 (seed_r, STREAM_CHAIN_DRAW) is folded once into a (1, B) key, and the
 draw plan of the (A, 1) active anchor ids is built (see
 streams.draw_buffers): the distinct words to hash, each anchor's word
-and lane shift, and the buffers. One randbelow call per ordinal then
-folds only the ordinal into the key, hashes the words and gathers every
-draw at once, (A, B), for the A active of the K = 2**n anchors: the
-i-th active anchor's draws are the contiguous row draws[i]. An anchor's
-draws depend on its own id alone, so they are those of a draw over all
-K ids, and at a vertex only the word holding the one active anchor is
-hashed.
-The words are hashed in a (words, B) hash buffer and the draws reduced
-in an (A, B) draw buffer, both in the plan the field owns, so an
-evaluation allocates no (A, B) temporaries and plans nothing. The draws
-are a view of the draw buffer until the next hash. At n = 1 each anchor
-has a single chain, which is its full average, so stochastic mode takes
-the full_average path and makes no hash.
+and lane shift, and the buffers. Each evaluation then makes one
+streams.hash_words call, which folds only the ordinal into the key and
+hashes the words, for the A active of the K = 2**n anchors. An
+anchor's draws depend on its own id alone, so they are those of a draw
+over all K ids, and at a vertex only the word holding the one active
+anchor is hashed. At n = 1 each anchor has a single chain, which is its
+full average, so stochastic mode takes the full_average path and makes
+no hash.
+
+How the drawn means are gathered follows from n, D and the spec alone,
+with no option. At n = 2 and 4 each anchor's 1- or 2-bit lane lies in
+one byte of the row's hashed word (streams names the byte and the
+shift). When every active anchor's chain variances are equal, as
+template bindings give them, and the A tables below fit TILE_BUDGET
+(A * 256 * D * 8 bytes: at n = 4, up to D = 32 for all 16 anchors),
+the bank of the stochastic path replaces anchor k's chain means by a
+256-row draw table, table_k[v] = means_k[(v >> s_k) & (n - 1)], with
+s_k its lane's shift in its byte, built once per field. An evaluation
+then widens the bytes that hold lanes to intp, one copy per hashed
+word, and gathers each anchor's means with one take from its table by
+its byte column, in the loop that computes its closed form: no lane is
+extracted and there is no (A, B) draw buffer. The bits are those of
+the draws' gather, since row v of a table is a copy of the chain mean
+that byte value draws. At n = 3, 5 and 6 (32-bit lanes), with unequal
+variances, which gather a kappa per row by the draw, and over budget,
+the plan's lanes(n) extracts every draw at once, (A, B), in a draw
+buffer it allocates on its first call, and each anchor's means are
+gathered by its row of draws; the generic path uses those draws too.
+The hash buffer, the widened bytes and the draw buffer all belong to
+the plan the field owns, so an evaluation allocates no (A, B)
+temporaries and plans nothing; the draws and byte columns are views
+valid until the next hash. Against the draw buffer the tables replace,
+(16, 2048) uint64 or 256 KB, the tables take 128 KB at n = 4, D = 4
+and the widened bytes 64 KB. In process (integrate alone, 2048 rows,
+rk4/100, template bindings, median of 12 alternations), the tables took
+0.82x the draws' time at n = 4, D = 4 (173 against 212 ms) and 0.93x at
+n = 2, D = 2 (57 against 62 ms).
 
 A field has one input shape: seed is a 1-D array of per-row seeds, and
 eval takes a (B, D) batch with one row per seed; any other shape raises
@@ -98,7 +122,8 @@ with 0.2 MB of tiles (n = 2, D = 2, vertex), 0.91x at 0.6 MB, 0.92x at
 read-only, so an in-place write into a shared constant raises.
 Per-row means go row-major. In stochastic mode every mean the closed
 form reads is a row's drawn one, save the base mean, so the bank holds
-the chain means as (A, n, D) and the base mean tiled once to (B, D), and
+the chain means as (A, n, D), or the draw tables (A, 256, D) described
+above, and the base mean tiled once to (B, D), and
 an evaluation works on the solver's own (B, D) rows. Each anchor's
 drawn means are then one gather of contiguous D-wide rows, about three
 times cheaper than gathering single numbers into a (D, B) block, and
@@ -165,9 +190,9 @@ the width W and the bytes of its means and of one time's shifts
 (`cogflow --verbose` shows it).
 
 A BlendedField instance owns its ordinal, evaluation counter, draw key,
-draw buffers, the stochastic bank's scratch arrays and the bank's
-constants at the last time it evaluated, and must not be shared across
-concurrent callers;
+draw plan and its buffers, the stochastic bank's scratch arrays and the
+bank's constants at the last time it evaluated, and must not be shared
+across concurrent callers;
 separate instances may run on separate threads. A BlendSpec is
 immutable and freely shareable.
 """
@@ -337,24 +362,42 @@ class GaussianBank(NamedTuple):
 
     base_mean: np.ndarray  # (D, W); for draws (B, D), tiled once
     base_variance: float
-    means: np.ndarray  # (A, n, D, W); for draws (A, n, D)
+    means: np.ndarray  # (A, n, D, W); for draws (A, n, D), or with tables (A, 256, D)
     variances: np.ndarray  # (A, n)
     equal_variances: tuple  # per anchor, whether its n chain variances are equal
     distinct: tuple  # per anchor, its distinct chain fields: 1 if they are one field, else n
     row_major: bool  # laid out for draws
+    tables: bool  # for draws, means holds each anchor's draw table
 
     @classmethod
-    def of(cls, spec: BlendSpec, active, rows: int, draws: bool) -> "GaussianBank | None":
+    def of(
+        cls, spec: BlendSpec, active, rows: int, draws: bool, byte_values=None
+    ) -> "GaussianBank | None":
         """The bank of spec's base field and of its anchors at the
         positions active, for a batch of rows, or None unless each of
         those fields is exactly a GaussianTargetField (subclasses may
-        override eval). draws lays it out for a field that draws chains."""
+        override eval). draws lays it out for a field that draws chains;
+        byte_values, its DrawPlan's byte_values(), if not None, turns each
+        anchor's chain means into its draw table when the tables fit
+        TILE_BUDGET and every anchor's chain variances are equal."""
         chains = [spec.anchor_sets[k].chain_fields for k in active]
         fields = [spec.base_field, *(f for chain in chains for f in chain)]
         if any(type(f) is not GaussianTargetField for f in fields):
             return None
         means = np.array([[f.mean for f in chain] for chain in chains])
         variances = np.array([[f.variance for f in chain] for chain in chains])
+        equal_variances = (variances == variances[:, :1]).all(axis=1)
+        tables = (
+            byte_values is not None
+            and equal_variances.all()
+            and len(chains) * 256 * spec.base_field.mean.nbytes <= TILE_BUDGET
+        )
+        if tables:
+            # row v of anchor k's table is the mean of the chain it draws
+            # when the byte holding its draw reads v
+            chain_means, means = means, np.empty((len(chains), 256, means.shape[-1]))
+            for table, chain, values in zip(means, chain_means, byte_values):
+                chain.take(values, axis=0, out=table)
         if draws:
             base_mean = np.tile(spec.base_field.mean, (rows, 1))
         else:
@@ -368,9 +411,10 @@ class GaussianBank(NamedTuple):
             base_variance=spec.base_field.variance,
             means=_read_only(means),
             variances=variances,
-            equal_variances=tuple((variances == variances[:, :1]).all(axis=1).tolist()),
+            equal_variances=tuple(equal_variances.tolist()),
             distinct=tuple(1 if _one_field(chain) else spec.n for chain in chains),
             row_major=draws,
+            tables=bool(tables),
         )
 
     @property
@@ -411,22 +455,30 @@ class GaussianBank(NamedTuple):
         )
         return base, vhats
 
+    def gathered(self, draws):
+        """Each active anchor's drawn means (B, D), in anchor order: its row
+        of draws, the chain indices (A, B), taken from its chain means, or
+        with tables its draw bytes, one (B,) column per anchor, taken from
+        its table."""
+        for means, chosen in zip(self.means, draws):
+            yield means.take(chosen, axis=0)
+
     def drawn(self, x, at, draws, scratch):
         """As values, for draws: at a row-major state x (B, D), each row's
-        vhat is the closed form of the chain it drew, with draws the chain
-        indices (A, B). scratch is a C-ordered (2, B, D) array the caller
-        owns: the base velocity is computed in scratch[0], and each vhat
-        in scratch[1], valid until the next is asked for."""
+        vhat is the closed form of the chain it drew, with draws as for
+        gathered. scratch is a C-ordered (2, B, D) array the caller owns:
+        the base velocity is computed in scratch[0], and each vhat in
+        scratch[1], valid until the next is asked for."""
         t, base_kappa, base_shift, kappas, _ = at
         base, work = scratch
         shifted_velocity(self.base_mean, base_shift, base_kappa, x, out=base)
 
         def vhats():
-            for means, kappa, equal, chosen in zip(
-                self.means, kappas, self.equal_variances, draws
+            for mean, kappa, equal, chosen in zip(
+                self.gathered(draws), kappas, self.equal_variances, draws
             ):
-                mean = means.take(chosen, axis=0)
-                # equal variances give equal kappas, so the drawn kappa is kappa[0]
+                # equal variances give equal kappas, so the drawn kappa is
+                # kappa[0]; tables are built only then
                 drawn_kappa = kappa[0] if equal else kappa.take(chosen)[:, None]
                 shift = np.multiply(t, mean, out=work)
                 yield shifted_velocity(mean, shift, drawn_kappa, x, out=work)
@@ -464,7 +516,16 @@ class BlendedField(VelocityField):
         self._chains = tuple(spec.anchor_sets[k].chain_fields for k in active)
         # one anchor of weight exactly 1: a vertex
         self._vertex = len(active) == 1 and self._weights[0] == 1.0
-        self._bank = GaussianBank.of(spec, active, len(seed), self._stochastic)
+        byte_values = None
+        if self._stochastic:
+            # the key/counter split and the draw plan; see the module notes
+            self._key = streams.fold_key(np.asarray(seed)[None, :], streams.STREAM_CHAIN_DRAW)
+            ids = active.astype(np.uint64)[:, None]
+            self._draw_plan = streams.draw_buffers(spec.n, self._key, 0, ids)
+            # the plan's read-only copy of the ids passes its check by identity
+            self._anchor_ids = self._draw_plan.last
+            byte_values = self._draw_plan.byte_values()
+        self._bank = GaussianBank.of(spec, active, len(seed), self._stochastic, byte_values)
         if self._bank is None:
             log.debug("blended field: generic path, %s, %d rows", spec.mode, len(seed))
         else:
@@ -478,13 +539,6 @@ class BlendedField(VelocityField):
         if self._bank is not None and self._stochastic:
             self._scratch = np.empty((2, *self._bank.base_mean.shape))
         self._time = self._at = None  # the bank's constants at the last time
-        if self._stochastic:
-            # the key/counter split and the draw plan; see the module notes
-            self._key = streams.fold_key(np.asarray(seed)[None, :], streams.STREAM_CHAIN_DRAW)
-            ids = active.astype(np.uint64)[:, None]
-            self._draw_plan = streams.draw_buffers(spec.n, self._key, 0, ids)
-            # the plan's read-only copy of the ids passes its check by identity
-            self._anchor_ids = self._draw_plan.last
 
     def _draws(self, ordinal: int) -> np.ndarray:
         """Chain index per active anchor and row, (A, B).
@@ -495,6 +549,16 @@ class BlendedField(VelocityField):
         return streams.randbelow(
             self.spec.n, self._key, ordinal, self._anchor_ids, out=self._draw_plan
         )
+
+    def _gather_by(self, ordinal: int):
+        """What the bank gathers each active anchor's drawn means by at
+        ordinal: with draw tables, the byte of the hashed words that holds
+        the anchor's draws, (B,) per anchor; otherwise the draws. Either
+        way one streams.hash_words call hashes the draws' words."""
+        if not self._bank.tables:
+            return self._draws(ordinal)
+        streams.hash_words(self._key, ordinal, self._anchor_ids, out=self._draw_plan)
+        return self._draw_plan.byte_columns()
 
     @staticmethod
     def _chain_value(fields, x, t, draw):
@@ -520,7 +584,6 @@ class BlendedField(VelocityField):
         if x.ndim != 2 or len(x) != len(self.seed):
             got = f"batch of {len(x)} rows" if x.ndim == 2 else f"state of shape {x.shape}"
             raise ContractViolation(f"{len(self.seed)} per-row seeds for a {got}")
-        draws = self._draws(self._eval_ordinal) if self._stochastic else None
         if self._bank is not None:
             if t != self._time:
                 self._at = self._bank.at(_check_time(t))
@@ -529,8 +592,10 @@ class BlendedField(VelocityField):
                 # no copy when x is a view of a C-contiguous (D, B) block
                 base, vhats = self._bank.values(np.ascontiguousarray(x.T), self._at)
             else:
+                draws = self._gather_by(self._eval_ordinal)
                 base, vhats = self._bank.drawn(x, self._at, draws, self._scratch)
         else:
+            draws = self._draws(self._eval_ordinal) if self._stochastic else None
             base = self.spec.base_field.eval(x, t)
             vhats = (
                 self._chain_value(fields, x, t, None if draws is None else draws[i])

@@ -8,7 +8,9 @@ leaf accepts the kinds _KINDS lists for it, or else its default's kind;
 a kind is a description and a check, and the fields of the record lists
 in _RECORDS use the same kinds. _BOUNDS and _ONLY_VALUES narrow a few
 leaves further, every count to a range with an upper bound, and a key
-or string that UTF-8 cannot encode is refused last. Dotted --set
+or string that UTF-8 cannot encode is refused last. Past the bounds of
+its own counts, a (B, D) state larger than flow.ELEMENT_BUDGET is
+refused too. Dotted --set
 overrides (e.g. blend.lambda=0) are set in a copy of the resolved
 document, which is then resolved again. The provenance digest of every
 CLI output is config_digest, the sha256 of the resolved config.
@@ -24,8 +26,14 @@ import sys
 from pathlib import Path
 
 from .cogspace import CognitiveSpace, ScoreVector
-from .errors import ConfigError
-from .flow import AffineDecoder, GenerationRequest, IdentityDecoder, IntegrationConfig
+from .errors import ConfigError, ContractViolation
+from .flow import (
+    AffineDecoder,
+    GenerationRequest,
+    IdentityDecoder,
+    IntegrationConfig,
+    check_element_budget,
+)
 from .harness import ExperimentConfig
 from .polarize import (
     DEFAULT_CACHE_PATH,
@@ -35,7 +43,7 @@ from .polarize import (
     TemplateBackend,
     encodes_utf8,
 )
-from .semantics import SemanticModel, TargetDistribution
+from .semantics import SemanticModel, TargetDistribution, default_latent_dim
 
 DEFAULT_CONFIG = {
     "space": {
@@ -184,7 +192,7 @@ def load_config(path) -> dict:
 def resolve_config(user: dict | None = None) -> dict:
     """Merge a user document over the defaults, refusing unknown keys and
     values of a kind their leaf does not accept."""
-    return _check_strings(_merge(DEFAULT_CONFIG, user or {}, ""))
+    return _check_element_budget(_check_strings(_merge(DEFAULT_CONFIG, user or {}, "")))
 
 
 def _merge(default: dict, user, path: str) -> dict:
@@ -291,6 +299,20 @@ def _check_strings(resolved: dict) -> dict:
                 pending.append((here, item))
         elif isinstance(value, list):
             pending.extend((f"{path}[{i}]", item) for i, item in enumerate(value))
+    return resolved
+
+
+def _check_element_budget(resolved: dict) -> dict:
+    """Refuse a sample count and latent dim whose (B, D) state is over
+    flow.ELEMENT_BUDGET, each in range on its own (a config records no
+    trajectory): numpy would end the run in a MemoryError traceback."""
+    latent_dim = resolved["semantics"]["latent_dim"]
+    if latent_dim is None:
+        latent_dim = default_latent_dim(len(resolved["space"]["dimensions"]))
+    try:
+        check_element_budget(resolved["flow"]["sample_count"], latent_dim)
+    except ContractViolation as exc:
+        raise ConfigError(str(exc)) from exc
     return resolved
 
 

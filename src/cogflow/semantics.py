@@ -316,7 +316,7 @@ class SemanticModel:
     ) -> "SemanticModel":
         """Axis-aligned default model: direction i is coordinate axis i."""
         n = space.n
-        dim = max(2, n) if latent_dim is None else int(latent_dim)
+        dim = default_latent_dim(n) if latent_dim is None else int(latent_dim)
         if dim < 2:  # before np.eye(dim), which refuses a negative dim
             raise ContractViolation(f"latent_dim must be >= 2, got {dim}")
         if dimension_directions is None:
@@ -338,6 +338,11 @@ class SemanticModel:
             default_variance=default_variance,
             explicit_bindings=dict(explicit_bindings or {}),
         )
+
+
+def default_latent_dim(n: int) -> int:
+    """The latent dim of a model of n dimensions that names none."""
+    return max(2, n)
 
 
 def bind(model: SemanticModel, prompt: str) -> TargetDistribution:

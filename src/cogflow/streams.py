@@ -37,11 +37,26 @@ a caller that draws the same last counter again and again under other
 leading counters (the chain draws of a blended field, once per
 evaluation ordinal), and the caller passes it as out= on every call.
 Such a call folds only its leading counters, then hashes, gathers,
-shifts and masks in the plan's buffers, and allocates nothing. The plan
-checks every call's last counter: its own read-only copy passes by
-identity, an array of the same shape and values by comparison, and
-anything else raises ValueError, so a plan never serves the draws of
-another last counter. Without out=, a call builds a plan of its own.
+shifts and masks in the plan's buffers, and allocates nothing after its
+first call. The plan checks every call's last counter: its own
+read-only copy passes by identity, an array of the same shape and
+values by comparison, and anything else raises ValueError, so a plan
+never serves the draws of another last counter. Without out=, a call
+builds a plan of its own.
+
+randbelow is two steps, and a caller with a plan may take the first
+alone: hash_words folds the leading counters and hashes the words, and
+the plan's lanes(bound) then extracts the draws. A caller that needs
+each draw's lane rather than its value can read it from the hashed
+words itself. The plan keeps them little-endian, so byte j of a word
+holds its bits [8j, 8j + 8). Where b divides 8 (a bound of 2, 4, 16 or
+256) no lane spans two bytes: the draw with last counter k lies in byte
+(b * (k mod L)) div 8 of its word, at shift (b * (k mod L)) mod 8
+within it, so at a bound of 2 in byte (k mod 64) div 8 at shift
+k mod 8, and at a bound of 4 in byte (k mod 32) div 4 at shift
+2 * (k mod 4). The plan's byte_values() gives, per draw along its axis,
+the draw each of the 256 byte values gives, and byte_columns() each
+draw's byte of the last hash, widened to intp by one copy per word.
 """
 
 from __future__ import annotations
@@ -103,10 +118,10 @@ def _round(h: np.ndarray, counter: np.ndarray, out: np.ndarray, scratch: np.ndar
     return _avalanche(out, scratch)
 
 
-def hash_buffer(shape) -> np.ndarray:
-    """A (2, *shape) uint64 buffer for a fold round: row 0 receives the
-    hash and row 1 is scratch."""
-    return np.empty((2, *shape), dtype=np.uint64)
+def hash_buffer(shape, dtype=np.uint64) -> np.ndarray:
+    """A (2, *shape) uint64 buffer for a fold round, in dtype's byte
+    order: row 0 receives the hash and row 1 is scratch."""
+    return np.empty((2, *shape), dtype=dtype)
 
 
 def _rows(buffer):
@@ -206,6 +221,8 @@ class DrawPlan:
         self.shifts = (last % lanes) * np.uint64(bits)  # each draw's lane offset in bits
         pad = len(shape) - last.ndim
         varying = [i for i, size in enumerate(last.shape, pad) if size > 1]
+        if not varying and last.ndim:
+            varying = [pad]  # one draw, along the last counter's first axis
         key_sizes = (1,) * (len(shape) - len(key_shape)) + key_shape
         self.axis = self.inverse = None
         if len(varying) == 1 and key_sizes[varying[0]] == 1:
@@ -218,8 +235,11 @@ class DrawPlan:
             along[self.axis] = len(distinct)
             words = distinct.reshape(along)
         self.words = words  # the hashed words, along the draw axis if there is one
-        self.hashes = hash_buffer(np.broadcast_shapes(key_shape, words.shape))
-        self.draws = np.empty(shape, dtype=np.uint64)
+        # little-endian, so that byte_columns can name each lane's byte
+        self.hashes = hash_buffer(np.broadcast_shapes(key_shape, words.shape), "<u8")
+        self.shape = shape  # the draws'
+        self.draws = None  # allocated by the first lanes call
+        self._columns = None  # allocated by the first byte_columns call
         self._fold_rows = _rows(hash_buffer(key_shape))
         self._hash_rows = _rows(self.hashes)
 
@@ -244,13 +264,14 @@ class DrawPlan:
         last = _as_u64(last)
         return last.shape == self.last.shape and last.tobytes() == self.last.tobytes()
 
-    def draw(self, bound: int, leading: tuple) -> np.ndarray:
-        """The draws below bound for the leading counters, in self.draws."""
+    def hash(self, leading: tuple) -> np.ndarray:
+        """Fold the leading counters and hash the plan's words, in the hash
+        buffer; returns the hashed words, valid until the plan's next
+        call."""
         if leading and isinstance(leading[0], Key):
             state, leading = leading[0].state, leading[1:]
         else:
             state = np.asarray(_FOLD_SEED)
-        draws = self.draws
         # every operation is an array ufunc, which wraps around silently
         out, scratch = self._fold_rows
         for counter in leading:
@@ -259,6 +280,15 @@ class DrawPlan:
         _round(state, self.words, h, scratch)
         h *= _GOLDEN
         _avalanche(h, scratch)
+        return h
+
+    def lanes(self, bound: int) -> np.ndarray:
+        """The draws below bound in the words the last hash left, gathered,
+        shifted and masked in the draws array, which the first call
+        allocates."""
+        if self.draws is None:
+            self.draws = np.empty(self.shape, dtype=np.uint64)
+        h, draws = self._hash_rows[0], self.draws
         if self.axis is None:
             np.right_shift(h, self.shifts, out=draws)
         else:
@@ -269,6 +299,66 @@ class DrawPlan:
             draws *= np.uint64(bound)
             draws >>= np.uint64(self.bits)
         return draws.view(np.int64)[()]
+
+    def _byte_lanes(self):
+        """Per draw along the draw axis, in the order of the last counter's
+        elements, (word, byte, low): the position along the axis of the
+        word that holds its lane, the byte of that word that holds it and
+        the lane's lowest bit within the byte. None where a lane may span
+        two bytes (b does not divide 8) or there is no draw axis."""
+        if self.axis is None or self.bits == 0 or 8 % self.bits:
+            return None
+        offsets = self.shifts.reshape(-1).tolist()
+        return [(word, *divmod(offset, 8)) for word, offset in zip(self.inverse.tolist(), offsets)]
+
+    def byte_values(self):
+        """Per draw along the draw axis, the draw that each of the 256
+        values of the byte holding its lane gives, (256,) int64; None
+        where no such byte exists (see _byte_lanes): a bound of 2, 4, 16
+        or 256 has one. See byte_columns."""
+        lanes = self._byte_lanes()
+        if lanes is None:
+            return None
+        values, mask = np.arange(256), int(self.mask)
+        return tuple((values >> low) & mask for _, _, low in lanes)
+
+    def byte_columns(self) -> tuple:
+        """Per draw along the draw axis, the value of the byte holding its
+        lane in the words the last hash left, shaped like the leading
+        counters' broadcast, as intp: read-only views of a buffer that the
+        first call allocates and every call refills, by one copy per
+        hashed word. byte_values()[i][byte_columns()[i]] are the draws of
+        lanes() along the axis. ValueError where byte_values is None."""
+        if self._columns is None:
+            self._columns = self._byte_buffer()
+        for target, source in self._byte_copies:
+            np.copyto(target, source)
+        return self._columns
+
+    def _byte_buffer(self) -> tuple:
+        lanes = self._byte_lanes()
+        if lanes is None:
+            raise ValueError("these draws' lanes do not each lie within one byte")
+        spans = {}  # per hashed word, the first and last byte any lane is in
+        for word, byte, _ in lanes:
+            first, last = spans.get(word, (byte, byte))
+            spans[word] = (min(first, byte), max(last, byte))
+        h = self._hash_rows[0]
+        # the hash buffer is little-endian, so byte j holds bits [8j, 8j + 8)
+        octets = np.moveaxis(h.view(np.uint8).reshape(*h.shape, 8), -1, 0)
+        rest = h.shape[: self.axis] + h.shape[self.axis + 1 :]
+        rows = sum(last - first + 1 for first, last in spans.values())
+        buffer = np.empty((rows, *rest), dtype=np.intp)
+        self._byte_copies, start, row = [], {}, 0
+        for word, (first, last) in sorted(spans.items()):
+            index = [slice(None)] * h.ndim
+            index[self.axis] = word
+            source = octets[(slice(first, last + 1), *index)]
+            self._byte_copies.append((buffer[row : row + len(source)], source))
+            start[word], row = row - first, row + len(source)
+        columns = buffer.view()
+        columns.flags.writeable = False
+        return tuple(columns[start[word] + byte] for word, byte, _ in lanes)
 
 
 def _split(counters) -> tuple[tuple, object]:
@@ -301,4 +391,17 @@ def randbelow(bound: int, *counters, out=None) -> np.ndarray:
     bits = _lane_bits(bound)
     leading, last = _split(counters)
     plan = DrawPlan(bits, leading, last) if out is None else out.check(bits, leading, last)
-    return plan.draw(bound, leading)
+    # the plan's own copy of the last counter passes its check by identity
+    hash_words(*leading, plan.last, out=plan)
+    return plan.lanes(bound)
+
+
+def hash_words(*counters, out: DrawPlan) -> np.ndarray:
+    """Hash the words that randbelow(bound, *counters, out=out) draws
+    from, without extracting their lanes: the first half of that call,
+    in the plan's hash buffer. Returns the hashed words, valid until the
+    plan's next call; out.lanes(bound) then gives randbelow's draws, and
+    out.byte_columns() the byte of the words that holds each draw. The
+    counters are checked as for randbelow."""
+    leading, last = _split(counters)
+    return out.check(out.bits, leading, last).hash(leading)

@@ -724,22 +724,29 @@ def test_mixture_chain_takes_generic_path_with_row_equality(space2, biased_model
 
 @pytest.fixture
 def hash_calls(monkeypatch):
-    """The arguments of every streams.randbelow call the test makes."""
+    """The counters of every streams.hash_words call the test makes: the
+    one hash of each evaluation, on every path (randbelow hashes through
+    it too)."""
     calls = []
-    randbelow = streams.randbelow
+    hash_words = streams.hash_words
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return randbelow(*args, **kwargs)
+        return hash_words(*args, **kwargs)
 
-    monkeypatch.setattr(streams, "randbelow", counted)
+    monkeypatch.setattr(streams, "hash_words", counted)
     return calls
 
 
+# one variance for every field gives the stochastic bank draw tables at n = 2 and 4
+VARIANCES = pytest.mark.parametrize("variance", [None, 0.6], ids=["own-variances", "one-variance"])
+
+
+@VARIANCES
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_one_draw_hash_per_evaluation(n, wrap, hash_calls):
-    spec = gaussian_spec(n, wrap=wrap, mode="stochastic")
+def test_one_draw_hash_per_evaluation(n, wrap, variance, hash_calls):
+    spec = gaussian_spec(n, wrap=wrap, variance=variance, mode="stochastic")
     field = BlendedField(spec, np.arange(6, dtype=np.uint64))
     for i in range(5):
         field.eval(np.zeros((6, 3)), 0.1 * i)
@@ -747,15 +754,16 @@ def test_one_draw_hash_per_evaluation(n, wrap, hash_calls):
     assert len(hash_calls) == (0 if n == 1 else 5)
 
 
+@VARIANCES
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_every_solver_stage_draws_at_its_own_ordinal(n, wrap, hash_calls):
-    spec = gaussian_spec(n, wrap=wrap, mode="stochastic")
+def test_every_solver_stage_draws_at_its_own_ordinal(n, wrap, variance, hash_calls):
+    spec = gaussian_spec(n, wrap=wrap, variance=variance, mode="stochastic")
     field = BlendedField(spec, np.arange(6, dtype=np.uint64))
     integrate(field, np.zeros((6, 3)), IntegrationConfig("rk4", 7))
     assert field.eval_counter == 6 * 7 * 4 * spec.evals_per_call()
     # the ordinal is the evaluation count: no stage reuses another's draws
-    assert [args[2] for args in hash_calls] == list(range(7 * 4))
+    assert [args[1] for args in hash_calls] == list(range(7 * 4))
 
 
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])
@@ -820,6 +828,57 @@ def test_field_draws_equal_randbelow_property(n, seeds, ordinals):
     field = BlendedField(stochastic_spec(n), seeds)
     for ordinal in ordinals:
         assert_draws_equal(field._draws(ordinal), reference_draws(n, seeds, ordinal))
+
+
+EDGE_SCORES = {
+    "face": (0.0, 0.75, 1.0, 0.375, 0.5, 0.25),
+    "vertex": (1.0, 0.0, 1.0, 1.0, 0.0, 1.0),
+}
+
+
+@VARIANCES
+@pytest.mark.parametrize("where", ["interior", "face", "vertex"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gathered_means_are_the_means_of_the_reference_draws(n, where, variance):
+    """Each active anchor's drawn means, as the bank gathers them, are
+    means[randbelow(n, seed, STREAM_CHAIN_DRAW, ordinal, k)] bit for bit,
+    whether gathered from draw tables (n = 2 and 4, one variance) or by
+    the draws."""
+    spec = gaussian_spec(n, variance=variance, mode="stochastic")
+    if where in EDGE_SCORES:
+        spec = replace(spec, score=ScoreVector(EDGE_SCORES[where][:n]))
+    active = active_anchor_ids(spec)
+    for seeds in (EDGE_SEEDS[:1], EDGE_SEEDS):
+        field = BlendedField(spec, seeds)
+        assert field._bank.tables == (variance is not None and n in (2, 4))
+        for ordinal in EDGE_ORDINALS:
+            gathered = list(field._bank.gathered(field._gather_by(ordinal)))
+            assert len(gathered) == len(active)
+            for k, got in zip(active, gathered):
+                means = np.array([f.mean for f in spec.anchor_sets[k].chain_fields])
+                draws = streams.randbelow(n, seeds, streams.STREAM_CHAIN_DRAW, ordinal, k)
+                assert got.tobytes() == means[draws].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("side", ["tables", "draws"])
+def test_stochastic_bank_builds_draw_tables_only_within_the_budget(n, side, monkeypatch):
+    """A budget of exactly the A * 256 * D * 8 bytes of the draw tables
+    builds them, and such a field never extracts lanes into an (A, B)
+    draw buffer; one byte less keeps the chain means and the draws.
+    Either way the bank gives the generic path's bits."""
+    xs = np.random.default_rng(9).normal(size=(40, 3))
+    seeds = np.arange(len(xs), dtype=np.uint64)
+    tables = 2**n * 256 * 3 * 8
+    monkeypatch.setattr(blend_module, "TILE_BUDGET", tables - (side == "draws"))
+    field = BlendedField(gaussian_spec(n, seed=30 + n, variance=0.6, mode="stochastic"), seeds)
+    assert field._bank.tables == (side == "tables")
+    assert field._bank.means.shape == (2**n, 256 if side == "tables" else n, 3)
+    run_steps(field, xs)
+    assert (field._draw_plan.draws is None) == (side == "tables")
+    assert_bank_matches_generic_path(
+        n, 30 + n, xs, monkeypatch, mode="stochastic", variance=0.6
+    )
 
 
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])

@@ -10,6 +10,7 @@ import pytest
 from cogflow import invariants
 from cogflow.cli import build_parser, main
 from cogflow.config import config_digest, resolve_config
+from cogflow.errors import ConfigError
 
 
 def run_cli(*argv):
@@ -485,6 +486,43 @@ def test_count_at_its_bound_resolves(leaf):
     section, key = leaf.split(".")
     document[section] = {key: COUNT_BOUNDS[leaf]}
     assert resolve_config(document)[section][key] == COUNT_BOUNDS[leaf]
+
+
+@pytest.mark.parametrize("command", ["generate", "experiment"])
+def test_counts_whose_state_is_over_the_element_budget_fail_before_any_backend_call(
+    tmp_path, caplog, monkeypatch, command
+):
+    # each count at its own bound, together an 8 GiB (B, D) state, which
+    # numpy refused in a MemoryError traceback
+    def no_backend_call(self, *args, **kwargs):
+        raise AssertionError("the backend was called")
+
+    monkeypatch.setattr("cogflow.polarize.TemplateBackend.polarize", no_backend_call)
+    cfg = write_config(tmp_path)
+    sets = ["--set", "flow.sample_count=1048576", "--set", "semantics.latent_dim=1024"]
+    assert run_cli(command, "--config", str(cfg), *sets) == 2
+    assert "sample_count 1048576 x latent dim 1024 is 1073741824 elements" in caplog.text
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache.ndjson").exists()
+
+
+def test_state_of_exactly_the_element_budget_resolves():
+    """sample_count x D may reach flow.ELEMENT_BUDGET, 2**24, and not pass
+    it; D defaults to max(2, n) for a space of n dimensions."""
+    budget = 1 << 24
+    assert resolve_config({"flow": {"sample_count": budget // 1024},
+                           "semantics": {"latent_dim": 1024}})
+    with pytest.raises(ConfigError, match="more than the budget of 16777216"):
+        resolve_config({"flow": {"sample_count": budget // 1024 + 1},
+                        "semantics": {"latent_dim": 1024}})
+    for n, fits in ((16, True), (17, False)):
+        document = {"space": {"dimensions": [{"name": f"d{i}"} for i in range(n)]},
+                    "flow": {"sample_count": 1 << 20}}
+        if fits:
+            assert resolve_config(document)["flow"]["sample_count"] == 1 << 20
+        else:
+            with pytest.raises(ConfigError, match="latent dim 17"):
+                resolve_config(document)
 
 
 def test_key_that_utf8_cannot_encode_is_config_error(tmp_path, caplog):

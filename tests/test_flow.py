@@ -865,6 +865,36 @@ def test_batched_generation_equals_per_sample(space2, biased_model):
             assert np.array_equal(solo.endpoint, batch.endpoints[row]), f"{mode} row {i}"
 
 
+def test_generate_refuses_a_state_or_trajectory_over_the_element_budget(
+    space2, biased_model, monkeypatch
+):
+    """sample_count x D, and with a recorded trajectory (steps + 1) x
+    sample_count x D, over flow.ELEMENT_BUDGET raises ContractViolation
+    before any backend call or allocation."""
+    def no_backend_call(self, *args, **kwargs):
+        raise AssertionError("the backend was called")
+
+    monkeypatch.setattr(TemplateBackend, "polarize", no_backend_call)
+    monkeypatch.setattr(flow, "ELEMENT_BUDGET", 2 * 64 * 9 - 1)
+    score = ScoreVector((0.3, 0.8))
+    for count, config in (
+        (flow.ELEMENT_BUDGET // 2 + 1, IntegrationConfig("euler", 8)),
+        (64, IntegrationConfig("euler", 8, record_trajectory=True)),
+    ):
+        request = GenerationRequest(
+            base_prompt="a valley", score=score, sample_count=count, integration=config
+        )
+        with pytest.raises(ContractViolation, match="more than the budget"):
+            generate(request, space2, biased_model)
+    monkeypatch.undo()
+    monkeypatch.setattr(flow, "ELEMENT_BUDGET", 2 * 64 * 9)  # exactly the trajectory
+    request = GenerationRequest(
+        base_prompt="a valley", score=score, sample_count=64,
+        integration=IntegrationConfig("euler", 8, record_trajectory=True),
+    )
+    assert generate(request, space2, biased_model).trajectories.shape == (64, 9, 2)
+
+
 # --- batch serialization --------------------------------------------------------
 
 def test_write_sample_batch_round_trip(tmp_path, space2, biased_model):
@@ -897,6 +927,41 @@ def test_write_sample_batch_byte_identical_across_runs(tmp_path, space2, biased_
     write_sample_batch(generate(request, space2, biased_model), out_b)
     assert (out_a / "endpoints.csv").read_bytes() == (out_b / "endpoints.csv").read_bytes()
     assert (out_a / "decoded.csv").read_bytes() == (out_b / "decoded.csv").read_bytes()
+
+
+def test_identity_decoded_csv_formats_the_endpoints_lines_once(tmp_path, space2, biased_model,
+                                                                monkeypatch):
+    """Decoded rows with the endpoints' bytes reuse the endpoints' lines;
+    rows equal as values but not as bytes (-0.0) are formatted on their own."""
+    request = GenerationRequest(
+        base_prompt="a valley", score=ScoreVector((0.3, 0.8)),
+        seed=4, sample_count=300, integration=IntegrationConfig("euler", 4),
+    )
+    batch = generate(request, space2, biased_model)
+    formatted = []
+    csv_lines = flow._csv_lines
+
+    def counted(header, rows):
+        formatted.append(header)
+        return csv_lines(header, rows)
+
+    monkeypatch.setattr(flow, "_csv_lines", counted)
+    write_sample_batch(batch, tmp_path / "same")
+    assert formatted == [["z0", "z1"]]
+    for name, header, rows in (("endpoints", ["z0", "z1"], batch.endpoints),
+                               ("decoded", ["y0", "y1"], batch.decoded)):
+        assert (tmp_path / "same" / f"{name}.csv").read_text() == reference_csv(header, rows)
+    batch.endpoints[7, 1] = 0.0
+    batch.decoded = batch.endpoints.copy()
+    batch.decoded[7, 1] = -0.0
+    write_sample_batch(batch, tmp_path / "signed")
+    assert formatted[1:] == [["z0", "z1"], ["y0", "y1"]]
+    assert (tmp_path / "signed" / "decoded.csv").read_text() == reference_csv(
+        ["y0", "y1"], batch.decoded
+    )
+    lines = [(tmp_path / "signed" / f"{name}.csv").read_text().splitlines()[8]
+             for name in ("endpoints", "decoded")]
+    assert lines[0].endswith(",0") and lines[1].endswith(",-0")
 
 
 def reference_csv(header, rows):

@@ -41,23 +41,23 @@ SCORES = (0.25, 0.75, 0.625, 0.375)
 BOUNDARY_SCORES = {"face": (0.0, 0.75, 1.0, 0.375), "vertex": (1.0, 0.0, 1.0, 1.0)}
 
 
-def dyadic_field(j, wrap, v=None):
+def dyadic_field(j, wrap, v=None, dim=DIM):
     """Field j, whose variance is field v's (by default its own)."""
-    mean = [((3 * j + 5 * d) % 17 - 8) / 8 for d in range(DIM)]
+    mean = [((3 * j + 5 * d) % 17 - 8) / 8 for d in range(dim)]
     return wrap(GaussianTargetField(mean, (1 + (j if v is None else v) % 7) / 4))
 
 
-def dyadic_spec(n, mode, wrap, scores=SCORES, equal_variances=False):
+def dyadic_spec(n, mode, wrap, scores=SCORES, equal_variances=False, dim=DIM):
     """Every chain field has its own variance, or with equal_variances
     the chains of anchor k all have field k's variance."""
     anchors = enumerate_anchors(make_space(n))
     return BlendSpec(
-        base_field=dyadic_field(0, wrap),
+        base_field=dyadic_field(0, wrap, dim=dim),
         anchor_sets=tuple(
             AnchorFields(
                 a,
                 tuple(
-                    dyadic_field(1 + k * n + j, wrap, k if equal_variances else None)
+                    dyadic_field(1 + k * n + j, wrap, k if equal_variances else None, dim)
                     for j in range(n)
                 ),
             )
@@ -79,20 +79,23 @@ def digest(array):
 
 def run(
     n, mode, solver, path="bank", record_trajectory=False, scores=SCORES, equal_variances=False,
-    rows=ROWS, width=None,
+    rows=ROWS, width=None, dim=DIM, tables=None,
 ):
-    """integrate's result; width, if given, is the full-average bank's W."""
-    x0 = np.array([[((7 * r + 3 * d) % 13 - 6) / 4 for d in range(DIM)] for r in range(rows)])
+    """integrate's result; width, if given, is the full-average bank's W,
+    and tables whether the stochastic bank has draw tables."""
+    x0 = np.array([[((7 * r + 3 * d) % 13 - 6) / 4 for d in range(dim)] for r in range(rows)])
     field = BlendedField(
-        dyadic_spec(n, mode, WRAPS[path], scores, equal_variances),
+        dyadic_spec(n, mode, WRAPS[path], scores, equal_variances, dim),
         np.arange(100, 100 + rows, dtype=np.uint64),
     )
     assert (field._bank is not None) == (path == "bank")
     if width is not None and field._bank is not None:
         assert field._bank.width == width
+    if tables is not None and field._bank is not None:
+        assert field._bank.tables == tables
     config = IntegrationConfig(solver, STEPS, record_trajectory=record_trajectory)
     result = integrate(field, x0, config)
-    assert result.endpoint.shape == (rows, DIM)
+    assert result.endpoint.shape == (rows, dim)
     return result
 
 
@@ -520,3 +523,33 @@ def test_wide_full_average_endpoint_matches_golden_digest(where, n, solver, path
     scores = EQUAL_VARIANCE_SCORES[where]
     result = run(n, "full_average", solver, path, scores=scores, rows=WIDE_ROWS, width=width)
     assert digest(result.endpoint) == WIDE_GOLDEN[where, n, solver]
+
+
+# Stochastic digests at a latent dim D on each side of the stochastic
+# bank's draw-table budget: A active anchors' 256-row tables take
+# A * 256 * D * 8 bytes, at most TILE_BUDGET, so at interior scores n = 2
+# (4 anchors) fits up to D = 128 and n = 4 (16 anchors) up to D = 32, and
+# at the face score n = 4 (4 active anchors) up to D = 128. Every chain of
+# an anchor has one variance, as template bindings give them. Recorded
+# before the bank gathered draws through tables.
+TABLE_GOLDEN = {
+    ("interior", 2, 128): "85875c6f6d8d5cb4ec446e0f5bfd4d9f6ad646c09cbd5a64a2553ef20f90e011",
+    ("interior", 2, 129): "dc0a4caea283fa7c8ca5c4ca6264eb5dffee2fecb1ccc4b4a779da4afa538a78",
+    ("interior", 4, 32): "daa3cc7ac3ccc7679bef669d0db2f824dad01c367d98e3c6c901e64a82c5874c",
+    ("interior", 4, 33): "df78b7eb2fc4757d706ad95f838ab0d116d0a61e2fdab776f03b3a1ce6cd3995",
+    ("face", 4, 128): "8dd1026c498b1d68cfd6479a8c0b96ec64ccbdb697a81ec26332764a1e7467ba",
+    ("face", 4, 129): "92adecefc71957df434a502edce9ba0e492a692399439fa3be3978bda0c1e989",
+}
+
+
+@pytest.mark.parametrize("path", ["bank", "generic"])
+@pytest.mark.parametrize("where, n, dim", list(TABLE_GOLDEN))
+def test_stochastic_endpoint_on_each_side_of_the_table_budget_matches_golden_digest(
+    where, n, dim, path
+):
+    scores = EQUAL_VARIANCE_SCORES[where]
+    tables = dim in (32, 128)
+    result = run(
+        n, "stochastic", "rk4", path, scores=scores, equal_variances=True, dim=dim, tables=tables
+    )
+    assert digest(result.endpoint) == TABLE_GOLDEN[where, n, dim]

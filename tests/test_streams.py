@@ -196,6 +196,40 @@ def test_a_draw_plan_never_serves_other_counters():
         plan.last[0] = 9
 
 
+@pytest.mark.parametrize("bound", [2, 3, 4, 5, 6, 8, 16, 256])
+def test_byte_columns_read_randbelow_draws_from_the_hashed_words(bound):
+    """hash_words hashes what randbelow draws from; where every lane lies
+    within one byte (b = log2(bound) divides 8), byte_columns reads each
+    draw's byte from the little-endian hash buffer and byte_values maps
+    it to the draw, and those are randbelow's draws. Elsewhere there are
+    no byte columns."""
+    seeds = np.array([5, (1 << 63) | 9, _M64, 0, 12345], dtype=np.uint64)[None, :]
+    key = streams.fold_key(seeds, 3)
+    ids = np.array([0, 1, 7, 8, 31, 63, 64, 200, 511], dtype=np.uint64)[:, None]
+    plan = streams.draw_buffers(bound, key, 0, ids)
+    assert plan.hashes.dtype == np.dtype("<u8")
+    byte_values = plan.byte_values()
+    assert (byte_values is None) == (bound not in (2, 4, 16, 256))
+    for ordinal in (0, 1, 1 << 32, (1 << 63) - 1):
+        words = streams.hash_words(key, ordinal, plan.last, out=plan)
+        assert np.shares_memory(words, plan.hashes)
+        want = streams.randbelow(bound, key, ordinal, ids)
+        assert np.array_equal(plan.lanes(bound), want)
+        if byte_values is None:
+            with pytest.raises(ValueError):
+                plan.byte_columns()
+            continue
+        columns = plan.byte_columns()
+        assert len(columns) == len(byte_values) == len(ids)
+        for column, values, row in zip(columns, byte_values, want):
+            assert column.shape == (seeds.size,) and not column.flags.writeable
+            assert np.array_equal(values[column], row)
+    # no draw axis: each draw hashes its own word, so there are no columns
+    assert streams.draw_buffers(4, key, 0, np.arange(5)[None, :]).byte_values() is None
+    with pytest.raises(ValueError):
+        streams.hash_words(key, 0, ids + np.uint64(1), out=plan)
+
+
 LARGE_BOUNDS = [(1 << 31) + 1, (1 << 32) - 1, 1 << 32, 1 << 40, 1 << 63]
 
 
