@@ -72,10 +72,12 @@ the plan the field owns, so an evaluation allocates no (A, B)
 temporaries and plans nothing; the draws and byte columns are views
 valid until the next hash. Against the draw buffer the tables replace,
 (16, 2048) uint64 or 256 KB, the tables take 128 KB at n = 4, D = 4
-and the widened bytes 64 KB. In process (integrate alone, 2048 rows,
-rk4/100, template bindings, median of 12 alternations), the tables took
-0.82x the draws' time at n = 4, D = 4 (173 against 212 ms) and 0.93x at
-n = 2, D = 2 (57 against 62 ms).
+and the widened bytes 64 KB. The widened bytes are writeable, since
+numpy's take copies a read-only index first (16 takes at 2048 rows: 53
+against 42 us). In process (integrate alone, 2048 rows, rk4/100,
+template bindings, median of 8 alternations), the tables took 0.74x the
+draws' time at n = 4, D = 4 (169 against 227 ms) and 0.92x at n = 2,
+D = 2 (60 against 65 ms).
 
 A field has one input shape: seed is a 1-D array of per-row seeds, and
 eval takes a (B, D) batch with one row per seed; any other shape raises

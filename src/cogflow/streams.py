@@ -325,9 +325,11 @@ class DrawPlan:
     def byte_columns(self) -> tuple:
         """Per draw along the draw axis, the value of the byte holding its
         lane in the words the last hash left, shaped like the leading
-        counters' broadcast, as intp: read-only views of a buffer that the
-        first call allocates and every call refills, by one copy per
-        hashed word. byte_values()[i][byte_columns()[i]] are the draws of
+        counters' broadcast, as intp: views of a buffer that the first
+        call allocates and every call refills, by one copy per hashed
+        word, valid until the next call. They are writeable, as the draws
+        of lanes() are: numpy's take copies a read-only index before
+        using it. byte_values()[i][byte_columns()[i]] are the draws of
         lanes() along the axis. ValueError where byte_values is None."""
         if self._columns is None:
             self._columns = self._byte_buffer()
@@ -356,9 +358,7 @@ class DrawPlan:
             source = octets[(slice(first, last + 1), *index)]
             self._byte_copies.append((buffer[row : row + len(source)], source))
             start[word], row = row - first, row + len(source)
-        columns = buffer.view()
-        columns.flags.writeable = False
-        return tuple(columns[start[word] + byte] for word, byte, _ in lanes)
+        return tuple(buffer[start[word] + byte] for word, byte, _ in lanes)
 
 
 def _split(counters) -> tuple[tuple, object]:
