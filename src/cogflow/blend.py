@@ -37,11 +37,10 @@ power-of-two n and 32 bits otherwise, and L = 64 // b. A row then
 hashes one word per ordinal at n = 2 and 4, 4 at n = 3 and 32 at n = 6.
 The hash is split into a key and a counter: when the field is built,
 (seed_r, STREAM_CHAIN_DRAW) is folded once into a (1, B) key, and the
-draw plan of the (A, 1) active anchor ids is built (see
-streams.draw_buffers): the distinct words to hash, each anchor's word
-and lane shift, and the buffers. Each evaluation then makes one
-streams.hash_words call, which folds only the ordinal into the key and
-hashes the words, for the A active of the K = 2**n anchors. An
+streams.ChainDraws of the A active of the K = 2**n anchor ids is built:
+the distinct words to hash, each anchor's word and lane shift, and the
+buffers. Each evaluation then makes one ChainDraws.hash call, which
+folds only the ordinal into the key and hashes the words. An
 anchor's draws depend on its own id alone, so they are those of a draw
 over all K ids, and at a vertex only the word holding the one active
 anchor is hashed. At n = 1 each anchor has a single chain, which is its
@@ -64,11 +63,11 @@ extracted and there is no (A, B) draw buffer. The bits are those of
 the draws' gather, since row v of a table is a copy of the chain mean
 that byte value draws. At n = 3, 5 and 6 (32-bit lanes), with unequal
 variances, which gather a kappa per row by the draw, and over budget,
-the plan's lanes(n) extracts every draw at once, (A, B), in a draw
+ChainDraws.lanes() extracts every draw at once, (A, B), in a draw
 buffer it allocates on its first call, and each anchor's means are
 gathered by its row of draws; the generic path uses those draws too.
 The hash buffer, the widened bytes and the draw buffer all belong to
-the plan the field owns, so an evaluation allocates no (A, B)
+the field's ChainDraws, so an evaluation allocates no (A, B)
 temporaries and plans nothing; the draws and byte columns are views
 valid until the next hash. Against the draw buffer the tables replace,
 (16, 2048) uint64 or 256 KB, the tables take 128 KB at n = 4, D = 4
@@ -191,8 +190,8 @@ it is built: its path (bank or generic), its mode, and on the bank path
 the width W and the bytes of its means and of one time's shifts
 (`cogflow --verbose` shows it).
 
-A BlendedField instance owns its ordinal, evaluation counter, draw key,
-draw plan and its buffers, the stochastic bank's scratch arrays and the
+A BlendedField instance owns its ordinal, evaluation counter, chain
+draws and their buffers, the stochastic bank's scratch arrays and the
 bank's constants at the last time it evaluated, and must not be shared
 across concurrent callers;
 separate instances may run on separate threads. A BlendSpec is
@@ -379,7 +378,7 @@ class GaussianBank(NamedTuple):
         positions active, for a batch of rows, or None unless each of
         those fields is exactly a GaussianTargetField (subclasses may
         override eval). draws lays it out for a field that draws chains;
-        byte_values, its DrawPlan's byte_values(), if not None, turns each
+        byte_values, its ChainDraws' byte_values(), if not None, turns each
         anchor's chain means into its draw table when the tables fit
         TILE_BUDGET and every anchor's chain variances are equal."""
         chains = [spec.anchor_sets[k].chain_fields for k in active]
@@ -520,13 +519,10 @@ class BlendedField(VelocityField):
         self._vertex = len(active) == 1 and self._weights[0] == 1.0
         byte_values = None
         if self._stochastic:
-            # the key/counter split and the draw plan; see the module notes
-            self._key = streams.fold_key(np.asarray(seed)[None, :], streams.STREAM_CHAIN_DRAW)
-            ids = active.astype(np.uint64)[:, None]
-            self._draw_plan = streams.draw_buffers(spec.n, self._key, 0, ids)
-            # the plan's read-only copy of the ids passes its check by identity
-            self._anchor_ids = self._draw_plan.last
-            byte_values = self._draw_plan.byte_values()
+            # the key/counter split and the chain draws; see the module notes
+            key = streams.fold_key(np.asarray(seed)[None, :], streams.STREAM_CHAIN_DRAW)
+            self._chain_draws = streams.ChainDraws(spec.n, key, active)
+            byte_values = self._chain_draws.byte_values()
         self._bank = GaussianBank.of(spec, active, len(seed), self._stochastic, byte_values)
         if self._bank is None:
             log.debug("blended field: generic path, %s, %d rows", spec.mode, len(seed))
@@ -548,19 +544,18 @@ class BlendedField(VelocityField):
         The draws depend on the seeds and the ordinal alone, and are a
         view of the field's draw buffer, valid until the next hash.
         """
-        return streams.randbelow(
-            self.spec.n, self._key, ordinal, self._anchor_ids, out=self._draw_plan
-        )
+        self._chain_draws.hash(ordinal)
+        return self._chain_draws.lanes()
 
     def _gather_by(self, ordinal: int):
         """What the bank gathers each active anchor's drawn means by at
         ordinal: with draw tables, the byte of the hashed words that holds
         the anchor's draws, (B,) per anchor; otherwise the draws. Either
-        way one streams.hash_words call hashes the draws' words."""
+        way one ChainDraws.hash call hashes the draws' words."""
         if not self._bank.tables:
             return self._draws(ordinal)
-        streams.hash_words(self._key, ordinal, self._anchor_ids, out=self._draw_plan)
-        return self._draw_plan.byte_columns()
+        self._chain_draws.hash(ordinal)
+        return self._chain_draws.byte_columns()
 
     @staticmethod
     def _chain_value(fields, x, t, draw):

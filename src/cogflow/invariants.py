@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import streams
 from .blend import AnchorFields, BlendedField, BlendSpec
 from .cogspace import CognitiveSpace, ScoreVector, enumerate_anchors, weight_vector
 from .flow import IntegrationConfig, integrate
@@ -137,6 +138,28 @@ def blend_identity_and_counts() -> str | None:
         _require(field.eval_counter == 3 * per_call, f"count wrong in {mode}")
 
 
+def chain_draws_follow_the_stream() -> str | None:
+    """A blended field's chain draws, streams.ChainDraws, are randbelow's
+    draws by the plain counters (row seed, chain-draw stream, ordinal,
+    anchor) at n = 2..6, for every anchor and for every third, and where
+    bytes hold the lanes (n = 2, 4) the byte columns read the same draws."""
+    seeds = np.array([0, 1, 12345, (1 << 63) | 5, (1 << 64) - 1], dtype=np.uint64)[None, :]
+    stream = streams.STREAM_CHAIN_DRAW
+    key = streams.fold_key(seeds, stream)
+    for n in range(2, 7):
+        for ids in (np.arange(1 << n), np.arange(1, 1 << n, 3)):
+            draws = streams.ChainDraws(n, key, ids)
+            byte_values = draws.byte_values()
+            for ordinal in (0, 1, (1 << 63) - 1):
+                want = streams.randbelow(n, seeds, stream, ordinal, ids[:, None])
+                draws.hash(ordinal)
+                where = f"n={n}, {len(ids)} anchors, ordinal {ordinal}"
+                _require(np.array_equal(draws.lanes(), want), f"lanes differ at {where}")
+                if byte_values is not None:
+                    read = [v[c] for v, c in zip(byte_values, draws.byte_columns())]
+                    _require(np.array_equal(read, want), f"byte columns differ at {where}")
+
+
 def integrator_reference_cases() -> str | None:
     shrink = SimpleNamespace(eval=lambda x, t: -x)
     zero = SimpleNamespace(eval=lambda x, t: np.zeros_like(x))
@@ -197,6 +220,7 @@ INVARIANTS = [
         gaussian_field_monte_carlo_oracle,
         mixture_responsibilities,
         blend_identity_and_counts,
+        chain_draws_follow_the_stream,
         integrator_reference_cases,
         polarization_cache_transparency,
     )

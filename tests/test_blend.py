@@ -724,17 +724,16 @@ def test_mixture_chain_takes_generic_path_with_row_equality(space2, biased_model
 
 @pytest.fixture
 def hash_calls(monkeypatch):
-    """The counters of every streams.hash_words call the test makes: the
-    one hash of each evaluation, on every path (randbelow hashes through
-    it too)."""
+    """The arguments, (self, ordinal), of every streams.ChainDraws.hash
+    call the test makes: the one hash of each evaluation, on every path."""
     calls = []
-    hash_words = streams.hash_words
+    chain_hash = streams.ChainDraws.hash
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args)
-        return hash_words(*args, **kwargs)
+        return chain_hash(*args)
 
-    monkeypatch.setattr(streams, "hash_words", counted)
+    monkeypatch.setattr(streams.ChainDraws, "hash", counted)
     return calls
 
 
@@ -770,12 +769,12 @@ def test_every_solver_stage_draws_at_its_own_ordinal(n, wrap, variance, hash_cal
 def test_a_field_plans_its_draws_once_when_built(monkeypatch, wrap):
     plans = []
 
-    class Counted(streams.DrawPlan):
+    class Counted(streams.ChainDraws):
         def __init__(self, *args):
             plans.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(streams, "DrawPlan", Counted)
+    monkeypatch.setattr(streams, "ChainDraws", Counted)
     spec = gaussian_spec(4, wrap=wrap, mode="stochastic")
     field = BlendedField(spec, np.arange(6, dtype=np.uint64))
     assert len(plans) == 1
@@ -875,7 +874,7 @@ def test_stochastic_bank_builds_draw_tables_only_within_the_budget(n, side, monk
     assert field._bank.tables == (side == "tables")
     assert field._bank.means.shape == (2**n, 256 if side == "tables" else n, 3)
     run_steps(field, xs)
-    assert (field._draw_plan.draws is None) == (side == "tables")
+    assert (field._chain_draws._draws is None) == (side == "tables")
     assert_bank_matches_generic_path(
         n, 30 + n, xs, monkeypatch, mode="stochastic", variance=0.6
     )
@@ -1042,8 +1041,7 @@ def test_an_anchors_draws_are_the_same_at_interior_face_and_vertex_scores(n):
         for rows in seen.values():
             assert all(np.array_equal(row, rows[0]) for row in rows)
         # at the vertex only the word holding the active anchor is hashed
-        hashes = field._draw_plan.hashes
-        assert hashes.shape[1:] == (1, len(seeds))
+        assert field._chain_draws.hash(0).shape == (1, len(seeds))
 
 
 @pytest.mark.parametrize("wrap", [lambda f: f, DelegatingField], ids=["bank", "generic"])

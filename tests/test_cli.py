@@ -61,6 +61,7 @@ def test_validate_passes_with_one_line_per_invariant(capsys, monkeypatch):
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) == len(checks)
     assert all(line.startswith("PASS") for line in lines)
+    assert "PASS chain_draws_follow_the_stream" in lines
 
 
 def test_validate_reports_a_failing_check(capsys, monkeypatch):

@@ -12,8 +12,8 @@ run, every solver stage counted, is
 
     j = randbelow(n, seed_r, STREAM_CHAIN_DRAW, e, k),
 
-hashed from the plain counter tuple. Nothing of the field's bank, draw
-plan, skipped anchors or deviation sums is used, so the sums may differ
+hashed from the plain counter tuple. Nothing of the field's bank, chain
+draws, skipped anchors or deviation sums is used, so the sums may differ
 from the field's in the last bits and the comparison has a tolerance.
 A field that reused one draw across a step's stages, started its count
 anywhere but 0, or counted evaluations of another field would miss the

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cogflow import streams
+from cogflow import invariants, streams
 
 
 def test_counter_hash_is_deterministic_and_order_sensitive():
@@ -150,84 +150,66 @@ def test_randbelow_draws_lanes_of_the_python_reference_hash(bound):
         ]
         assert draws.dtype == np.int64
         assert draws.tolist() == want
-        key = streams.fold_key(seeds.T, 3)
-        out = streams.draw_buffers(bound, key, 0, ks[:, None])
-        in_place = streams.randbelow(bound, key, ordinal, ks[:, None], out=out)
-        assert np.array_equal(in_place, draws.T)
-        assert np.shares_memory(in_place, out.draws)
     assert isinstance(streams.randbelow(bound, 4, 2), np.int64)
 
 
-def test_a_draw_plan_never_serves_other_counters():
-    """A plan from draw_buffers serves calls with its own last counter;
-    any other call returns the reference draws or raises, and never the
-    draws of the old plan."""
-    seeds = np.array([5, (1 << 63) | 9, _M64, 0], dtype=np.uint64)[None, :]
-    key = streams.fold_key(seeds, 3)
-    ids = np.arange(4, dtype=np.uint64)[:, None]
-    plan = streams.draw_buffers(4, key, 0, ids)
-    mutated = ids.copy()
-    planned_on_mutated = streams.draw_buffers(4, key, 0, mutated)
-    mutated[0] = 40  # the caller's own array, changed after planning
-    calls = [
-        (4, key, ids + np.uint64(32)),  # same shape, other words
-        (4, key, ids[::-1].copy()),  # same shape and words, other lanes
-        (4, key, np.arange(8, dtype=np.uint64)[:, None]),  # another shape
-        (4, key, np.arange(4)),  # the ids along the other axis
-        (4, key, ids.astype(np.int64)),  # equal values as another array
-        (2, key, ids),  # other lanes
-        (4, streams.fold_key(5, 3), ids),  # a scalar key
-    ]
-    for bound, k, last in calls:
-        want = streams.randbelow(bound, k, 7, last)
-        for out in (plan, planned_on_mutated):
-            try:
-                got = streams.randbelow(bound, k, 7, last, out=out)
-            except ValueError:
-                continue
-            assert np.array_equal(got, want) and got.shape == want.shape
-    with pytest.raises(ValueError):
-        streams.randbelow(4, key, 7, mutated, out=planned_on_mutated)
-    # the plan's own copy of its last counter passes by identity, and is
-    # read-only, so it cannot change under the plan
-    assert np.array_equal(streams.randbelow(4, key, 7, plan.last, out=plan),
-                          streams.randbelow(4, key, 7, ids))
-    with pytest.raises(ValueError):
-        plan.last[0] = 9
-
-
-@pytest.mark.parametrize("bound", [2, 3, 4, 5, 6, 8, 16, 256])
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 6, 8, 16, 256])
 def test_byte_columns_read_randbelow_draws_from_the_hashed_words(bound):
-    """hash_words hashes what randbelow draws from; where every lane lies
-    within one byte (b = log2(bound) divides 8), byte_columns reads each
-    draw's byte from the little-endian hash buffer and byte_values maps
-    it to the draw, and those are randbelow's draws. Elsewhere there are
-    no byte columns."""
+    """ChainDraws hashes each word that randbelow draws from once, into a
+    little-endian buffer, and its lanes are randbelow's draws; where every
+    lane lies within one byte (b = log2(bound) divides 8), byte_columns
+    reads each draw's byte from that buffer and byte_values maps it to
+    the draw. Elsewhere, 0-bit lanes included, there are no byte columns."""
     seeds = np.array([5, (1 << 63) | 9, _M64, 0, 12345], dtype=np.uint64)[None, :]
     key = streams.fold_key(seeds, 3)
-    ids = np.array([0, 1, 7, 8, 31, 63, 64, 200, 511], dtype=np.uint64)[:, None]
-    plan = streams.draw_buffers(bound, key, 0, ids)
-    assert plan.hashes.dtype == np.dtype("<u8")
-    byte_values = plan.byte_values()
+    ids = np.array([0, 1, 7, 8, 31, 63, 64, 200, 511], dtype=np.uint64)
+    words = np.unique(ids // (64 // max(lane_bits(bound), 1)))[:, None]
+    draws = streams.ChainDraws(bound, key, ids)
+    byte_values = draws.byte_values()
     assert (byte_values is None) == (bound not in (2, 4, 16, 256))
     for ordinal in (0, 1, 1 << 32, (1 << 63) - 1):
-        words = streams.hash_words(key, ordinal, plan.last, out=plan)
-        assert np.shares_memory(words, plan.hashes)
-        want = streams.randbelow(bound, key, ordinal, ids)
-        assert np.array_equal(plan.lanes(bound), want)
+        hashed = draws.hash(ordinal)
+        assert hashed.dtype == np.dtype("<u8")
+        assert np.array_equal(hashed, streams.counter_hash(key, ordinal, words))
+        want = streams.randbelow(bound, key, ordinal, ids[:, None])
+        assert np.array_equal(draws.lanes(), want)
         if byte_values is None:
             with pytest.raises(ValueError):
-                plan.byte_columns()
+                draws.byte_columns()
             continue
-        columns = plan.byte_columns()
+        columns = draws.byte_columns()
         assert len(columns) == len(byte_values) == len(ids)
         for column, values, row in zip(columns, byte_values, want):
             assert column.shape == (seeds.size,) and column.dtype == np.intp
             assert np.array_equal(values[column], row)
-    # no draw axis: each draw hashes its own word, so there are no columns
-    assert streams.draw_buffers(4, key, 0, np.arange(5)[None, :]).byte_values() is None
-    with pytest.raises(ValueError):
-        streams.hash_words(key, 0, ids + np.uint64(1), out=plan)
+
+
+class LaneOffByOne(streams.ChainDraws):
+    """At n = 3, each anchor reads its neighbour's 32-bit lane."""
+
+    def __init__(self, bound, key, ids):
+        super().__init__(bound, key, ids)
+        if bound == 3:
+            self._shifts = (self._shifts + np.uint64(32)) % np.uint64(64)
+
+
+class NextByte(streams.ChainDraws):
+    """At n = 4, each anchor reads the byte after its own (four 2-bit
+    lanes to a byte, so anchor a + 4's column, wrapping within the word)."""
+
+    def byte_columns(self):
+        columns = super().byte_columns()
+        return columns[4:] + columns[:4] if self.bound == 4 else columns
+
+
+@pytest.mark.parametrize(
+    "faulty, message", [(LaneOffByOne, "lanes differ at n=3"), (NextByte, "byte columns differ at n=4")]
+)
+def test_the_chain_draw_invariant_fails_on_a_wrong_lane_or_byte(monkeypatch, faulty, message):
+    invariants.chain_draws_follow_the_stream()
+    monkeypatch.setattr(streams, "ChainDraws", faulty)
+    with pytest.raises(AssertionError, match=message):
+        invariants.chain_draws_follow_the_stream()
 
 
 LARGE_BOUNDS = [(1 << 31) + 1, (1 << 32) - 1, 1 << 32, 1 << 40, 1 << 63]
